@@ -61,12 +61,6 @@ def _parse_degree(value: str) -> tuple:
     return (int(parts[0]), int(parts[1]))
 
 
-def _parse_rational(value) -> Fraction:
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="twograph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -184,7 +178,7 @@ def _run_group(args) -> int:
     if args.subcommand == "transfer":
         if not isinstance(group, FiniteAbelian):
             raise GroupError("transfer tables need a finite group")
-        table = [_parse_rational(v) for v in json.loads(args.table)]
+        table = [Fraction(v) for v in json.loads(args.table)]
         values = transfer_eval(group, args.a, table)
         _emit({"a": args.a, "values": [str(v) for v in values]})
         return 0

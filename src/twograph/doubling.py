@@ -20,6 +20,7 @@ from .periodicity import (
     PERIODIC,
     PeriodicityVerdict,
     decide_periodicity,
+    minimal_exponents,
 )
 
 
@@ -121,6 +122,8 @@ def crossed_product_report(
     no-candidate outcomes give a simple, purely infinite crossed
     product; a periodic doubled graph gives a non-simple one.
     """
+    # checked on the source, so a degenerate-count error names its counts
+    minimal_exponents(graph.n_blue, graph.n_red)
     doubled = double(graph)
     verdict = decide_periodicity(doubled, kmax=kmax, cap=cap)
     if verdict.kind in (APERIODIC, NO_CANDIDATE_PAIRS):

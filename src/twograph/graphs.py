@@ -245,15 +245,19 @@ class TwoGraph:
         degree = _as_degree(degree)
         return self.n_blue**degree.n1 * self.n_red**degree.n2
 
-    def _paths(self, degree: "Degree", cap: int) -> tuple:
-        cached = self._paths_cache.get(degree)
-        if cached is not None:
-            return cached
+    def check_path_cap(self, degree, cap: int) -> None:
+        """Raise SizeLimitError if the paths of ``degree`` outnumber ``cap``."""
         count = self.path_count(degree)
         if count > cap:
             raise SizeLimitError(
                 f"{count} paths of degree {tuple(degree)} exceed cap {cap}"
             )
+
+    def _paths(self, degree: "Degree", cap: int) -> tuple:
+        cached = self._paths_cache.get(degree)
+        if cached is not None:
+            return cached
+        self.check_path_cap(degree, cap)
         paths = tuple(
             Path(self, blues, reds)
             for blues in itertools.product(range(self.n_blue), repeat=degree.n1)
@@ -453,9 +457,6 @@ class Path:
         return result
 
     __mul__ = compose
-
-    def has_prefix(self, prefix: "Path") -> bool:
-        return self.strip_prefix(prefix) is not None
 
     def strip_prefix(self, prefix: "Path"):
         """The suffix ``s`` with ``self == prefix * s``, or None."""

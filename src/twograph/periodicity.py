@@ -1,12 +1,23 @@
 """Periodicity decision for single-vertex rank-2 graphs.
 
 Periodicity is equivalent to the existence of a degree pair (a, b) and
-a bijection between the blue paths of degree (a,0) and the red paths of
-degree (0,b) under which every product mu*nu refactors as the paired
-red path followed by the inversely paired blue path.  Instead of
-searching the (N1^a)! bijections, the canonical candidate pairing is
-computed from red-prefix extraction and then verified; any pairing that
-satisfies the condition necessarily equals the canonical one.
+a bijection gamma between the blue paths of degree (a,0) and the red
+paths of degree (0,b) under which every product mu*nu refactors
+red-first as gamma(mu) followed by gamma^-1(nu).  Instead of searching
+the (N1^a)! bijections, one pass over the products decides it: the red
+head of mu*nu must not depend on nu, the blue tail must not depend on
+mu, and the tail map must invert the head map.  Any pairing satisfying
+the condition is therefore the one read off the heads.
+
+Paths in that pass are integers.  A blue path of degree (a,0) with
+letters e_1..e_a is coded as the sum of e_i * N1^(a-i), first letter
+most significant, and a red path of degree (0,b) likewise in base N2,
+so code i is ``enumerate_paths(...)[i]``.  The red-first factorization
+of mu*nu moves each red letter of nu leftward through the current blue
+word by the commutation table.  One move is a function of (blue word,
+red letter); it is memoized for the length of one call and shared by
+all products whose red parts have a common prefix.  Path objects are
+built only for the pairing a caller gets back.
 """
 
 from __future__ import annotations
@@ -63,6 +74,95 @@ def minimal_exponents(n_blue: int, n_red: int) -> Optional[tuple]:
     return (ratio.numerator, ratio.denominator)
 
 
+def _red_moves(graph: TwoGraph, a: int, word: int) -> tuple:
+    """Move each red letter leftward through the blue word coded ``word``.
+
+    Returns (red letters out, blue codes out), both indexed by the red
+    letter going in.
+    """
+    n_blue, n_red, fwd = graph.n_blue, graph.n_red, graph._fwd
+    reds, words = [], []
+    for f in range(n_red):
+        rest, new, place = word, 0, 1
+        for _ in range(a):
+            # r_f passes the nearest blue letter on its left: (b_e)(r_f) = (r_f')(b_e')
+            rest, e = divmod(rest, n_blue)
+            f, e = fwd[e * n_red + f]
+            new += e * place
+            place *= n_blue
+        reds.append(f)
+        words.append(new)
+    return reds, words
+
+
+def _factor_rows(graph: TwoGraph, a: int, b: int):
+    """Yield (heads, tails) for each blue code mu of degree (a,0) in order.
+
+    ``heads[nu]`` and ``tails[nu]`` code the red-first factorization of
+    mu*nu, for each red code nu of degree (0,b): its red path of degree
+    (0,b) and its blue path of degree (a,0).
+    """
+    n_red = graph.n_red
+    moves: dict = {}
+    for mu in range(graph.n_blue**a):
+        heads, tails = [0], [mu]
+        # after j steps, entry i holds the j-letter red prefix numbered i
+        for _ in range(b):
+            next_heads, next_tails = [], []
+            for head, word in zip(heads, tails):
+                move = moves.get(word)
+                if move is None:
+                    move = moves[word] = _red_moves(graph, a, word)
+                reds, words = move
+                base = head * n_red
+                for f in reds:
+                    next_heads.append(base + f)
+                next_tails.extend(words)
+            heads, tails = next_heads, next_tails
+        yield heads, tails
+
+
+def _pairing_codes(
+    graph: TwoGraph, a: int, b: int, heads_only: bool = False
+) -> Optional[list]:
+    """The red code paired with each blue code at (a, b), or None.
+
+    Returns at the first failure of the checks.  With ``heads_only``,
+    only the canonical candidate is computed: each head must not depend
+    on nu, and the head map must be injective.  Otherwise the tail must
+    also not depend on mu, and the tail map must invert the head map,
+    which makes the result a verified period.
+    """
+    heads_of: list = []
+    tails_of = None
+    for mu, (heads, tails) in enumerate(_factor_rows(graph, a, b)):
+        head = heads[0]
+        if heads.count(head) != len(heads):
+            return None
+        heads_of.append(head)
+        if heads_only:
+            continue
+        if tails_of is None:
+            tails_of = tails
+        if tails != tails_of or tails_of[head] != mu:
+            return None
+    if len(set(heads_of)) != len(heads_of):
+        return None
+    return heads_of
+
+
+def _check_path_caps(graph: TwoGraph, a: int, b: int, cap: int) -> None:
+    # blue first: the message of the first cap hit is what callers report
+    graph.check_path_cap(Degree(a, 0), cap)
+    graph.check_path_cap(Degree(0, b), cap)
+
+
+def _pairing_paths(graph: TwoGraph, a: int, b: int, codes: list, cap: int) -> dict:
+    blues = graph.enumerate_paths(Degree(a, 0), cap)
+    reds = graph.enumerate_paths(Degree(0, b), cap)
+    return {blues[mu]: reds[nu] for mu, nu in enumerate(codes)}
+
+
 def candidate_pairing(
     graph: TwoGraph, a: int, b: int, cap: int = DEFAULT_PATH_CAP
 ) -> Optional[dict]:
@@ -74,22 +174,9 @@ def candidate_pairing(
     """
     if graph.path_count(Degree(a, 0)) != graph.path_count(Degree(0, b)):
         raise GraphError(f"path counts differ at (a, b) = {(a, b)}")
-    blues = graph.enumerate_paths(Degree(a, 0), cap)
-    reds = graph.enumerate_paths(Degree(0, b), cap)
-    red_degree = Degree(0, b)
-    pairing: dict = {}
-    for mu in blues:
-        value = None
-        for beta in reds:
-            prefix, _ = (mu * beta).split(red_degree)
-            if value is None:
-                value = prefix
-            elif prefix != value:
-                return None
-        pairing[mu] = value
-    if len(set(pairing.values())) != len(blues):
-        return None
-    return pairing
+    _check_path_caps(graph, a, b, cap)
+    codes = _pairing_codes(graph, a, b, heads_only=True)
+    return None if codes is None else _pairing_paths(graph, a, b, codes, cap)
 
 
 def verify_period(graph: TwoGraph, a: int, b: int, pairing: dict) -> bool:
@@ -97,20 +184,15 @@ def verify_period(graph: TwoGraph, a: int, b: int, pairing: dict) -> bool:
 
     True iff for every (mu, nu) in blue^(a,0) x red^(0,b) the product
     mu*nu has red-first factorization pairing[mu] followed by the
-    inverse pairing of nu.
+    inverse pairing of nu.  A period's pairing is unique, so this holds
+    exactly when the single verified pass finds this pairing.
     """
     blues = graph.enumerate_paths(Degree(a, 0))
     reds = graph.enumerate_paths(Degree(0, b))
     if set(pairing.keys()) != set(blues) or set(pairing.values()) != set(reds):
         raise GraphError("pairing is not a bijection between the stated path sets")
-    inverse = {v: k for k, v in pairing.items()}
-    red_degree = Degree(0, b)
-    for mu in blues:
-        for nu in reds:
-            head, tail = (mu * nu).split(red_degree)
-            if head != pairing[mu] or tail != inverse[nu]:
-                return False
-    return True
+    red_code = {nu: i for i, nu in enumerate(reds)}
+    return _pairing_codes(graph, a, b) == [red_code[pairing[mu]] for mu in blues]
 
 
 @dataclass(frozen=True)
@@ -180,9 +262,13 @@ def decide_periodicity(
     """Bounded periodicity decision.
 
     Tries the multiples k*(a0, b0) of the minimal exponent pair for
-    k = 1..kmax.  A verified candidate gives ``periodic``; candidate
-    uniqueness means no other bijection needs to be searched.
+    k = 1..kmax, one verified pass each.  A verified pairing gives
+    ``periodic``; its uniqueness means no other bijection needs to be
+    searched.  ``kmax`` below 1 is rejected: an empty search would read
+    as ``aperiodic``.
     """
+    if kmax < 1:
+        raise GraphError(f"kmax must be at least 1, got {kmax}")
     minimal = minimal_exponents(graph.n_blue, graph.n_red)
     if minimal is None:
         return PeriodicityVerdict(
@@ -194,7 +280,7 @@ def decide_periodicity(
     for k in range(1, kmax + 1):
         a, b = k * a0, k * b0
         try:
-            pairing = candidate_pairing(graph, a, b, cap)
+            _check_path_caps(graph, a, b, cap)
         except SizeLimitError as exc:
             return PeriodicityVerdict(
                 kind=UNKNOWN,
@@ -202,7 +288,9 @@ def decide_periodicity(
                 kmax=kmax,
                 detail=f"path cap hit at (a, b) = {(a, b)}: {exc}",
             )
-        if pairing is not None and verify_period(graph, a, b, pairing):
+        codes = _pairing_codes(graph, a, b)
+        if codes is not None:
+            pairing = _pairing_paths(graph, a, b, codes, cap)
             return PeriodicityVerdict(
                 kind=PERIODIC, witness=PeriodWitness(a, b, pairing), kmax=kmax
             )

@@ -112,6 +112,57 @@ def test_periodicity_unknown_exit_two(capsys, flip_spec):
     assert json.loads(out)["kind"] == "unknown"
 
 
+@pytest.mark.parametrize("command", [("theta", "periodicity"), ("crossed-product",)])
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_kmax_below_one_is_input_error(capsys, twin_spec, command, kmax):
+    # an empty search must not read as "aperiodic" (or "simple")
+    code = main([*command, "--spec", twin_spec, "--kmax", kmax])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: kmax must be at least 1, got {kmax}\n"
+
+
+def test_periodicity_unknown_detail(capsys, flip_spec, tmp_path):
+    code, out = run(
+        capsys, "theta", "periodicity", "--spec", flip_spec, "--kmax", "3", "--path-cap", "3"
+    )
+    assert code == 2
+    assert json.loads(out) == {
+        "checked": [[1, 1]],
+        "detail": "path cap hit at (a, b) = (2, 2): 4 paths of degree (2, 0) exceed cap 3",
+        "kind": "unknown",
+        "kmax": 3,
+    }
+    # the blue count is checked before the red one
+    spec = tmp_path / "flip42.json"
+    spec.write_text(json.dumps(flip_graph(4, 2).to_json()))
+    code, out = run(capsys, "theta", "periodicity", "--spec", str(spec), "--path-cap", "3")
+    assert code == 2
+    assert json.loads(out)["detail"] == (
+        "path cap hit at (a, b) = (1, 2): 4 paths of degree (1, 0) exceed cap 3"
+    )
+
+
+def test_crossed_product_unknown_detail(capsys, flip_spec):
+    code, out = run(capsys, "crossed-product", "--spec", flip_spec, "--path-cap", "10")
+    assert code == 2
+    assert json.loads(out)["doubled_periodicity"] == {
+        "checked": [[1, 1]],
+        "detail": "path cap hit at (a, b) = (2, 2): 16 paths of degree (2, 0) exceed cap 10",
+        "kind": "unknown",
+        "kmax": 4,
+    }
+
+
+def test_crossed_product_degenerate_names_source_counts(capsys):
+    spec = json.dumps({"n1": 1, "n2": 2, "theta": [[0, 0, 0, 0], [0, 1, 1, 0]]})
+    code = main(["crossed-product", "--spec", spec])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: need at least two edges of each color, got (1, 2)\n"
+
+
 def test_double_emits_provenance(capsys, twin_spec):
     code, out = run(capsys, "double", "--spec", twin_spec)
     assert code == 0

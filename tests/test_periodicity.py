@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twograph import (
     APERIODIC,
@@ -12,6 +14,7 @@ from twograph import (
     UNKNOWN,
     Degree,
     DegenerateCountsError,
+    GraphError,
     TwoGraph,
     candidate_pairing,
     decide_periodicity,
@@ -133,6 +136,12 @@ def test_decide_unknown_on_tiny_cap():
     assert verdict.is_unknown
 
 
+@pytest.mark.parametrize("kmax", [0, -1])
+def test_decide_rejects_kmax_below_one(kmax):
+    with pytest.raises(GraphError, match="kmax must be at least 1"):
+        decide_periodicity(twin_graph(2), kmax=kmax)
+
+
 def test_decide_rejects_degenerate():
     with pytest.raises(DegenerateCountsError):
         decide_periodicity(TwoGraph(1, 1, {(0, 0): (0, 0)}))
@@ -243,6 +252,92 @@ def test_oracle_agreement_second_multiple_periodic_case():
     graph = twin_graph(3)
     assert _decided_periodic(graph, 2, 2)
     assert _oracle_periodic(graph, 2, 2)
+
+
+def all_2x2_graphs() -> list:
+    domain = [(e, f) for e in range(2) for f in range(2)]
+    images = [(f, e) for f in range(2) for e in range(2)]
+    return [TwoGraph(2, 2, dict(zip(domain, perm))) for perm in itertools.permutations(images)]
+
+
+def test_decide_matches_oracle_on_all_2x2_graphs():
+    graphs = all_2x2_graphs()
+    assert len(graphs) == 24
+    first_periods = []
+    for graph in graphs:
+        oracle = [_oracle_periodic(graph, k, k) for k in (1, 2)]
+        for kmax in (1, 2):
+            verdict = decide_periodicity(graph, kmax=kmax)
+            assert verdict.is_periodic == any(oracle[:kmax])
+        if verdict.is_periodic:
+            first = oracle.index(True) + 1
+            assert (verdict.witness.a, verdict.witness.b) == (first, first)
+            first_periods.append(first)
+    # both branches of the decision are exercised, including a first period at k=2
+    assert 1 in first_periods and 2 in first_periods
+    assert len(first_periods) < len(graphs)
+
+
+DEEP_GRAPH = TwoGraph(2, 2, [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 0], [1, 1, 0, 1]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_deep_graph_candidate_is_a_bijection_that_fails_verification(k):
+    pairing = candidate_pairing(DEEP_GRAPH, k, k)
+    assert pairing is not None
+    assert set(pairing) == set(DEEP_GRAPH.enumerate_paths(Degree(k, 0)))
+    assert set(pairing.values()) == set(DEEP_GRAPH.enumerate_paths(Degree(0, k)))
+    assert not verify_period(DEEP_GRAPH, k, k, pairing)
+    assert not _oracle_periodic(DEEP_GRAPH, k, k)
+    verdict = decide_periodicity(DEEP_GRAPH, kmax=k)
+    assert verdict.kind == APERIODIC
+    assert verdict.checked == tuple((j, j) for j in range(1, k + 1))
+
+
+def test_verify_rejects_a_non_bijective_pairing():
+    g = twin_graph(2)
+    with pytest.raises(GraphError, match="not a bijection"):
+        verify_period(g, 1, 1, {g.blue_path(0): g.red_path(0)})
+
+
+# -- relabeling invariance ----------------------------------------------------------
+
+
+def relabel(graph: TwoGraph, blue, red) -> TwoGraph:
+    """The graph with blue id e renamed blue[e] and red id f renamed red[f]."""
+    rows = [(blue[e], red[f], red[ff], blue[ee]) for e, f, ff, ee in graph.theta_rows()]
+    return TwoGraph(graph.n_blue, graph.n_red, rows)
+
+
+@st.composite
+def relabeled_graphs(draw):
+    n_blue, n_red = draw(st.sampled_from([(2, 2), (3, 3), (4, 2), (2, 4)]))
+    domain = [(e, f) for e in range(n_blue) for f in range(n_red)]
+    images = draw(st.permutations([(f, e) for f in range(n_red) for e in range(n_blue)]))
+    graph = TwoGraph(n_blue, n_red, dict(zip(domain, images)))
+    blue = draw(st.permutations(range(n_blue)))
+    red = draw(st.permutations(range(n_red)))
+    return graph, relabel(graph, blue, red), blue, red
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabeled_graphs())
+@example((twin_graph(3), relabel(twin_graph(3), [1, 2, 0], [2, 0, 1]), [1, 2, 0], [2, 0, 1]))
+def test_relabeling_conjugates_the_verdict(case):
+    graph, relabeled, blue, red = case
+    verdict = decide_periodicity(graph, kmax=2)
+    other = decide_periodicity(relabeled, kmax=2)
+    assert other.kind == verdict.kind
+    assert other.checked == verdict.checked
+    if verdict.is_periodic:
+        w, v = verdict.witness, other.witness
+        assert (v.a, v.b) == (w.a, w.b)
+        assert v.pairing == {
+            relabeled.blue_path(*(blue[e] for e in mu.blues)): relabeled.red_path(
+                *(red[f] for f in nu.reds)
+            )
+            for mu, nu in w.pairing.items()
+        }
 
 
 # -- witness self-consistency ------------------------------------------------------
