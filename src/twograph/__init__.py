@@ -68,7 +68,6 @@ from .groups import (
     group_to_json,
     image_index,
     ker_size,
-    minimality_check,
     mu_path,
     power_pullback,
     transfer_eval,

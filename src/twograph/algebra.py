@@ -30,51 +30,19 @@ from typing import Iterator, Optional
 from . import doubling
 from .graphs import (
     DEFAULT_PATH_CAP,
+    BadRangeError,
     Degree,
     GraphError,
     Path,
     SpecMismatchError,
     TwoGraph,
     ZERO_DEGREE,
+    _extensions,
 )
 
 
 class LevelMismatchError(GraphError):
     """Module vectors at different levels cannot be paired."""
-
-
-def _extensions(graph: TwoGraph, nu: Path, alpha: Path, cap: int) -> tuple:
-    """Minimal common extensions: pairs (z, x) with nu*z == alpha*x.
-
-    Both extensions reach degree join(d(nu), d(alpha)).  Results are
-    cached on the graph; the side with the smaller extension count is
-    enumerated.
-    """
-    key = (nu.blues, nu.reds, alpha.blues, alpha.reds)
-    cached = graph._ext_cache.get(key)
-    if cached is not None:
-        return cached
-    d_nu, d_al = nu.degree, alpha.degree
-    if d_nu == d_al:
-        empty = Path(graph, (), ())
-        result = ((empty, empty),) if nu == alpha else ()
-        graph._ext_cache[key] = result
-        return result
-    top = d_nu.join(d_al)
-    out = []
-    if graph.path_count(top - d_nu) <= graph.path_count(top - d_al):
-        for tail in graph._paths(top - d_nu, cap):
-            rest = (nu * tail).strip_prefix(alpha)
-            if rest is not None:
-                out.append((tail, rest))
-    else:
-        for tail in graph._paths(top - d_al, cap):
-            rest = (alpha * tail).strip_prefix(nu)
-            if rest is not None:
-                out.append((rest, tail))
-    result = tuple(out)
-    graph._ext_cache[key] = result
-    return result
 
 
 class GradedElement:
@@ -163,9 +131,7 @@ class GradedElement:
         for (mu, nu), c in self.terms.items():
             for (alpha, beta), d in other.terms.items():
                 cd = c * d
-                for tail_nu, tail_al in _extensions(
-                    graph, nu, alpha, DEFAULT_PATH_CAP
-                ):
+                for tail_nu, tail_al in _extensions(graph, nu, alpha):
                     key = (mu * tail_nu, beta * tail_al)
                     acc = out.get(key, 0) + cd
                     if acc:
@@ -184,7 +150,7 @@ class GradedElement:
 
     # -- equality modulo the summation relation --------------------------
 
-    def is_zero(self, cap: int = DEFAULT_PATH_CAP) -> bool:
+    def is_zero(self) -> bool:
         """Whether the element vanishes after common-level expansion."""
         classes: dict = {}
         for (mu, nu), coeff in self.terms.items():
@@ -196,7 +162,7 @@ class GradedElement:
                 level = level.join(mu.degree)
             acc: dict = {}
             for mu, nu, coeff in items:
-                for lam in self.graph._paths(level - mu.degree, cap):
+                for lam in self.graph._paths(level - mu.degree):
                     key = (mu * lam, nu * lam)
                     total = acc.get(key, 0) + coeff
                     if total:
@@ -229,7 +195,7 @@ class GradedElement:
         return " + ".join(parts)
 
 
-def shift(degree, element: GradedElement, cap: int = DEFAULT_PATH_CAP) -> GradedElement:
+def shift(degree, element: GradedElement) -> GradedElement:
     """The degree-n shift endomorphism: sum of s_lam a s_lam^*.
 
     Unital on the identity (the result is the level-n expansion of 1)
@@ -238,7 +204,7 @@ def shift(degree, element: GradedElement, cap: int = DEFAULT_PATH_CAP) -> Graded
     graph = element.graph
     degree = Degree(*degree)
     out: dict = {}
-    for lam in graph._paths(degree, cap):
+    for lam in graph._paths(degree):
         for (mu, nu), coeff in element.terms.items():
             key = (lam * mu, lam * nu)
             acc = out.get(key, 0) + coeff
@@ -251,7 +217,7 @@ def shift(degree, element: GradedElement, cap: int = DEFAULT_PATH_CAP) -> Graded
     return result
 
 
-def transfer(degree, element: GradedElement, cap: int = DEFAULT_PATH_CAP) -> GradedElement:
+def transfer(degree, element: GradedElement) -> GradedElement:
     """The transfer operator: the exact average of s_lam^* a s_lam.
 
     A positive left inverse companion to :func:`shift`: it satisfies
@@ -262,12 +228,12 @@ def transfer(degree, element: GradedElement, cap: int = DEFAULT_PATH_CAP) -> Gra
     degree = Degree(*degree)
     scale = Fraction(1, graph.path_count(degree))
     out: dict = {}
-    for lam in graph._paths(degree, cap):
+    for lam in graph._paths(degree):
         for (mu, nu), coeff in element.terms.items():
             # s_lam^* s_mu expands first, then s_nu^* s_lam on the right
-            for head_tail, mu_tail in _extensions(graph, lam, mu, cap):
+            for head_tail, mu_tail in _extensions(graph, lam, mu):
                 left_nu = nu * mu_tail
-                for mid_tail, lam_tail in _extensions(graph, left_nu, lam, cap):
+                for mid_tail, lam_tail in _extensions(graph, left_nu, lam):
                     key = (head_tail * mid_tail, lam_tail)
                     acc = out.get(key, 0) + coeff
                     if acc:
@@ -360,7 +326,7 @@ class ModuleVector:
         return f"ModuleVector(level={tuple(self.level)}, payload={self.payload!r})"
 
 
-def check_covariance(mu: Path, nu: Path, cap: int = DEFAULT_PATH_CAP) -> bool:
+def check_covariance(mu: Path, nu: Path) -> bool:
     """Left multiplication by s_mu s_nu^* equals its rank-one expansion.
 
     For every basis vector v at the common level n, compare the left
@@ -374,7 +340,7 @@ def check_covariance(mu: Path, nu: Path, cap: int = DEFAULT_PATH_CAP) -> bool:
     graph = mu.graph
     level = mu.degree
     word = GradedElement.word(mu, nu)
-    lams = graph._paths(level, cap)
+    lams = graph._paths(level)
     for alpha in lams:
         for beta in lams:
             vec = ModuleVector.basis(graph, level, alpha, beta)
@@ -417,10 +383,10 @@ def degrees_upto(bound) -> Iterator[Degree]:
             yield Degree(n1, n2)
 
 
-def _balanced_words(graph: TwoGraph, bound: Degree, cap: int) -> list:
+def _balanced_words(graph: TwoGraph, bound: Degree) -> list:
     words = []
     for level in degrees_upto(bound):
-        paths = graph._paths(level, cap)
+        paths = graph._paths(level)
         for mu in paths:
             for nu in paths:
                 words.append((mu, nu))
@@ -435,15 +401,23 @@ def identity_suite(
 ) -> list:
     """Run the full identity suite; every check should pass on any graph.
 
-    ``max_degree`` bounds every degree the checks materialize: shift and
-    transfer degrees, basis-word degrees, and module levels.  The
-    exhaustive transfer-operator identity runs over single-color shift
-    degrees for all word pairs, plus all shift degrees for word pairs
-    small enough to keep intermediates within the bound; the remaining
-    checks are exhaustive at their stated ranges.  Randomized checks
+    ``max_degree`` bounds the shift and transfer degrees, the
+    basis-word degrees and the module levels.  ``cap`` bounds the paths
+    of each degree up to ``max_degree``; every such degree is checked
+    at entry.  Products can reach higher degrees (e.g. (3, 0) in
+    transfer-identity-generators on a 2x3 graph at (2, 2)), and their
+    enumerations run under ``DEFAULT_PATH_CAP``.  The exhaustive
+    transfer-operator identity runs over single-color shift degrees for
+    all word pairs, plus all shift degrees for word pairs whose degree
+    plus the shift stays within the bound; the remaining checks are
+    exhaustive at their stated ranges.  Randomized checks
     (associativity, adjoint anti-multiplicativity) draw from ``seed``.
     """
     bound = Degree(*max_degree)
+    if not bound.is_valid():
+        raise BadRangeError(f"max_degree must be non-negative, got {tuple(bound)}")
+    for level in degrees_upto(bound):
+        graph.enumerate_paths(level, cap)
     rng = random.Random(seed)
     one = GradedElement.one(graph)
     checks = []
@@ -463,18 +437,18 @@ def identity_suite(
     run(
         "transfer-unit",
         list(degrees_upto(bound)),
-        lambda n: transfer(n, one, cap) == one,
+        lambda n: transfer(n, one) == one,
     )
 
     # shift of the identity (the level-n expansion of 1)
     run(
         "shift-unit",
         list(degrees_upto(bound)),
-        lambda n: shift(n, one, cap) == one,
+        lambda n: shift(n, one) == one,
     )
 
     # transfer identity on the generators, all word pairs
-    words = _balanced_words(graph, bound, cap)
+    words = _balanced_words(graph, bound)
     word_elems = [GradedElement.word(mu, nu) for mu, nu in words]
 
     def generators_check():
@@ -482,12 +456,12 @@ def identity_suite(
         for n in (Degree(1, 0), Degree(0, 1)):
             if not n.leq(bound):
                 continue
-            shifted = [shift(n, a, cap) for a in word_elems]
-            transferred = [transfer(n, b, cap) for b in word_elems]
+            shifted = [shift(n, a) for a in word_elems]
+            transferred = [transfer(n, b) for b in word_elems]
             for a, sa in zip(word_elems, shifted):
                 for b, tb in zip(word_elems, transferred):
                     cases += 1
-                    if transfer(n, sa * b, cap) != a * tb:
+                    if transfer(n, sa * b) != a * tb:
                         detail = f"counterexample: n={tuple(n)}, a={a!r}, b={b!r}"
                         return SuiteCheck(
                             "transfer-identity-generators", cases, False, detail
@@ -500,12 +474,12 @@ def identity_suite(
         n, (mu, nu), (al, be) = case
         a = GradedElement.word(mu, nu)
         b = GradedElement.word(al, be)
-        return transfer(n, shift(n, a, cap) * b, cap) == a * transfer(n, b, cap)
+        return transfer(n, shift(n, a) * b) == a * transfer(n, b)
 
     # transfer identity at every degree, words small enough to stay in bound
     deep_cases = []
     for n in degrees_upto(bound):
-        inner = _balanced_words(graph, bound - n, cap)
+        inner = _balanced_words(graph, bound - n)
         deep_cases.extend((n, a, b) for a in inner for b in inner)
     run("transfer-identity-all-degrees", deep_cases, transfer_identity)
 
@@ -520,25 +494,25 @@ def identity_suite(
     def transfer_action(case):
         m, n, (mu, nu) = case
         a = GradedElement.word(mu, nu)
-        return transfer(m, transfer(n, a, cap), cap) == transfer(m + n, a, cap)
+        return transfer(m, transfer(n, a)) == transfer(m + n, a)
 
     run("transfer-action", action_cases, transfer_action)
 
     # transfer is a left inverse of shift
     section_cases = [
-        (n, w) for n in degrees_upto(bound) for w in _balanced_words(graph, bound, cap)
+        (n, w) for n in degrees_upto(bound) for w in _balanced_words(graph, bound)
     ]
 
     def transfer_section(case):
         n, (mu, nu) = case
         a = GradedElement.word(mu, nu)
-        return transfer(n, shift(n, a, cap), cap) == a
+        return transfer(n, shift(n, a)) == a
 
     run("transfer-section", section_cases, transfer_section)
 
     # orthonormal module bases
     def orthonormal(level):
-        paths = graph._paths(level, cap)
+        paths = graph._paths(level)
         for mu in paths:
             for nu in paths:
                 left = ModuleVector.basis(graph, level, mu, nu)
@@ -556,8 +530,8 @@ def identity_suite(
     prod_cases = []
     for m in degrees_upto(bound):
         for n in degrees_upto(bound - m):
-            m_paths = graph._paths(m, cap)
-            n_paths = graph._paths(n, cap)
+            m_paths = graph._paths(m)
+            n_paths = graph._paths(n)
             prod_cases.extend(
                 (m, n, mu, nu, al, be)
                 for mu in m_paths
@@ -612,7 +586,7 @@ def identity_suite(
         for vec in family:
             if vec.inner(vec) != 1:
                 return False
-        paths = graph._paths(level, cap)
+        paths = graph._paths(level)
         for al in paths:
             for be in paths:
                 target = ModuleVector.basis(graph, level, al, be)
@@ -629,12 +603,12 @@ def identity_suite(
     cov_levels = list(degrees_upto(bound.meet(Degree(1, 1))))
     cov_cases = []
     for n in cov_levels:
-        paths = graph._paths(n, cap)
+        paths = graph._paths(n)
         cov_cases.extend((mu, nu) for mu in paths for nu in paths)
-    run("covariance", cov_cases, lambda case: check_covariance(*case, cap=cap))
+    run("covariance", cov_cases, lambda case: check_covariance(*case))
 
     # *-algebra axioms on random word triples
-    small_words = _balanced_words(graph, bound.meet(Degree(1, 1)), cap)
+    small_words = _balanced_words(graph, bound.meet(Degree(1, 1)))
     triples = [
         tuple(rng.choice(small_words) for _ in range(3)) for _ in range(25)
     ]

@@ -49,7 +49,7 @@ class PatternMismatchError(GraphError):
 
 
 class BadRangeError(GraphError):
-    """Segment endpoints violate ``0 <= p <= q <= degree``."""
+    """A degree is negative, or segment endpoints violate ``0 <= p <= q <= degree``."""
 
 
 class SpecMismatchError(GraphError):
@@ -225,21 +225,13 @@ class TwoGraph:
         pairs.  The word is normalized to blue-first form.
         """
         letters = _parse_word(word)
-        blues: list = []
-        reds: list = []
         for color, x in letters:
             if color == BLUE:
                 if not 0 <= x < self.n_blue:
                     raise IdOutOfRangeError(f"blue id {x} out of range")
-                # pull the new blue letter left through the red block
-                for i in range(len(reds) - 1, -1, -1):
-                    x, reds[i] = self.commute_red_blue(reds[i], x)
-                blues.append(x)
-            else:
-                if not 0 <= x < self.n_red:
-                    raise IdOutOfRangeError(f"red id {x} out of range")
-                reds.append(x)
-        return Path(self, tuple(blues), tuple(reds))
+            elif not 0 <= x < self.n_red:
+                raise IdOutOfRangeError(f"red id {x} out of range")
+        return _blue_first(self, letters)
 
     def path_count(self, degree) -> int:
         degree = _as_degree(degree)
@@ -253,7 +245,7 @@ class TwoGraph:
                 f"{count} paths of degree {tuple(degree)} exceed cap {cap}"
             )
 
-    def _paths(self, degree: "Degree", cap: int) -> tuple:
+    def _paths(self, degree: "Degree", cap: int = DEFAULT_PATH_CAP) -> tuple:
         cached = self._paths_cache.get(degree)
         if cached is not None:
             return cached
@@ -271,6 +263,8 @@ class TwoGraph:
         degree = _as_degree(degree)
         if not degree.is_valid():
             raise BadRangeError(f"negative degree {degree}")
+        # _paths skips the cap on a memo hit, so check it here
+        self.check_path_cap(degree, cap)
         return list(self._paths(degree, cap))
 
     # -- serialization -----------------------------------------------------
@@ -301,7 +295,7 @@ def _parse_word(word) -> list:
                 raise PatternMismatchError(f"bad letter {token!r}")
             letters.append((color, int(token[1:])))
         return letters
-    return [(int(c), int(x)) for c, x in word]
+    return [(BLUE if int(c) == BLUE else RED, int(x)) for c, x in word]
 
 
 def _parse_pattern(pattern) -> list:
@@ -442,17 +436,7 @@ class Path:
         cached = graph._compose_cache.get(key)
         if cached is not None:
             return cached
-        blues = list(self.blues)
-        reds = list(self.reds)
-        inv = graph._inv
-        n_blue = graph.n_blue
-        for e in other.blues:
-            cur = e
-            for i in range(len(reds) - 1, -1, -1):
-                cur, reds[i] = inv[reds[i] * n_blue + cur]
-            blues.append(cur)
-        reds.extend(other.reds)
-        result = Path(graph, blues, reds)
+        result = _blue_first(graph, self.word() + other.word())
         graph._compose_cache[key] = result
         return result
 
@@ -464,6 +448,49 @@ class Path:
             return None
         head, tail = self.split(prefix.degree)
         return tail if head == prefix else None
+
+
+def _extensions(graph: TwoGraph, nu: Path, alpha: Path) -> tuple:
+    """Minimal common extensions: pairs (z, x) with nu*z == alpha*x.
+
+    Both extensions reach degree join(d(nu), d(alpha)).  Results are
+    cached on the graph; the side with the smaller extension count is
+    enumerated.
+    """
+    key = (nu.blues, nu.reds, alpha.blues, alpha.reds)
+    cached = graph._ext_cache.get(key)
+    if cached is not None:
+        return cached
+    d_nu, d_al = nu.degree, alpha.degree
+    if d_nu == d_al:
+        empty = Path(graph, (), ())
+        result = ((empty, empty),) if nu == alpha else ()
+        graph._ext_cache[key] = result
+        return result
+    top = d_nu.join(d_al)
+    out = []
+    if graph.path_count(top - d_nu) <= graph.path_count(top - d_al):
+        for tail in graph._paths(top - d_nu):
+            rest = (nu * tail).strip_prefix(alpha)
+            if rest is not None:
+                out.append((tail, rest))
+    else:
+        for tail in graph._paths(top - d_al):
+            rest = (alpha * tail).strip_prefix(nu)
+            if rest is not None:
+                out.append((rest, tail))
+    result = tuple(out)
+    graph._ext_cache[key] = result
+    return result
+
+
+def _blue_first(graph: TwoGraph, letters: list) -> Path:
+    """The path of a word of ``(color, id)`` letters, in blue-first form."""
+    colors = [c for c, _ in letters]
+    ids = [x for _, x in letters]
+    n1 = colors.count(BLUE)
+    _rearrange(graph, colors, ids, [BLUE] * n1 + [RED] * (len(ids) - n1))
+    return Path(graph, ids[:n1], ids[n1:])
 
 
 def _rearrange(graph: TwoGraph, colors: list, ids: list, pattern: Sequence[int]):

@@ -386,23 +386,6 @@ class PowerMapGraph:
         return (a * b, g)
 
 
-def minimality_check(group: FiniteAbelian, element) -> bool:
-    """Whether the root-relation orbit of an element fills the group.
-
-    Scans all h with a*h == b*element for exponents up to the group
-    order; finite groups always pass (the order annihilates).
-    """
-    order = group.order
-    reached = set()
-    target_powers = [group.scale(b, element) for b in range(1, order + 1)]
-    for h in group.elements():
-        for a in range(1, order + 1):
-            if group.scale(a, h) in target_powers:
-                reached.add(h)
-                break
-    return len(reached) == order
-
-
 # -- classification -------------------------------------------------------------
 
 

@@ -123,6 +123,31 @@ def test_kmax_below_one_is_input_error(capsys, twin_spec, command, kmax):
     assert captured.err == f"error: kmax must be at least 1, got {kmax}\n"
 
 
+def test_negative_max_degree_is_input_error(capsys, flip_spec):
+    code = main(["core", "verify", "--spec", flip_spec, "--max-degree=-1,2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: max_degree must be non-negative, got (-1, 2)\n"
+
+
+@pytest.mark.parametrize(
+    "cap, code, err",
+    [
+        ("1", 1, "error: 2 paths of degree (0, 1) exceed cap 1\n"),
+        ("3", 1, "error: 4 paths of degree (1, 1) exceed cap 3\n"),
+        ("4", 0, ""),
+    ],
+)
+def test_core_verify_path_cap(capsys, flip_spec, cap, code, err):
+    # the cap covers every degree up to --max-degree, in degrees_upto order
+    argv = ["core", "verify", "--spec", flip_spec, "--max-degree", "1,1"]
+    assert main([*argv, "--path-cap", cap]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert (captured.out == "") == (code == 1)
+
+
 def test_periodicity_unknown_detail(capsys, flip_spec, tmp_path):
     code, out = run(
         capsys, "theta", "periodicity", "--spec", flip_spec, "--kmax", "3", "--path-cap", "3"

@@ -20,7 +20,6 @@ from twograph import (
     group_to_json,
     image_index,
     ker_size,
-    minimality_check,
     mu_path,
     power_pullback,
     transfer_eval,
@@ -274,15 +273,6 @@ def test_power_graph_edges_and_maps():
     assert graph.compose((2, (1, 1)), (3, (0, 0))) == (6, (1, 1))
     with pytest.raises(GroupError):
         graph.compose((2, (1, 1)), (3, (1, 1)))
-
-
-def test_minimality_finite_groups():
-    trivial = FiniteAbelian([1])
-    assert minimality_check(trivial, trivial.zero())
-    assert minimality_check(FiniteAbelian([4]), (2,))
-    group = FiniteAbelian([2, 4])
-    for x in group.elements():
-        assert minimality_check(group, x)
 
 
 # -- classification ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twograph import (
     BLUE,
@@ -11,6 +13,7 @@ from twograph import (
     Degree,
     IdOutOfRangeError,
     NotBijectiveError,
+    Path,
     PatternMismatchError,
     SizeLimitError,
     SpecMismatchError,
@@ -230,6 +233,11 @@ def test_enumerate_cap():
     g = flip_graph(3, 3)
     with pytest.raises(SizeLimitError):
         g.enumerate_paths((4, 4), cap=10)
+    # a memoized enumeration must not get past a smaller cap
+    g = flip_graph(2, 2)
+    g.enumerate_paths((2, 0))
+    with pytest.raises(SizeLimitError):
+        g.enumerate_paths((2, 0), cap=1)
 
 
 def test_cardinality_random():
@@ -291,6 +299,32 @@ def test_segment_compose_consistency():
                             head = path.segment((0, 0), cut)
                             tail = path.segment(cut, path.degree)
                             assert head * tail == path
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_normal_form_matches_swap_oracle(data):
+    # compose and path share one normalizer; check both against swaps
+    # made in random order
+    seeds = st.integers(0, 2**32 - 1)
+    rng = random.Random(data.draw(seeds))
+    counts = st.integers(2, 3)
+    g = random_two_graph(data.draw(counts), data.draw(counts), rng)
+    blue = st.integers(0, g.n_blue - 1)
+    red = st.integers(0, g.n_red - 1)
+
+    def draw_path():
+        blues = data.draw(st.lists(blue, max_size=2))
+        return Path(g, blues, data.draw(st.lists(red, max_size=2)))
+
+    mu, nu = draw_path(), draw_path()
+    expected = mu.word() + nu.word()
+    pattern = [c for c, _ in expected]
+    assert randomized_reorder(g, mu * nu, pattern, rng) == expected
+
+    letter = st.one_of(st.tuples(st.just(BLUE), blue), st.tuples(st.just(RED), red))
+    word = data.draw(st.lists(letter, max_size=6))
+    assert randomized_reorder(g, g.path(word), [c for c, _ in word], rng) == word
 
 
 def test_segment_three_way():
