@@ -69,6 +69,14 @@ class GradedElement:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _of(cls, graph: TwoGraph, terms: dict) -> "GradedElement":
+        """An element of exact ``terms``, without re-coercing them; zeros dropped."""
+        element = cls.__new__(cls)
+        element.graph = graph
+        element.terms = {key: coeff for key, coeff in terms.items() if coeff}
+        return element
+
+    @classmethod
     def zero(cls, graph: TwoGraph) -> "GradedElement":
         return cls(graph)
 
@@ -93,29 +101,22 @@ class GradedElement:
         self._check_same(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        result = GradedElement(self.graph)
-        result.terms = out
-        return result
+            out[key] = out.get(key, 0) + coeff
+        return GradedElement._of(self.graph, out)
 
     def __neg__(self) -> "GradedElement":
-        result = GradedElement(self.graph)
-        result.terms = {key: -coeff for key, coeff in self.terms.items()}
-        return result
+        return GradedElement._of(
+            self.graph, {key: -coeff for key, coeff in self.terms.items()}
+        )
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         return self + (-other)
 
     def _scaled(self, scalar) -> "GradedElement":
         scalar = Fraction(scalar)
-        result = GradedElement(self.graph)
-        if scalar:
-            result.terms = {key: coeff * scalar for key, coeff in self.terms.items()}
-        return result
+        return GradedElement._of(
+            self.graph, {key: coeff * scalar for key, coeff in self.terms.items()}
+        )
 
     def __rmul__(self, scalar) -> "GradedElement":
         return self._scaled(scalar)
@@ -133,20 +134,14 @@ class GradedElement:
                 cd = c * d
                 for tail_nu, tail_al in _extensions(graph, nu, alpha):
                     key = (mu * tail_nu, beta * tail_al)
-                    acc = out.get(key, 0) + cd
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-        result = GradedElement(graph)
-        result.terms = out
-        return result
+                    out[key] = out.get(key, 0) + cd
+        return GradedElement._of(graph, out)
 
     def adjoint(self) -> "GradedElement":
         """The *-operation: swap word sides (rational coefficients)."""
-        result = GradedElement(self.graph)
-        result.terms = {(nu, mu): c for (mu, nu), c in self.terms.items()}
-        return result
+        return GradedElement._of(
+            self.graph, {(nu, mu): c for (mu, nu), c in self.terms.items()}
+        )
 
     # -- equality modulo the summation relation --------------------------
 
@@ -164,12 +159,8 @@ class GradedElement:
             for mu, nu, coeff in items:
                 for lam in self.graph._paths(level - mu.degree):
                     key = (mu * lam, nu * lam)
-                    total = acc.get(key, 0) + coeff
-                    if total:
-                        acc[key] = total
-                    else:
-                        del acc[key]
-            if acc:
+                    acc[key] = acc.get(key, 0) + coeff
+            if any(acc.values()):
                 return False
         return True
 
@@ -207,14 +198,8 @@ def shift(degree, element: GradedElement) -> GradedElement:
     for lam in graph._paths(degree):
         for (mu, nu), coeff in element.terms.items():
             key = (lam * mu, lam * nu)
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                del out[key]
-    result = GradedElement(graph)
-    result.terms = out
-    return result
+            out[key] = out.get(key, 0) + coeff
+    return GradedElement._of(graph, out)
 
 
 def transfer(degree, element: GradedElement) -> GradedElement:
@@ -226,23 +211,18 @@ def transfer(degree, element: GradedElement) -> GradedElement:
     """
     graph = element.graph
     degree = Degree(*degree)
-    scale = Fraction(1, graph.path_count(degree))
+    lams = graph._paths(degree)
+    scale = Fraction(1, len(lams))
     out: dict = {}
-    for lam in graph._paths(degree):
+    for lam in lams:
         for (mu, nu), coeff in element.terms.items():
             # s_lam^* s_mu expands first, then s_nu^* s_lam on the right
             for head_tail, mu_tail in _extensions(graph, lam, mu):
                 left_nu = nu * mu_tail
                 for mid_tail, lam_tail in _extensions(graph, left_nu, lam):
                     key = (head_tail * mid_tail, lam_tail)
-                    acc = out.get(key, 0) + coeff
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-    result = GradedElement(graph)
-    result.terms = {key: coeff * scale for key, coeff in out.items()}
-    return result
+                    out[key] = out.get(key, 0) + coeff
+    return GradedElement._of(graph, {key: c * scale for key, c in out.items()})
 
 
 class ModuleVector:
@@ -447,41 +427,34 @@ def identity_suite(
         lambda n: shift(n, one) == one,
     )
 
-    # transfer identity on the generators, all word pairs
-    words = _balanced_words(graph, bound)
-    word_elems = [GradedElement.word(mu, nu) for mu, nu in words]
-
-    def generators_check():
+    def transfer_identity(name, groups):
+        # transfer(n, shift(n, a) * b) == a * transfer(n, b) for all word
+        # pairs (a, b) of each group; shift and transfer computed once per word
         cases = 0
-        for n in (Degree(1, 0), Degree(0, 1)):
-            if not n.leq(bound):
-                continue
-            shifted = [shift(n, a) for a in word_elems]
-            transferred = [transfer(n, b) for b in word_elems]
-            for a, sa in zip(word_elems, shifted):
-                for b, tb in zip(word_elems, transferred):
+        for n, group in groups:
+            elems = [GradedElement.word(mu, nu) for mu, nu in group]
+            shifted = [shift(n, a) for a in elems]
+            transferred = [transfer(n, b) for b in elems]
+            for a, sa in zip(elems, shifted):
+                for b, tb in zip(elems, transferred):
                     cases += 1
                     if transfer(n, sa * b) != a * tb:
                         detail = f"counterexample: n={tuple(n)}, a={a!r}, b={b!r}"
-                        return SuiteCheck(
-                            "transfer-identity-generators", cases, False, detail
-                        )
-        return SuiteCheck("transfer-identity-generators", cases, True)
+                        checks.append(SuiteCheck(name, cases, False, detail))
+                        return
+        checks.append(SuiteCheck(name, cases, True))
 
-    checks.append(generators_check())
-
-    def transfer_identity(case):
-        n, (mu, nu), (al, be) = case
-        a = GradedElement.word(mu, nu)
-        b = GradedElement.word(al, be)
-        return transfer(n, shift(n, a) * b) == a * transfer(n, b)
-
-    # transfer identity at every degree, words small enough to stay in bound
-    deep_cases = []
-    for n in degrees_upto(bound):
-        inner = _balanced_words(graph, bound - n)
-        deep_cases.extend((n, a, b) for a in inner for b in inner)
-    run("transfer-identity-all-degrees", deep_cases, transfer_identity)
+    # on the generators, all word pairs
+    words = _balanced_words(graph, bound)
+    transfer_identity(
+        "transfer-identity-generators",
+        [(n, words) for n in (Degree(1, 0), Degree(0, 1)) if n.leq(bound)],
+    )
+    # at every degree, words small enough to stay in bound
+    transfer_identity(
+        "transfer-identity-all-degrees",
+        [(n, _balanced_words(graph, bound - n)) for n in degrees_upto(bound)],
+    )
 
     # semigroup law for transfer: all degree splits, all word pairs
     action_cases = [
@@ -499,9 +472,7 @@ def identity_suite(
     run("transfer-action", action_cases, transfer_action)
 
     # transfer is a left inverse of shift
-    section_cases = [
-        (n, w) for n in degrees_upto(bound) for w in _balanced_words(graph, bound)
-    ]
+    section_cases = [(n, w) for n in degrees_upto(bound) for w in words]
 
     def transfer_section(case):
         n, (mu, nu) = case

@@ -56,9 +56,11 @@ def _load_group(value: str):
 
 def _parse_degree(value: str) -> tuple:
     parts = value.replace("(", " ").replace(")", " ").replace(",", " ").split()
-    if len(parts) != 2:
-        raise GraphError(f"bad degree {value!r}, expected like '2,2'")
-    return (int(parts[0]), int(parts[1]))
+    try:
+        n1, n2 = (int(part) for part in parts)
+    except ValueError:
+        raise GraphError(f"bad degree {value!r}, expected like '2,2'") from None
+    return (n1, n2)
 
 
 def build_parser() -> argparse.ArgumentParser:

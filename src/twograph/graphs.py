@@ -249,6 +249,8 @@ class TwoGraph:
         cached = self._paths_cache.get(degree)
         if cached is not None:
             return cached
+        if not degree.is_valid():
+            raise BadRangeError(f"negative degree {degree}")
         self.check_path_cap(degree, cap)
         paths = tuple(
             Path(self, blues, reds)
@@ -261,11 +263,10 @@ class TwoGraph:
     def enumerate_paths(self, degree, cap: int = DEFAULT_PATH_CAP) -> list:
         """All paths of the given degree in lexicographic word order."""
         degree = _as_degree(degree)
-        if not degree.is_valid():
-            raise BadRangeError(f"negative degree {degree}")
+        paths = self._paths(degree, cap)
         # _paths skips the cap on a memo hit, so check it here
         self.check_path_cap(degree, cap)
-        return list(self._paths(degree, cap))
+        return list(paths)
 
     # -- serialization -----------------------------------------------------
 
@@ -290,10 +291,10 @@ def _parse_word(word) -> list:
     if isinstance(word, str):
         letters = []
         for token in word.replace(",", " ").replace(".", " ").split():
-            color = _COLOR_OF_CHAR.get(token[0])
-            if color is None:
-                raise PatternMismatchError(f"bad letter {token!r}")
-            letters.append((color, int(token[1:])))
+            try:
+                letters.append((_COLOR_OF_CHAR[token[0]], int(token[1:])))
+            except (KeyError, ValueError):
+                raise PatternMismatchError(f"bad letter {token!r}") from None
         return letters
     return [(BLUE if int(c) == BLUE else RED, int(x)) for c, x in word]
 

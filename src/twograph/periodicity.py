@@ -151,12 +151,6 @@ def _pairing_codes(
     return heads_of
 
 
-def _check_path_caps(graph: TwoGraph, a: int, b: int, cap: int) -> None:
-    # blue first: the message of the first cap hit is what callers report
-    graph.check_path_cap(Degree(a, 0), cap)
-    graph.check_path_cap(Degree(0, b), cap)
-
-
 def _pairing_paths(graph: TwoGraph, a: int, b: int, codes: list, cap: int) -> dict:
     blues = graph.enumerate_paths(Degree(a, 0), cap)
     reds = graph.enumerate_paths(Degree(0, b), cap)
@@ -174,7 +168,7 @@ def candidate_pairing(
     """
     if graph.path_count(Degree(a, 0)) != graph.path_count(Degree(0, b)):
         raise GraphError(f"path counts differ at (a, b) = {(a, b)}")
-    _check_path_caps(graph, a, b, cap)
+    graph.check_path_cap(Degree(a, 0), cap)
     codes = _pairing_codes(graph, a, b, heads_only=True)
     return None if codes is None else _pairing_paths(graph, a, b, codes, cap)
 
@@ -280,7 +274,8 @@ def decide_periodicity(
     for k in range(1, kmax + 1):
         a, b = k * a0, k * b0
         try:
-            _check_path_caps(graph, a, b, cap)
+            # N1^a == N2^b, so the blue cap also bounds the red paths
+            graph.check_path_cap(Degree(a, 0), cap)
         except SizeLimitError as exc:
             return PeriodicityVerdict(
                 kind=UNKNOWN,

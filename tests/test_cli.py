@@ -132,6 +132,24 @@ def test_negative_max_degree_is_input_error(capsys, flip_spec):
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("theta", "normal-form", "--word", "b"), "error: bad letter 'b'\n"),
+        (
+            ("core", "verify", "--max-degree", "a,1"),
+            "error: bad degree 'a,1', expected like '2,2'\n",
+        ),
+    ],
+)
+def test_malformed_number_names_the_field(capsys, flip_spec, argv, err):
+    code = main([*argv, "--spec", flip_spec])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == err
+
+
+@pytest.mark.parametrize(
     "cap, code, err",
     [
         ("1", 1, "error: 2 paths of degree (0, 1) exceed cap 1\n"),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from twograph import (
+    BadRangeError,
     Degree,
     GradedElement,
     LevelMismatchError,
@@ -209,6 +210,15 @@ def test_transfer_section_of_shift():
             assert transfer(n, shift(n, a)) == a
 
 
+def test_negative_degree_is_rejected():
+    g = flip_graph(2, 2)
+    one = GradedElement.one(g)
+    calls = (g.enumerate_paths, lambda n: shift(n, one), lambda n: transfer(n, one))
+    for call in calls:
+        with pytest.raises(BadRangeError, match=r"negative degree"):
+            call((-1, 0))
+
+
 # -- equality modulo expansion ----------------------------------------------------------
 
 
@@ -363,3 +373,37 @@ def test_identity_suite_deterministic_case_counts():
     assert [(c.name, c.cases, c.passed) for c in first] == [
         (c.name, c.cases, c.passed) for c in second
     ]
+    assert all(c.passed for c in first)
+    assert [c.cases for c in first] == [4, 4, 1250, 676, 225, 100, 4, 81, 16, 2, 25, 25]
+
+
+def test_identity_suite_reports_first_failures(monkeypatch):
+    # a shift that doubles its result at degree (0, 1) breaks every check using it
+    from twograph import algebra
+
+    true_shift = algebra.shift
+
+    def broken_shift(degree, element):
+        result = true_shift(degree, element)
+        return 2 * result if tuple(degree) == (0, 1) else result
+
+    monkeypatch.setattr(algebra, "shift", broken_shift)
+    checks = identity_suite(flip_graph(2, 2), max_degree=(1, 1), seed=0)
+    assert [(c.cases, c.passed) for c in checks] == [
+        (4, True),
+        (2, False),
+        (626, False),
+        (626, False),
+        (225, True),
+        (26, False),
+        (4, True),
+        (26, False),
+        (1, False),
+        (2, False),
+        (2, False),
+        (25, True),
+    ]
+    detail = "counterexample: n=(0, 1), a=1*s[e]s[e]*, b=1*s[e]s[e]*"
+    by_name = {c.name: c for c in checks}
+    assert by_name["transfer-identity-generators"].detail == detail
+    assert by_name["transfer-identity-all-degrees"].detail == detail
