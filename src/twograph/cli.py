@@ -11,13 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .algebra import identity_suite
 from .doubling import crossed_product_report, double
 from .graphs import DEFAULT_PATH_CAP, GraphError, TwoGraph
 from .groups import (
-    FiniteAbelian,
     GroupError,
     check_conditions,
     classify,
@@ -39,8 +37,8 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _load_json_arg(value: str) -> dict:
-    if value.lstrip().startswith("{"):
+def _load_json_arg(value: str):
+    if value.lstrip().startswith(("{", "[")):
         return json.loads(value)
     with open(value, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -72,24 +70,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = theta_sub.add_parser("validate", help="check the commutation table")
     p.add_argument("--spec", required=True, help="graph JSON file or inline JSON")
+    p.set_defaults(run=_theta_validate)
 
     p = theta_sub.add_parser("normal-form", help="normalize or reorder a word")
     p.add_argument("--spec", required=True)
     p.add_argument("--word", required=True, help="letters like 'r0 b1'")
     p.add_argument("--pattern", help="color pattern like 'RB' to reorder into")
+    p.set_defaults(run=_theta_normal_form)
 
     p = theta_sub.add_parser("periodicity", help="bounded periodicity decision")
     p.add_argument("--spec", required=True)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    p.set_defaults(run=_theta_periodicity)
 
     p = sub.add_parser("double", help="emit the doubled graph")
     p.add_argument("--spec", required=True)
+    p.set_defaults(run=_double)
 
     p = sub.add_parser("crossed-product", help="simplicity of the core crossed product")
     p.add_argument("--spec", required=True)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    p.set_defaults(run=_crossed_product)
 
     core = sub.add_parser("core", help="symbolic identity suite")
     core_sub = core.add_subparsers(dest="subcommand", required=True)
@@ -99,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
     p.add_argument("--output", choices=("json", "table"), default="table")
+    p.set_defaults(run=_core_verify)
 
     group = sub.add_parser("group", help="compact abelian group systems")
     group_sub = group.add_subparsers(dest="subcommand", required=True)
@@ -106,47 +110,64 @@ def build_parser() -> argparse.ArgumentParser:
     p = group_sub.add_parser("classify", help="crossed-product classification")
     p.add_argument("--group", required=True, help="group JSON file or inline JSON")
     p.add_argument("--range", type=int, default=12, dest="test_range")
+    p.set_defaults(run=_group_classify)
 
     p = group_sub.add_parser("transfer", help="exact transfer average on a finite group")
     p.add_argument("--group", required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--table", required=True, help="JSON list of rationals")
+    p.set_defaults(run=_group_transfer)
 
     p = group_sub.add_parser("g123", help="system conditions report")
     p.add_argument("--group", required=True)
     p.add_argument("--range", type=int, default=12, dest="test_range")
+    p.set_defaults(run=_group_g123)
 
     return parser
 
 
-def _run_theta(args) -> int:
-    if args.subcommand == "validate":
-        graph = _load_graph(args.spec)
-        _emit({"valid": True, "n1": graph.n_blue, "n2": graph.n_red})
-        return 0
-    if args.subcommand == "normal-form":
-        graph = _load_graph(args.spec)
-        path = graph.path(args.word)
-        out = {
-            "degree": list(path.degree),
-            "normal_form": path.pretty(),
-        }
-        if args.pattern:
-            letters = path.reorder(args.pattern)
-            out["reordered"] = " ".join(
-                ("b" if c == 0 else "r") + str(x) for c, x in letters
-            )
-        _emit(out)
-        return 0
-    if args.subcommand == "periodicity":
-        graph = _load_graph(args.spec)
-        verdict = decide_periodicity(graph, kmax=args.kmax, cap=args.path_cap)
-        _emit(verdict.to_json())
-        return 2 if verdict.is_unknown else 0
-    raise GraphError(f"unknown theta subcommand {args.subcommand!r}")
+def _theta_validate(args) -> int:
+    graph = _load_graph(args.spec)
+    _emit({"valid": True, "n1": graph.n_blue, "n2": graph.n_red})
+    return 0
 
 
-def _run_core(args) -> int:
+def _theta_normal_form(args) -> int:
+    path = _load_graph(args.spec).path(args.word)
+    out = {
+        "degree": list(path.degree),
+        "normal_form": path.pretty(),
+    }
+    if args.pattern:
+        letters = path.reorder(args.pattern)
+        out["reordered"] = " ".join(
+            ("b" if c == 0 else "r") + str(x) for c, x in letters
+        )
+    _emit(out)
+    return 0
+
+
+def _theta_periodicity(args) -> int:
+    graph = _load_graph(args.spec)
+    verdict = decide_periodicity(graph, kmax=args.kmax, cap=args.path_cap)
+    _emit(verdict.to_json())
+    return 2 if verdict.is_unknown else 0
+
+
+def _double(args) -> int:
+    _emit(double(_load_graph(args.spec)).to_json())
+    return 0
+
+
+def _crossed_product(args) -> int:
+    report = crossed_product_report(
+        _load_graph(args.spec), kmax=args.kmax, cap=args.path_cap
+    )
+    _emit(report.to_json())
+    return 2 if report.verdict.is_unknown else 0
+
+
+def _core_verify(args) -> int:
     graph = _load_graph(args.spec)
     checks = identity_suite(
         graph,
@@ -167,49 +188,31 @@ def _run_core(args) -> int:
     return 0 if all(check.passed for check in checks) else 1
 
 
-def _run_group(args) -> int:
+def _group_classify(args) -> int:
     group = _load_group(args.group)
-    if args.subcommand == "classify":
-        report = classify(group, range(1, args.test_range + 1))
-        _emit(report.to_json())
-        return 0
-    if args.subcommand == "g123":
-        report = check_conditions(group, range(1, args.test_range + 1))
-        _emit(report.to_json())
-        return 0
-    if args.subcommand == "transfer":
-        if not isinstance(group, FiniteAbelian):
-            raise GroupError("transfer tables need a finite group")
-        table = [Fraction(v) for v in json.loads(args.table)]
-        values = transfer_eval(group, args.a, table)
-        _emit({"a": args.a, "values": [str(v) for v in values]})
-        return 0
-    raise GroupError(f"unknown group subcommand {args.subcommand!r}")
+    _emit(classify(group, range(1, args.test_range + 1)).to_json())
+    return 0
+
+
+def _group_g123(args) -> int:
+    group = _load_group(args.group)
+    _emit(check_conditions(group, range(1, args.test_range + 1)).to_json())
+    return 0
+
+
+def _group_transfer(args) -> int:
+    values = transfer_eval(_load_group(args.group), args.a, json.loads(args.table))
+    _emit({"a": args.a, "values": [str(v) for v in values]})
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "theta":
-            return _run_theta(args)
-        if args.command == "double":
-            _emit(double(_load_graph(args.spec)).to_json())
-            return 0
-        if args.command == "crossed-product":
-            report = crossed_product_report(
-                _load_graph(args.spec), kmax=args.kmax, cap=args.path_cap
-            )
-            _emit(report.to_json())
-            return 2 if report.verdict.is_unknown else 0
-        if args.command == "core":
-            return _run_core(args)
-        if args.command == "group":
-            return _run_group(args)
-    except (GraphError, GroupError, OSError, json.JSONDecodeError, ValueError) as exc:
+        return args.run(args)
+    except (GraphError, GroupError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    raise SystemExit(f"unknown command {args.command!r}")
 
 
 def entry_point() -> None:

@@ -171,10 +171,6 @@ class TwoGraph:
 
     # -- basic structure ---------------------------------------------------
 
-    def validate(self) -> None:
-        """Re-run the bijectivity check (a no-op for constructed graphs)."""
-        TwoGraph(self.n_blue, self.n_red, self.theta_rows())
-
     def theta_rows(self) -> list:
         """Rows ``[e, f, f2, e2]`` sorted by input pair."""
         rows = []
@@ -238,7 +234,13 @@ class TwoGraph:
         return self.n_blue**degree.n1 * self.n_red**degree.n2
 
     def check_path_cap(self, degree, cap: int) -> None:
-        """Raise SizeLimitError if the paths of ``degree`` outnumber ``cap``."""
+        """Raise SizeLimitError if the paths of ``degree`` outnumber ``cap``.
+
+        A cap below 1 is an input error (BadRangeError), not a cap hit:
+        it would turn every bounded search into ``unknown``.
+        """
+        if cap < 1:
+            raise BadRangeError(f"path cap must be at least 1, got {cap}")
         count = self.path_count(degree)
         if count > cap:
             raise SizeLimitError(
@@ -275,10 +277,27 @@ class TwoGraph:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "TwoGraph":
+        """Build a graph from its JSON spec, naming the field of any malformed value."""
+        if not isinstance(obj, Mapping):
+            raise GraphError(f"graph JSON must be an object, got {type(obj).__name__}")
         try:
             n1, n2, rows = obj["n1"], obj["n2"], obj["theta"]
         except KeyError as exc:
             raise GraphError(f"missing key {exc} in graph JSON") from exc
+        for name, value in (("n1", n1), ("n2", n2)):
+            if type(value) is not int:
+                raise GraphError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(rows, list):
+            raise GraphError(f"theta must be a list of rows, got {type(rows).__name__}")
+        for i, row in enumerate(rows):
+            if not (
+                isinstance(row, list)
+                and len(row) == 4
+                and all(type(x) is int for x in row)
+            ):
+                raise GraphError(
+                    f"theta row {i} must be 4 integers [e, f, f2, e2], got {row!r}"
+                )
         return cls(n1, n2, rows)
 
     @classmethod

@@ -59,7 +59,7 @@ class FiniteAbelian:
 
     @property
     def order(self) -> int:
-        return math.prod(self.factors) if self.factors else 1
+        return math.prod(self.factors)
 
     def elements(self) -> list:
         return list(itertools.product(*(range(d) for d in self.factors)))
@@ -103,10 +103,7 @@ class Solenoid:
     infinite: tuple
 
     def __init__(self, finite=(), infinite=()):
-        if isinstance(finite, dict):
-            finite = tuple(sorted((int(p), int(m)) for p, m in finite.items()))
-        else:
-            finite = tuple(sorted((int(p), int(m)) for p, m in finite))
+        finite = tuple(sorted((int(p), int(m)) for p, m in dict(finite).items()))
         infinite = tuple(sorted(int(p) for p in infinite))
         for p, m in finite:
             if not _is_prime(p):
@@ -120,10 +117,6 @@ class Solenoid:
             raise GroupError("a prime cannot be both finite and infinite")
         object.__setattr__(self, "finite", finite)
         object.__setattr__(self, "infinite", infinite)
-
-    @property
-    def recurring_primes(self) -> tuple:
-        return self.infinite
 
 
 @dataclass(frozen=True)
@@ -153,12 +146,12 @@ def ker_size(group: GroupSpec, a: int) -> int:
     if a < 1:
         raise GroupError("exponent must be positive")
     if isinstance(group, FiniteAbelian):
-        return math.prod(math.gcd(a, d) for d in group.factors) if group.factors else 1
+        return math.prod(math.gcd(a, d) for d in group.factors)
     if isinstance(group, Torus):
         return a**group.rank
     if isinstance(group, Solenoid):
         b = a
-        for p in group.recurring_primes:
+        for p in group.infinite:
             while b % p == 0:
                 b //= p
         return b
@@ -228,54 +221,93 @@ class ConditionReport:
         }
 
 
+_CONNECTED_DIVISIBLE = {
+    "connected": True,
+    "torsion_interior_empty": True,
+    "verdict": "purely infinite and simple",
+    "citation": "connected-divisible-simplicity",
+    "verdict_computed": True,
+}
+_ONTO = "divisible: power maps are onto"
+
+# The kinds whose facts are closed-form and hold for every exponent: the
+# G1-G3 details (all three hold), then the classification fields.
+_CLOSED_FORM = {
+    Torus: (
+        (_ONTO, "kernel size a^rank is finite", "(ab)^rank = a^rank b^rank"),
+        _CONNECTED_DIVISIBLE,
+    ),
+    Solenoid: (
+        (
+            _ONTO,
+            "kernel size is a finite divisor",
+            "the part coprime to the recurring primes is multiplicative",
+        ),
+        _CONNECTED_DIVISIBLE,
+    ),
+    Padic: (
+        ("index p^v(a) is finite", "power maps are injective", "all kernels are trivial"),
+        {
+            "connected": False,
+            "torsion_interior_empty": True,
+            "verdict": (
+                "not simple: the functions vanishing at zero generate a "
+                "proper ideal (compacts tensored with a simple AT-algebra "
+                "of real rank zero with unique trace) with commutative "
+                "quotient; reported from the literature, not computed"
+            ),
+            "citation": "padic-ideal-structure",
+            "verdict_computed": False,
+        },
+    ),
+}
+
+
+def _closed_form(group) -> tuple:
+    try:
+        return _CLOSED_FORM[type(group)]
+    except KeyError:
+        raise GroupError(f"unsupported group {group!r}") from None
+
+
 def check_conditions(group: GroupSpec, test_range=range(1, 13)) -> ConditionReport:
     """Evaluate the three system conditions.
 
     Tori, solenoids and p-adic groups get exact closed-form verdicts
     valid for every exponent.  Finite groups always have finite index
     and kernels; multiplicativity is checked over all pairs from the
-    range and reported with a witness on failure.
+    range and reported with a witness on failure.  An empty range is
+    rejected: it would read as a multiplicativity result.
     """
-    test_range = list(test_range)
+    exponents = list(test_range)
+    if not exponents:
+        raise GroupError(f"test range {test_range!r} has no exponents")
     if isinstance(group, FiniteAbelian):
         g1 = ConditionVerdict(HOLDS, detail="finite group: every index is finite")
         g2 = ConditionVerdict(HOLDS, detail="finite group: every kernel is finite")
-        for a in test_range:
-            for b in test_range:
+        for a in exponents:
+            for b in exponents:
                 if ker_size(group, a * b) != ker_size(group, a) * ker_size(group, b):
                     g3 = ConditionVerdict(FAILS, witness=(a, b))
                     return ConditionReport(g1, g2, g3)
-        span = (
-            f"all pairs with a, b in {test_range[0]}..{test_range[-1]}"
-            if test_range
-            else "empty test range"
-        )
-        g3 = ConditionVerdict(HOLDS_ON_RANGE, detail=span)
-        return ConditionReport(g1, g2, g3)
-    if isinstance(group, Torus):
-        return ConditionReport(
-            ConditionVerdict(HOLDS, detail="divisible: power maps are onto"),
-            ConditionVerdict(HOLDS, detail="kernel size a^rank is finite"),
-            ConditionVerdict(HOLDS, detail="(ab)^rank = a^rank b^rank"),
-        )
-    if isinstance(group, Solenoid):
-        return ConditionReport(
-            ConditionVerdict(HOLDS, detail="divisible: power maps are onto"),
-            ConditionVerdict(HOLDS, detail="kernel size is a finite divisor"),
-            ConditionVerdict(
-                HOLDS, detail="the part coprime to the recurring primes is multiplicative"
-            ),
-        )
-    if isinstance(group, Padic):
-        return ConditionReport(
-            ConditionVerdict(HOLDS, detail="index p^v(a) is finite"),
-            ConditionVerdict(HOLDS, detail="power maps are injective"),
-            ConditionVerdict(HOLDS, detail="all kernels are trivial"),
-        )
-    raise GroupError(f"unsupported group {group!r}")
+        span = f"all pairs with a, b in {exponents[0]}..{exponents[-1]}"
+        return ConditionReport(g1, g2, ConditionVerdict(HOLDS_ON_RANGE, detail=span))
+    details, _ = _closed_form(group)
+    return ConditionReport(*(ConditionVerdict(HOLDS, detail=d) for d in details))
 
 
 # -- transfer operators on finite groups ---------------------------------------
+
+
+def _power_index(group: FiniteAbelian, a: int, table: Sequence) -> list:
+    """Index of ``a*x`` for each element x, once ``table`` covers the group.
+
+    The size is checked against the order before the elements are
+    listed, so a short table never enumerates a large group.
+    """
+    if len(table) != group.order:
+        raise TableSizeError(f"table has {len(table)} entries, group has {group.order}")
+    return [group.index_of(group.scale(a, x)) for x in group.elements()]
 
 
 def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
@@ -283,36 +315,29 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
 
     The output value at a point of the image subgroup is the mean of
     the inputs over its preimages; points off the image get zero.
-    Tables are indexed by :meth:`FiniteAbelian.elements` order.
+    Tables are indexed by :meth:`FiniteAbelian.elements` order, and each
+    entry must be a rational (an int, a Fraction or a string like "1/2").
     """
     if not isinstance(group, FiniteAbelian):
         raise GroupError("transfer tables only make sense on finite groups")
-    elements = group.elements()
-    if len(table) != len(elements):
-        raise TableSizeError(
-            f"table has {len(table)} entries, group has {len(elements)}"
-        )
+    if isinstance(table, str) or not isinstance(table, Sequence):
+        raise GroupError(f"table must be a list of rationals, got {table!r}")
+    index = _power_index(group, a, table)
     kernel = ker_size(group, a)
-    sums = [Fraction(0)] * len(elements)
-    hit = [False] * len(elements)
-    for element, value in zip(elements, table):
-        idx = group.index_of(group.scale(a, element))
-        sums[idx] += Fraction(value)
-        hit[idx] = True
-    return [s / kernel if h else Fraction(0) for s, h in zip(sums, hit)]
+    sums = [Fraction(0)] * len(index)
+    for position, (idx, value) in enumerate(zip(index, table)):
+        try:
+            sums[idx] += Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            raise GroupError(
+                f"table entry {position} is not a rational: {value!r}"
+            ) from None
+    return [s / kernel for s in sums]
 
 
 def power_pullback(group: FiniteAbelian, a: int, table: Sequence) -> list:
     """Precompose a value table with the a-th power map."""
-    elements = group.elements()
-    if len(table) != len(elements):
-        raise TableSizeError(
-            f"table has {len(table)} entries, group has {len(elements)}"
-        )
-    return [
-        Fraction(table[group.index_of(group.scale(a, element))])
-        for element in elements
-    ]
+    return [Fraction(table[idx]) for idx in _power_index(group, a, table)]
 
 
 def dual_transfer(a: int, point):
@@ -423,16 +448,6 @@ def classify(group: GroupSpec, test_range=range(1, 13)) -> SystemReport:
     literature fact rather than a computation.
     """
     conditions = check_conditions(group, test_range)
-    if isinstance(group, (Torus, Solenoid)):
-        return SystemReport(
-            group=group,
-            conditions=conditions,
-            connected=True,
-            torsion_interior_empty=True,
-            verdict="purely infinite and simple",
-            citation="connected-divisible-simplicity",
-            verdict_computed=True,
-        )
     if isinstance(group, FiniteAbelian):
         return SystemReport(
             group=group,
@@ -446,22 +461,8 @@ def classify(group: GroupSpec, test_range=range(1, 13)) -> SystemReport:
             citation="torsion-obstruction",
             verdict_computed=True,
         )
-    if isinstance(group, Padic):
-        return SystemReport(
-            group=group,
-            conditions=conditions,
-            connected=False,
-            torsion_interior_empty=True,
-            verdict=(
-                "not simple: the functions vanishing at zero generate a "
-                "proper ideal (compacts tensored with a simple AT-algebra "
-                "of real rank zero with unique trace) with commutative "
-                "quotient; reported from the literature, not computed"
-            ),
-            citation="padic-ideal-structure",
-            verdict_computed=False,
-        )
-    raise GroupError(f"unsupported group {group!r}")
+    _, fields = _closed_form(group)
+    return SystemReport(group=group, conditions=conditions, **fields)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -483,15 +484,43 @@ def group_to_json(group: GroupSpec) -> dict:
     raise GroupError(f"unsupported group {group!r}")
 
 
+def _field(obj: dict, key: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise GroupError(f"missing key {key!r} in group JSON") from None
+
+
+def _int(key: str, value) -> int:
+    if type(value) is not int:
+        raise GroupError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(key: str, value) -> list:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise GroupError(f"{key} must be a list of integers, got {value!r}")
+    return value
+
+
 def group_from_json(obj: dict) -> GroupSpec:
+    """Build a group from its JSON spec, naming the field of any malformed value."""
+    if not isinstance(obj, dict):
+        raise GroupError(f"group JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "finite":
-        return FiniteAbelian(obj["factors"])
+        return FiniteAbelian(_ints("factors", _field(obj, "factors")))
     if kind == "torus":
-        return Torus(obj["rank"])
+        return Torus(_int("rank", _field(obj, "rank")))
     if kind == "solenoid":
-        finite = {int(p): int(m) for p, m in obj.get("finite", {}).items()}
-        return Solenoid(finite, obj.get("infinite", ()))
+        finite = obj.get("finite", {})
+        if not isinstance(finite, dict) or not all(
+            str(p).isdigit() and type(m) is int for p, m in finite.items()
+        ):
+            raise GroupError(
+                f"finite must map primes to integer multiplicities, got {finite!r}"
+            )
+        return Solenoid(finite, _ints("infinite", obj.get("infinite", [])))
     if kind == "padic":
-        return Padic(obj["p"])
+        return Padic(_int("p", _field(obj, "p")))
     raise GroupError(f"unknown group kind {kind!r}")

@@ -321,6 +321,245 @@ def test_group_transfer_rejects_infinite_group(capsys):
         ]
     )
     assert code == 1
+    assert capsys.readouterr().err == (
+        "error: transfer tables only make sense on finite groups\n"
+    )
+
+
+def _render(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _all_hold(*details) -> dict:
+    return {f"G{i}": {"detail": d, "status": "holds"} for i, d in enumerate(details, 1)}
+
+
+_CONNECTED = {
+    "citation": "connected-divisible-simplicity",
+    "connected": True,
+    "torsion_interior_empty": True,
+    "verdict": "purely infinite and simple",
+    "verdict_computed": True,
+}
+_TORSION = {
+    "citation": "torsion-obstruction",
+    "torsion_interior_empty": False,
+    "verdict": (
+        "torsion group: infinite-order points are not dense, the aperiodicity "
+        "criterion fails; no simplicity claim"
+    ),
+    "verdict_computed": True,
+}
+_FINITE_G12 = {
+    "G1": {"detail": "finite group: every index is finite", "status": "holds"},
+    "G2": {"detail": "finite group: every kernel is finite", "status": "holds"},
+}
+_SOLENOID_G123 = _all_hold(
+    "divisible: power maps are onto",
+    "kernel size is a finite divisor",
+    "the part coprime to the recurring primes is multiplicative",
+)
+
+
+@pytest.mark.parametrize(
+    "spec, extra, report",
+    [
+        (
+            {"kind": "torus", "rank": 2},
+            [],
+            {
+                **_CONNECTED,
+                "group": {"kind": "torus", "rank": 2},
+                "conditions": _all_hold(
+                    "divisible: power maps are onto",
+                    "kernel size a^rank is finite",
+                    "(ab)^rank = a^rank b^rank",
+                ),
+            },
+        ),
+        (
+            {"kind": "solenoid", "finite": {"3": 1}, "infinite": [2]},
+            [],
+            {
+                **_CONNECTED,
+                "group": {"kind": "solenoid", "finite": {"3": 1}, "infinite": [2]},
+                "conditions": _SOLENOID_G123,
+            },
+        ),
+        (
+            {"kind": "solenoid"},
+            [],
+            {
+                **_CONNECTED,
+                "group": {"kind": "solenoid", "finite": {}, "infinite": []},
+                "conditions": _SOLENOID_G123,
+            },
+        ),
+        (
+            {"kind": "padic", "p": 3},
+            [],
+            {
+                "citation": "padic-ideal-structure",
+                "connected": False,
+                "torsion_interior_empty": True,
+                "verdict": (
+                    "not simple: the functions vanishing at zero generate a proper "
+                    "ideal (compacts tensored with a simple AT-algebra of real rank "
+                    "zero with unique trace) with commutative quotient; reported "
+                    "from the literature, not computed"
+                ),
+                "verdict_computed": False,
+                "group": {"kind": "padic", "p": 3},
+                "conditions": _all_hold(
+                    "index p^v(a) is finite",
+                    "power maps are injective",
+                    "all kernels are trivial",
+                ),
+            },
+        ),
+        (
+            {"kind": "finite", "factors": []},
+            [],
+            {
+                **_TORSION,
+                "connected": True,
+                "group": {"kind": "finite", "factors": []},
+                "conditions": {
+                    **_FINITE_G12,
+                    "G3": {
+                        "detail": "all pairs with a, b in 1..12",
+                        "status": "holds-on-tested-range",
+                    },
+                },
+            },
+        ),
+        (
+            {"kind": "finite", "factors": [2, 4]},
+            ["--range", "3"],
+            {
+                **_TORSION,
+                "connected": False,
+                "group": {"kind": "finite", "factors": [2, 4]},
+                "conditions": {
+                    **_FINITE_G12,
+                    "G3": {"status": "fails", "witness": [2, 2]},
+                },
+            },
+        ),
+    ],
+)
+def test_group_report_bytes(capsys, spec, extra, report):
+    # pins every closed-form fact of every group kind, byte for byte
+    group = ["--group", json.dumps(spec), *extra]
+    assert run(capsys, "group", "classify", *group) == (0, _render(report))
+    assert run(capsys, "group", "g123", *group) == (0, _render(report["conditions"]))
+
+
+@pytest.mark.parametrize(
+    "a, values",
+    [
+        ("1", ["1", "1/2", "-3", "0", "7/3", "2", "5", "-1/4"]),
+        ("2", ["4/3", "0", "9/16", "0", "0", "0", "0", "0"]),
+        ("3", ["1", "0", "-3", "1/2", "7/3", "-1/4", "5", "2"]),
+        ("4", ["91/96", "0", "0", "0", "0", "0", "0", "0"]),
+    ],
+)
+def test_group_transfer_bytes(capsys, a, values):
+    # on Z2 x Z4; the zeros are points off the image of the a-th power map
+    code, out = run(
+        capsys,
+        "group",
+        "transfer",
+        "--group",
+        '{"kind": "finite", "factors": [2, 4]}',
+        "--a",
+        a,
+        "--table",
+        '[1, "1/2", -3, 0, "7/3", 2, 5, "-1/4"]',
+    )
+    assert (code, out) == (0, _render({"a": int(a), "values": values}))
+
+
+@pytest.mark.parametrize("command", ["classify", "g123"])
+@pytest.mark.parametrize("test_range, shown", [("0", "range(1, 1)"), ("-3", "range(1, -2)")])
+def test_empty_test_range_is_input_error(capsys, command, test_range, shown):
+    # an empty range must not read as "holds-on-tested-range"
+    group = '{"kind": "finite", "factors": [4]}'
+    code = main(["group", command, "--group", group, "--range", test_range])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: test range {shown} has no exponents\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta", "periodicity"),
+        ("crossed-product",),
+        ("core", "verify", "--max-degree", "1,1"),
+    ],
+)
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_path_cap_below_one_is_input_error(capsys, twin_spec, argv, cap):
+    # not a cap hit: periodicity must not turn it into "unknown"
+    code = main([*argv, "--spec", twin_spec, "--path-cap", cap])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: path cap must be at least 1, got {cap}\n"
+
+
+_FINITE_2 = '{"kind": "finite", "factors": [2]}'
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("theta", "validate", "--spec", '{"n1": "x", "n2": 1, "theta": []}'),
+         "n1 must be an integer, got 'x'"),
+        (("theta", "validate", "--spec", '{"n1": 1.5, "n2": 1, "theta": []}'),
+         "n1 must be an integer, got 1.5"),
+        (("theta", "validate", "--spec", '{"n1": 1, "n2": true, "theta": []}'),
+         "n2 must be an integer, got True"),
+        (("theta", "validate", "--spec", '{"n1": 1, "n2": 1, "theta": 5}'),
+         "theta must be a list of rows, got int"),
+        (("theta", "validate", "--spec", '{"n1": 1, "n2": 1, "theta": [[0, 0, 0]]}'),
+         "theta row 0 must be 4 integers [e, f, f2, e2], got [0, 0, 0]"),
+        (("theta", "validate", "--spec", '{"n1": 1, "n2": 1, "theta": [[0, "0", 0, 0]]}'),
+         "theta row 0 must be 4 integers [e, f, f2, e2], got [0, '0', 0, 0]"),
+        (("theta", "validate", "--spec", "[1]"), "graph JSON must be an object, got list"),
+        (("group", "classify", "--group", '{"kind": "finite"}'),
+         "missing key 'factors' in group JSON"),
+        (("group", "classify", "--group", '{"kind": "finite", "factors": 5}'),
+         "factors must be a list of integers, got 5"),
+        (("group", "classify", "--group", '{"kind": "finite", "factors": [2.5]}'),
+         "factors must be a list of integers, got [2.5]"),
+        (("group", "classify", "--group", '{"kind": "finite", "factors": [true]}'),
+         "factors must be a list of integers, got [True]"),
+        (("group", "classify", "--group", '{"kind": "torus", "rank": "2"}'),
+         "rank must be an integer, got '2'"),
+        (("group", "classify", "--group", '{"kind": "torus", "rank": 1.5}'),
+         "rank must be an integer, got 1.5"),
+        (("group", "classify", "--group", '{"kind": "padic", "p": "3"}'),
+         "p must be an integer, got '3'"),
+        (("group", "classify", "--group", '{"kind": "solenoid", "finite": [[2, 1]]}'),
+         "finite must map primes to integer multiplicities, got [[2, 1]]"),
+        (("group", "classify", "--group", '{"kind": "solenoid", "finite": {"x": 1}}'),
+         "finite must map primes to integer multiplicities, got {'x': 1}"),
+        (("group", "classify", "--group", "[1]"), "group JSON must be an object, got list"),
+        (("group", "transfer", "--group", _FINITE_2, "--a", "1", "--table", "5"),
+         "table must be a list of rationals, got 5"),
+        (("group", "transfer", "--group", _FINITE_2, "--a", "1", "--table", "[[1], 2]"),
+         "table entry 0 is not a rational: [1]"),
+    ],
+)
+def test_malformed_spec_names_the_field(capsys, argv, err):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
 
 
 def test_reports_are_byte_identical(capsys, twin_spec):

@@ -131,6 +131,13 @@ def test_conditions_trivial_group_passes_range():
     assert report.multiplicative_kernels.status == "holds-on-tested-range"
 
 
+@pytest.mark.parametrize("report", [check_conditions, classify])
+@pytest.mark.parametrize("group", [FiniteAbelian([4]), Torus(1)])
+def test_empty_test_range_raises(report, group):
+    with pytest.raises(GroupError, match=r"test range range\(1, 1\) has no exponents"):
+        report(group, range(1, 1))
+
+
 # -- transfer averages ------------------------------------------------------------------
 
 
@@ -161,6 +168,17 @@ def test_transfer_rejects_short_table():
 
 def _indicators(order):
     return [[1 if i == j else 0 for i in range(order)] for j in range(order)]
+
+
+def test_transfer_checks_size_before_listing_elements(monkeypatch):
+    def listed(self):
+        raise AssertionError("elements listed before the size check")
+
+    monkeypatch.setattr(FiniteAbelian, "elements", listed)
+    huge = FiniteAbelian([10**12])
+    for evaluate in (transfer_eval, power_pullback):
+        with pytest.raises(TableSizeError, match="table has 1 entries, group has 10{12}$"):
+            evaluate(huge, 2, [0])
 
 
 def test_transfer_law_on_cyclic_groups():

@@ -12,6 +12,7 @@ from twograph import (
     NO_CANDIDATE_PAIRS,
     PERIODIC,
     UNKNOWN,
+    BadRangeError,
     Degree,
     DegenerateCountsError,
     GraphError,
@@ -140,6 +141,16 @@ def test_decide_unknown_on_tiny_cap():
 def test_decide_rejects_kmax_below_one(kmax):
     with pytest.raises(GraphError, match="kmax must be at least 1"):
         decide_periodicity(twin_graph(2), kmax=kmax)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_decide_rejects_path_cap_below_one(cap):
+    # an input error, not a cap hit that would read as "unknown"
+    graph = twin_graph(2)
+    with pytest.raises(BadRangeError, match=f"path cap must be at least 1, got {cap}"):
+        graph.check_path_cap(Degree(0, 0), cap)
+    with pytest.raises(BadRangeError):
+        decide_periodicity(graph, cap=cap)
 
 
 def test_decide_rejects_degenerate():

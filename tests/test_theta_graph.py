@@ -53,7 +53,7 @@ def test_validate_trivial_graph():
 
 
 def test_validate_flip():
-    flip_graph(2, 2).validate()
+    flip_graph(2, 2)  # construction checks the bijection
 
 
 def test_validate_rejects_repeated_image():
