@@ -8,6 +8,15 @@ s_{mu z} s_{beta x}^*.  When one inner path is a prefix of the other
 this reduces to the familiar absorption rule, and the product vanishes
 when no common extension exists.
 
+Coefficients are exact rationals held as integer numerators over one
+shared positive denominator per element, kept in lowest terms.  Every
+suite coefficient lies in Z[1/N1, 1/N2]: the word product multiplies
+the two denominators, shift keeps the denominator and transfer
+multiplies it by the path count, so no Fraction is built inside the
+algebra.  Any rational is accepted at the boundary (the constructor,
+word coefficients and scalar multiples) and ``terms`` reads the
+coefficients back as Fractions.
+
 Equality is decided modulo the summation relation
 s_mu s_nu^* == sum over d(lambda)=n of s_{mu lambda} s_{nu lambda}^*:
 terms are grouped by the degree difference d(mu)-d(nu) and expanded to
@@ -22,6 +31,7 @@ N^n, and all identities stay inside the rationals.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,48 +58,67 @@ class LevelMismatchError(GraphError):
 class GradedElement:
     """A formal rational combination of words s_mu s_nu^*.
 
-    Zero coefficients are never stored.  Addition, subtraction and
-    scalar multiples are coefficient-wise; ``*`` is the word product
-    (or a scalar multiple when given a number).  ``==`` compares modulo
-    the summation relation, so e.g. the identity equals its level-n
-    expansion.
+    The coefficients are held as integer numerators ``nums`` over one
+    shared positive denominator ``den``, in lowest terms: no numerator
+    is zero, and ``den`` has no factor common to all of them (the zero
+    element has ``den == 1``).  :attr:`terms` gives the coefficients as
+    Fractions.  Addition, subtraction and scalar multiples are
+    coefficient-wise; ``*`` is the word product (or a scalar multiple
+    when given a number).  ``==`` compares modulo the summation
+    relation, so e.g. the identity equals its level-n expansion.
     """
 
-    __slots__ = ("graph", "terms")
+    __slots__ = ("graph", "nums", "den")
 
     def __init__(self, graph: TwoGraph, terms: Optional[dict] = None):
+        ratios = {key: _ratio(c) for key, c in terms.items()} if terms else {}
+        den = math.lcm(*(d for _, d in ratios.values()))
+        element = GradedElement._of(
+            graph, {key: n * (den // d) for key, (n, d) in ratios.items()}, den
+        )
         self.graph = graph
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    self.terms[key] = coeff
+        self.nums = element.nums
+        self.den = element.den
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def _of(cls, graph: TwoGraph, terms: dict) -> "GradedElement":
-        """An element of exact ``terms``, without re-coercing them; zeros dropped."""
+    def _of(cls, graph: TwoGraph, nums: dict, den: int) -> "GradedElement":
+        """The element nums/den in lowest terms; zero numerators dropped."""
+        if 0 in nums.values():
+            nums = {key: n for key, n in nums.items() if n}
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {key: n // g for key, n in nums.items()}
         element = cls.__new__(cls)
         element.graph = graph
-        element.terms = {key: coeff for key, coeff in terms.items() if coeff}
+        element.nums = nums
+        element.den = den
         return element
 
     @classmethod
     def zero(cls, graph: TwoGraph) -> "GradedElement":
-        return cls(graph)
+        return cls._of(graph, {}, 1)
 
     @classmethod
     def one(cls, graph: TwoGraph) -> "GradedElement":
         empty = Path(graph, (), ())
-        return cls(graph, {(empty, empty): Fraction(1)})
+        return cls._of(graph, {(empty, empty): 1}, 1)
 
     @classmethod
     def word(cls, mu: Path, nu: Path, coeff=1) -> "GradedElement":
         if not (mu.graph is nu.graph or mu.graph == nu.graph):
             raise SpecMismatchError("paths live on different graphs")
-        return cls(mu.graph, {(mu, nu): Fraction(coeff)})
+        num, den = _ratio(coeff)
+        return cls._of(mu.graph, {(mu, nu): num}, den)
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as ``{(mu, nu): Fraction}``; a fresh dict."""
+        den = self.den
+        return {key: Fraction(n, den) for key, n in self.nums.items()}
 
     # -- linear structure ----------------------------------------------
 
@@ -97,25 +126,35 @@ class GradedElement:
         if not (self.graph is other.graph or self.graph == other.graph):
             raise SpecMismatchError("elements live on different graphs")
 
-    def __add__(self, other: "GradedElement") -> "GradedElement":
+    def _combine(self, other: "GradedElement", sign: int) -> tuple:
+        """Numerators and denominator of self + sign*other, zeros kept."""
         self._check_same(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return GradedElement._of(self.graph, out)
+        g = math.gcd(self.den, other.den)
+        mine = other.den // g
+        theirs = sign * (self.den // g)
+        if mine == 1:
+            out = dict(self.nums)
+        else:
+            out = {key: n * mine for key, n in self.nums.items()}
+        for key, n in other.nums.items():
+            out[key] = out.get(key, 0) + n * theirs
+        return out, self.den * mine
+
+    def __add__(self, other: "GradedElement") -> "GradedElement":
+        return GradedElement._of(self.graph, *self._combine(other, 1))
+
+    def __sub__(self, other: "GradedElement") -> "GradedElement":
+        return GradedElement._of(self.graph, *self._combine(other, -1))
 
     def __neg__(self) -> "GradedElement":
         return GradedElement._of(
-            self.graph, {key: -coeff for key, coeff in self.terms.items()}
+            self.graph, {key: -n for key, n in self.nums.items()}, self.den
         )
 
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return self + (-other)
-
     def _scaled(self, scalar) -> "GradedElement":
-        scalar = Fraction(scalar)
+        num, den = _ratio(scalar)
         return GradedElement._of(
-            self.graph, {key: coeff * scalar for key, coeff in self.terms.items()}
+            self.graph, {key: n * num for key, n in self.nums.items()}, self.den * den
         )
 
     def __rmul__(self, scalar) -> "GradedElement":
@@ -124,59 +163,46 @@ class GradedElement:
     # -- the word product ------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other)
+        if not isinstance(other, GradedElement):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other)
+            return NotImplemented
         self._check_same(other)
         graph = self.graph
         out: dict = {}
-        for (mu, nu), c in self.terms.items():
-            for (alpha, beta), d in other.terms.items():
+        for (mu, nu), c in self.nums.items():
+            for (alpha, beta), d in other.nums.items():
                 cd = c * d
                 for tail_nu, tail_al in _extensions(graph, nu, alpha):
                     key = (mu * tail_nu, beta * tail_al)
                     out[key] = out.get(key, 0) + cd
-        return GradedElement._of(graph, out)
+        return GradedElement._of(graph, out, self.den * other.den)
 
     def adjoint(self) -> "GradedElement":
         """The *-operation: swap word sides (rational coefficients)."""
         return GradedElement._of(
-            self.graph, {(nu, mu): c for (mu, nu), c in self.terms.items()}
+            self.graph, {(nu, mu): n for (mu, nu), n in self.nums.items()}, self.den
         )
 
     # -- equality modulo the summation relation --------------------------
 
     def is_zero(self) -> bool:
         """Whether the element vanishes after common-level expansion."""
-        classes: dict = {}
-        for (mu, nu), coeff in self.terms.items():
-            delta = (mu.degree.n1 - nu.degree.n1, mu.degree.n2 - nu.degree.n2)
-            classes.setdefault(delta, []).append((mu, nu, coeff))
-        for items in classes.values():
-            level = ZERO_DEGREE
-            for mu, _, _ in items:
-                level = level.join(mu.degree)
-            acc: dict = {}
-            for mu, nu, coeff in items:
-                for lam in self.graph._paths(level - mu.degree):
-                    key = (mu * lam, nu * lam)
-                    acc[key] = acc.get(key, 0) + coeff
-            if any(acc.values()):
-                return False
-        return True
+        return _vanishes(self.graph, self.nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = GradedElement.one(self.graph)._scaled(other)
         if not isinstance(other, GradedElement):
-            return NotImplemented
-        self._check_same(other)
-        return (self - other).is_zero()
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = GradedElement.one(self.graph)._scaled(other)
+        nums, _ = self._combine(other, -1)
+        return _vanishes(self.graph, nums)
 
     def __hash__(self):
         raise TypeError("GradedElement equality is modulo expansion; not hashable")
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for (mu, nu), coeff in sorted(
@@ -186,20 +212,57 @@ class GradedElement:
         return " + ".join(parts)
 
 
+def _ratio(value) -> tuple:
+    """A rational scalar as (numerator, positive denominator)."""
+    if isinstance(value, int):
+        return int(value), 1
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _vanishes(graph: TwoGraph, nums: dict) -> bool:
+    """Whether the numerators ``nums`` sum to zero modulo the summation relation.
+
+    Terms are grouped by the degree difference d(mu)-d(nu) and each group
+    is expanded to the join of its left degrees, where distinct word
+    pairs are linearly independent.
+    """
+    classes: dict = {}
+    for (mu, nu), n in nums.items():
+        if n:
+            delta = (
+                len(mu.blues) - len(nu.blues),
+                len(mu.reds) - len(nu.reds),
+            )
+            classes.setdefault(delta, []).append((mu, nu, n))
+    for items in classes.values():
+        level = ZERO_DEGREE
+        for mu, _, _ in items:
+            level = level.join(mu.degree)
+        acc: dict = {}
+        for mu, nu, n in items:
+            for lam in graph._paths(level - mu.degree):
+                key = (mu * lam, nu * lam)
+                acc[key] = acc.get(key, 0) + n
+        if any(acc.values()):
+            return False
+    return True
+
+
 def shift(degree, element: GradedElement) -> GradedElement:
     """The degree-n shift endomorphism: sum of s_lam a s_lam^*.
 
     Unital on the identity (the result is the level-n expansion of 1)
-    and multiplicative in the degree.
+    and multiplicative in the degree.  The denominator is unchanged.
     """
     graph = element.graph
     degree = Degree(*degree)
     out: dict = {}
     for lam in graph._paths(degree):
-        for (mu, nu), coeff in element.terms.items():
+        for (mu, nu), n in element.nums.items():
             key = (lam * mu, lam * nu)
-            out[key] = out.get(key, 0) + coeff
-    return GradedElement._of(graph, out)
+            out[key] = out.get(key, 0) + n
+    return GradedElement._of(graph, out, element.den)
 
 
 def transfer(degree, element: GradedElement) -> GradedElement:
@@ -207,22 +270,22 @@ def transfer(degree, element: GradedElement) -> GradedElement:
 
     A positive left inverse companion to :func:`shift`: it satisfies
     transfer(n, shift(n, a) * b) == a * transfer(n, b) and composes
-    additively in the degree.
+    additively in the degree.  The average multiplies the denominator
+    by the number of paths of degree n.
     """
     graph = element.graph
     degree = Degree(*degree)
     lams = graph._paths(degree)
-    scale = Fraction(1, len(lams))
     out: dict = {}
     for lam in lams:
-        for (mu, nu), coeff in element.terms.items():
+        for (mu, nu), n in element.nums.items():
             # s_lam^* s_mu expands first, then s_nu^* s_lam on the right
             for head_tail, mu_tail in _extensions(graph, lam, mu):
                 left_nu = nu * mu_tail
                 for mid_tail, lam_tail in _extensions(graph, left_nu, lam):
                     key = (head_tail * mid_tail, lam_tail)
-                    out[key] = out.get(key, 0) + coeff
-    return GradedElement._of(graph, {key: c * scale for key, c in out.items()})
+                    out[key] = out.get(key, 0) + n
+    return GradedElement._of(graph, out, element.den * len(lams))
 
 
 class ModuleVector:

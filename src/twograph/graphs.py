@@ -132,9 +132,10 @@ class TwoGraph:
         else:
             rows = [tuple(row) for row in theta]
 
-        size = self.n_blue * self.n_red
-        fwd: list = [None] * size
-        inv: list = [None] * size
+        # dicts, not n1*n2 slots: a short table on huge counts must fail
+        # on its first missing pair, not on the allocation
+        fwd: dict = {}
+        inv: dict = {}
         for e, f, ff, ee in rows:
             if not (0 <= e < self.n_blue and 0 <= ee < self.n_blue):
                 raise IdOutOfRangeError(f"blue id out of range in row {(e, f, ff, ee)}")
@@ -142,11 +143,11 @@ class TwoGraph:
                 raise IdOutOfRangeError(f"red id out of range in row {(e, f, ff, ee)}")
             src = e * self.n_red + f
             dst = ff * self.n_blue + ee
-            if fwd[src] is not None:
+            if src in fwd:
                 raise NotBijectiveError(
                     f"pair (b{e}, r{f}) listed twice", witness=(e, f)
                 )
-            if inv[dst] is not None:
+            if dst in inv:
                 raise NotBijectiveError(
                     f"pairs map to the same image (r{ff}, b{ee}); "
                     f"second preimage (b{e}, r{f})",
@@ -154,14 +155,16 @@ class TwoGraph:
                 )
             fwd[src] = (ff, ee)
             inv[dst] = (e, f)
-        for idx in range(size):
-            if fwd[idx] is None:
-                e, f = divmod(idx, self.n_red)
-                raise NotBijectiveError(
-                    f"pair (b{e}, r{f}) has no image", witness=(e, f)
-                )
-        self._fwd = tuple(fwd)
-        self._inv = tuple(inv)
+        size = self.n_blue * self.n_red
+        if len(fwd) < size:
+            # the first missing input pair lies among the first len(fwd)+1
+            idx = next(i for i in range(len(fwd) + 1) if i not in fwd)
+            e, f = divmod(idx, self.n_red)
+            raise NotBijectiveError(
+                f"pair (b{e}, r{f}) has no image", witness=(e, f)
+            )
+        self._fwd = tuple(map(fwd.__getitem__, range(size)))
+        self._inv = tuple(map(inv.__getitem__, range(size)))
         self._key = (self.n_blue, self.n_red, self._fwd)
         self._hash = hash(self._key)
         # per-graph memo tables for the hot loops

@@ -316,7 +316,8 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
     The output value at a point of the image subgroup is the mean of
     the inputs over its preimages; points off the image get zero.
     Tables are indexed by :meth:`FiniteAbelian.elements` order, and each
-    entry must be a rational (an int, a Fraction or a string like "1/2").
+    entry must be a rational (an int, a Fraction or a string like "1/2");
+    floats and booleans are rejected.
     """
     if not isinstance(group, FiniteAbelian):
         raise GroupError("transfer tables only make sense on finite groups")
@@ -326,18 +327,27 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
     kernel = ker_size(group, a)
     sums = [Fraction(0)] * len(index)
     for position, (idx, value) in enumerate(zip(index, table)):
-        try:
-            sums[idx] += Fraction(value)
-        except (TypeError, ValueError, OverflowError):
-            raise GroupError(
-                f"table entry {position} is not a rational: {value!r}"
-            ) from None
+        sums[idx] += _table_entry(position, value)
     return [s / kernel for s in sums]
 
 
 def power_pullback(group: FiniteAbelian, a: int, table: Sequence) -> list:
     """Precompose a value table with the a-th power map."""
-    return [Fraction(table[idx]) for idx in _power_index(group, a, table)]
+    return [_table_entry(idx, table[idx]) for idx in _power_index(group, a, table)]
+
+
+def _table_entry(position: int, value) -> Fraction:
+    """A table entry as an exact rational.
+
+    Floats (and booleans) are rejected rather than read through their
+    binary expansion: JSON ``0.1`` is not the rational 1/10.
+    """
+    if not isinstance(value, (bool, float)):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise GroupError(f"table entry {position} is not a rational: {value!r}")
 
 
 def dual_transfer(a: int, point):

@@ -28,6 +28,7 @@ from typing import Optional
 
 from .graphs import (
     DEFAULT_PATH_CAP,
+    BadRangeError,
     Degree,
     GraphError,
     SizeLimitError,
@@ -259,10 +260,12 @@ def decide_periodicity(
     k = 1..kmax, one verified pass each.  A verified pairing gives
     ``periodic``; its uniqueness means no other bijection needs to be
     searched.  ``kmax`` below 1 is rejected: an empty search would read
-    as ``aperiodic``.
+    as ``aperiodic``.  So is ``cap`` below 1, on every input.
     """
     if kmax < 1:
         raise GraphError(f"kmax must be at least 1, got {kmax}")
+    if cap < 1:
+        raise BadRangeError(f"path cap must be at least 1, got {cap}")
     minimal = minimal_exponents(graph.n_blue, graph.n_red)
     if minimal is None:
         return PeriodicityVerdict(

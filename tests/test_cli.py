@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,6 +267,67 @@ def test_core_verify_json(capsys, twin_spec):
     assert all(entry["passed"] for entry in checks)
 
 
+_SUITE_TABLES = {
+    "twin2": """\
+transfer-unit                        4  pass
+shift-unit                           4  pass
+transfer-identity-generators      1250  pass
+transfer-identity-all-degrees      676  pass
+transfer-action                    225  pass
+transfer-section                   100  pass
+module-orthonormal                   4  pass
+module-product                      81  pass
+cuntz-commutation                   16  pass
+cuntz-family                         2  pass
+covariance                          25  pass
+star-axioms                         25  pass
+""",
+    "flip23": """\
+transfer-unit                        4  pass
+shift-unit                           4  pass
+transfer-identity-generators      5000  pass
+transfer-identity-all-degrees     2626  pass
+transfer-action                    450  pass
+transfer-section                   200  pass
+module-orthonormal                   4  pass
+module-product                     171  pass
+cuntz-commutation                   36  pass
+cuntz-family                         2  pass
+covariance                          50  pass
+star-axioms                         25  pass
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "name, graph", [("twin2", twin_graph(2)), ("flip23", flip_graph(2, 3))]
+)
+def test_core_verify_stdout_bytes(capsys, name, graph):
+    # the exact suite output, in both formats, at the default seed
+    argv = ("core", "verify", "--spec", json.dumps(graph.to_json()), "--max-degree", "1,1")
+    table = _SUITE_TABLES[name]
+    checks = []
+    for line in table.splitlines():
+        check, cases, _ = line.split()
+        checks.append({"cases": int(cases), "detail": "", "name": check, "passed": True})
+    assert run(capsys, *argv, "--output", "table") == (0, table)
+    assert run(capsys, *argv, "--output", "json") == (0, _render(checks))
+
+
+def test_module_entry_point_runs_from_source():
+    # python -m twograph works from a checkout with only src on the path
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "twograph", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: twograph ")
+
+
 def test_group_classify(capsys, tmp_path):
     path = tmp_path / "torus.json"
     path.write_text(json.dumps({"kind": "torus", "rank": 2}))
@@ -510,6 +575,16 @@ def test_path_cap_below_one_is_input_error(capsys, twin_spec, argv, cap):
     assert captured.err == f"error: path cap must be at least 1, got {cap}\n"
 
 
+@pytest.mark.parametrize("argv", [("theta", "periodicity"), ("crossed-product",)])
+def test_path_cap_below_one_is_rejected_without_exponent_pair(capsys, mixed_spec, argv):
+    # 2 and 3 edges have no exponent pair, so the search never reaches a cap
+    code = main([*argv, "--spec", mixed_spec, "--path-cap", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: path cap must be at least 1, got 0\n"
+
+
 _FINITE_2 = '{"kind": "finite", "factors": [2]}'
 
 
@@ -552,6 +627,19 @@ _FINITE_2 = '{"kind": "finite", "factors": [2]}'
          "table must be a list of rationals, got 5"),
         (("group", "transfer", "--group", _FINITE_2, "--a", "1", "--table", "[[1], 2]"),
          "table entry 0 is not a rational: [1]"),
+        # a JSON float is not read through its binary expansion
+        (("group", "transfer", "--group", _FINITE_2, "--a", "1", "--table", "[0.1, 1]"),
+         "table entry 0 is not a rational: 0.1"),
+        (("group", "transfer", "--group", _FINITE_2, "--a", "1", "--table", '["1/2", true]'),
+         "table entry 1 is not a rational: True"),
+        (("theta", "validate", "--spec",
+          '{"n1": 2, "n2": 2, "theta": [[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]]}'),
+         "pair (b1, r1) has no image"),
+        # a short table on huge counts fails on its first missing pair,
+        # before anything of size n1*n2 is allocated
+        (("theta", "validate", "--spec",
+          '{"n1": 1000000000, "n2": 1000000000, "theta": [[0, 0, 0, 0]]}'),
+         "pair (b0, r1) has no image"),
     ],
 )
 def test_malformed_spec_names_the_field(capsys, argv, err):

@@ -1,9 +1,12 @@
 """Word products, shift/transfer operators and the module structure."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twograph import (
     BadRangeError,
@@ -76,6 +79,78 @@ def test_scalars_and_linearity():
     assert y == x
     assert (Fraction(1, 2) * x + Fraction(1, 2) * x) == x
     assert not any(c == 0 for c in (x - x).terms.values())
+
+
+# -- coefficient arithmetic against a Fraction oracle --------------------------------
+
+
+def _oracle_sum(*scaled_terms):
+    # coefficient by coefficient, in Fractions; zeros dropped at the end
+    out = {}
+    for scalar, terms in scaled_terms:
+        for key, coeff in terms.items():
+            out[key] = out.get(key, 0) + Fraction(scalar) * coeff
+    return {key: c for key, c in out.items() if c}
+
+
+def _oracle_shift(graph, degree, terms):
+    out = {}
+    for lam in graph.enumerate_paths(degree):
+        for (mu, nu), coeff in terms.items():
+            key = (lam * mu, lam * nu)
+            out[key] = out.get(key, 0) + coeff
+    return {key: c for key, c in out.items() if c}
+
+
+def _assert_lowest_terms(x):
+    # no zero numerators, and no common factor (the zero element has den 1)
+    assert x.den > 0 and 0 not in x.nums.values()
+    assert math.gcd(x.den, *x.nums.values()) == 1
+
+
+_SMALL_DEGREES = [(0, 0), (1, 0), (0, 1), (1, 1)]
+_COEFFS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coefficient_arithmetic_matches_fraction_oracle(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    g = random_two_graph(data.draw(st.integers(2, 3)), 2, rng)
+    paths = [p for d in _SMALL_DEGREES for p in g.enumerate_paths(d)]
+    pairs = st.tuples(st.sampled_from(paths), st.sampled_from(paths))
+    # x and y share their keys, so sums and differences can cancel
+    keys = data.draw(st.lists(pairs, max_size=5, unique=True))
+    x_terms = {key: data.draw(_COEFFS) for key in keys}
+    y_terms = {key: data.draw(_COEFFS) for key in keys}
+    y_terms.update({key: data.draw(_COEFFS) for key in data.draw(st.lists(pairs, max_size=2))})
+    x, y = GradedElement(g, x_terms), GradedElement(g, y_terms)
+    scalar = data.draw(st.one_of(_COEFFS, st.integers(-3, 3)))
+    degree = data.draw(st.sampled_from(_SMALL_DEGREES))
+
+    cases = [
+        (x, _oracle_sum((1, x_terms))),
+        (x + y, _oracle_sum((1, x_terms), (1, y_terms))),
+        (x - y, _oracle_sum((1, x_terms), (-1, y_terms))),
+        (x - x, {}),
+        (-y, _oracle_sum((-1, y_terms))),
+        (scalar * x, _oracle_sum((scalar, x_terms))),
+        (x * scalar, _oracle_sum((scalar, x_terms))),
+        (x.adjoint(), {(nu, mu): c for (mu, nu), c in _oracle_sum((1, x_terms)).items()}),
+        (shift(degree, x), _oracle_shift(g, degree, _oracle_sum((1, x_terms)))),
+    ]
+    for got, expected in cases:
+        assert got.terms == expected
+        _assert_lowest_terms(got)
+
+
+def test_transfer_divides_the_denominator_by_the_path_count():
+    g = flip_graph(2, 2)
+    word = GradedElement.word(g.blue_path(0), g.blue_path(0))
+    got = transfer((1, 0), Fraction(3, 7) * word)
+    assert got == Fraction(3, 14) * GradedElement.one(g)
+    assert got.terms == {(g.empty_path(), g.empty_path()): Fraction(3, 14)}
+    assert (got.nums, got.den) == ({(g.empty_path(), g.empty_path()): 3}, 14)
 
 
 # -- adjoint -----------------------------------------------------------------------
@@ -407,3 +482,36 @@ def test_identity_suite_reports_first_failures(monkeypatch):
     by_name = {c.name: c for c in checks}
     assert by_name["transfer-identity-generators"].detail == detail
     assert by_name["transfer-identity-all-degrees"].detail == detail
+
+
+def test_identity_suite_reports_transfer_failures(monkeypatch):
+    # a transfer that doubles its result at degree (1, 0) fails every check
+    # that uses it, except the transfer identities, whose two sides both double
+    from twograph import algebra
+
+    true_transfer = algebra.transfer
+
+    def broken_transfer(degree, element):
+        result = true_transfer(degree, element)
+        return 2 * result if tuple(degree) == (1, 0) else result
+
+    monkeypatch.setattr(algebra, "transfer", broken_transfer)
+    checks = identity_suite(flip_graph(2, 2), max_degree=(1, 1), seed=0)
+    assert [(c.cases, c.passed) for c in checks] == [
+        (3, False),
+        (4, True),
+        (1250, True),
+        (676, True),
+        (126, False),
+        (51, False),
+        (3, False),
+        (81, True),
+        (16, True),
+        (1, False),
+        (6, False),
+        (25, True),
+    ]
+    by_name = {c.name: c for c in checks}
+    assert by_name["transfer-section"].detail == (
+        "counterexample: (Degree(n1=1, n2=0), (Path('e'), Path('e')))"
+    )

@@ -151,6 +151,9 @@ def test_decide_rejects_path_cap_below_one(cap):
         graph.check_path_cap(Degree(0, 0), cap)
     with pytest.raises(BadRangeError):
         decide_periodicity(graph, cap=cap)
+    # also when there is no exponent pair, so no cap is ever consulted
+    with pytest.raises(BadRangeError):
+        decide_periodicity(flip_graph(2, 3), cap=cap)
 
 
 def test_decide_rejects_degenerate():
