@@ -54,9 +54,7 @@ from .groups import (
     ConditionVerdict,
     FiniteAbelian,
     GroupError,
-    NotDivisibleError,
     Padic,
-    PowerMapGraph,
     Solenoid,
     SystemReport,
     TableSizeError,
@@ -68,7 +66,6 @@ from .groups import (
     group_to_json,
     image_index,
     ker_size,
-    mu_path,
     power_pullback,
     transfer_eval,
 )

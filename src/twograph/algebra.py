@@ -1,9 +1,10 @@
 """Exact symbolic calculus on the span of words s_mu s_nu^*.
 
-Elements are finite rational-coefficient sums of pairs of paths, with
-the word product computed through minimal common extensions: the
-product s_mu s_nu^* . s_alpha s_beta^* expands over all pairs (z, x)
-with nu*z == alpha*x of degree join(d(nu), d(alpha)), giving terms
+Elements are finite rational-coefficient sums of pairs of paths, keyed
+by the integer path codes of ``graphs.py``, with the word product
+computed through minimal common extensions: the product
+s_mu s_nu^* . s_alpha s_beta^* expands over all pairs (z, x) with
+nu*z == alpha*x of degree join(d(nu), d(alpha)), giving terms
 s_{mu z} s_{beta x}^*.  When one inner path is a prefix of the other
 this reduces to the familiar absorption rule, and the product vanishes
 when no common extension exists.
@@ -40,13 +41,15 @@ from typing import Iterator, Optional
 from . import doubling
 from .graphs import (
     DEFAULT_PATH_CAP,
+    EMPTY,
     BadRangeError,
     Degree,
     GraphError,
     Path,
     SpecMismatchError,
     TwoGraph,
-    ZERO_DEGREE,
+    _as_degree,
+    _compose,
     _extensions,
 )
 
@@ -58,20 +61,23 @@ class LevelMismatchError(GraphError):
 class GradedElement:
     """A formal rational combination of words s_mu s_nu^*.
 
-    The coefficients are held as integer numerators ``nums`` over one
-    shared positive denominator ``den``, in lowest terms: no numerator
-    is zero, and ``den`` has no factor common to all of them (the zero
-    element has ``den == 1``).  :attr:`terms` gives the coefficients as
-    Fractions.  Addition, subtraction and scalar multiples are
-    coefficient-wise; ``*`` is the word product (or a scalar multiple
-    when given a number).  ``==`` compares modulo the summation
-    relation, so e.g. the identity equals its level-n expansion.
+    The coefficients are held as integer numerators ``nums``, keyed by
+    pairs of path codes ``(mu, nu)``, over one shared positive
+    denominator ``den``, in lowest terms: no numerator is zero, and
+    ``den`` has no factor common to all of them (the zero element has
+    ``den == 1``).  :attr:`terms` gives the coefficients as Fractions,
+    keyed by pairs of Paths.  Addition, subtraction and scalar
+    multiples are coefficient-wise; ``*`` is the word product (or a
+    scalar multiple when given a number).  ``==`` compares modulo the
+    summation relation, so e.g. the identity equals its level-n
+    expansion.
     """
 
     __slots__ = ("graph", "nums", "den")
 
     def __init__(self, graph: TwoGraph, terms: Optional[dict] = None):
-        ratios = {key: _ratio(c) for key, c in terms.items()} if terms else {}
+        terms = terms or {}
+        ratios = {(mu.code, nu.code): _ratio(c) for (mu, nu), c in terms.items()}
         den = math.lcm(*(d for _, d in ratios.values()))
         element = GradedElement._of(
             graph, {key: n * (den // d) for key, (n, d) in ratios.items()}, den
@@ -104,21 +110,23 @@ class GradedElement:
 
     @classmethod
     def one(cls, graph: TwoGraph) -> "GradedElement":
-        empty = Path(graph, (), ())
-        return cls._of(graph, {(empty, empty): 1}, 1)
+        return cls._of(graph, {(EMPTY, EMPTY): 1}, 1)
 
     @classmethod
     def word(cls, mu: Path, nu: Path, coeff=1) -> "GradedElement":
         if not (mu.graph is nu.graph or mu.graph == nu.graph):
             raise SpecMismatchError("paths live on different graphs")
         num, den = _ratio(coeff)
-        return cls._of(mu.graph, {(mu, nu): num}, den)
+        return cls._of(mu.graph, {(mu.code, nu.code): num}, den)
 
     @property
     def terms(self) -> dict:
-        """The coefficients as ``{(mu, nu): Fraction}``; a fresh dict."""
-        den = self.den
-        return {key: Fraction(n, den) for key, n in self.nums.items()}
+        """The coefficients as ``{(Path, Path): Fraction}``; a fresh dict."""
+        graph, den = self.graph, self.den
+        return {
+            (Path._of(graph, mu), Path._of(graph, nu)): Fraction(n, den)
+            for (mu, nu), n in self.nums.items()
+        }
 
     # -- linear structure ----------------------------------------------
 
@@ -174,7 +182,7 @@ class GradedElement:
             for (alpha, beta), d in other.nums.items():
                 cd = c * d
                 for tail_nu, tail_al in _extensions(graph, nu, alpha):
-                    key = (mu * tail_nu, beta * tail_al)
+                    key = (_compose(graph, mu, tail_nu), _compose(graph, beta, tail_al))
                     out[key] = out.get(key, 0) + cd
         return GradedElement._of(graph, out, self.den * other.den)
 
@@ -205,9 +213,7 @@ class GradedElement:
         if not self.nums:
             return "0"
         parts = []
-        for (mu, nu), coeff in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1])
-        ):
+        for (mu, nu), coeff in sorted(self.terms.items()):
             parts.append(f"{coeff}*s[{mu.pretty()}]s[{nu.pretty()}]*")
         return " + ".join(parts)
 
@@ -230,19 +236,15 @@ def _vanishes(graph: TwoGraph, nums: dict) -> bool:
     classes: dict = {}
     for (mu, nu), n in nums.items():
         if n:
-            delta = (
-                len(mu.blues) - len(nu.blues),
-                len(mu.reds) - len(nu.reds),
-            )
+            delta = (mu[0] - nu[0], mu[1] - nu[1])
             classes.setdefault(delta, []).append((mu, nu, n))
     for items in classes.values():
-        level = ZERO_DEGREE
-        for mu, _, _ in items:
-            level = level.join(mu.degree)
+        top1 = max(mu[0] for mu, _, _ in items)
+        top2 = max(mu[1] for mu, _, _ in items)
         acc: dict = {}
         for mu, nu, n in items:
-            for lam in graph._paths(level - mu.degree):
-                key = (mu * lam, nu * lam)
+            for lam in graph._paths((top1 - mu[0], top2 - mu[1])):
+                key = (_compose(graph, mu, lam), _compose(graph, nu, lam))
                 acc[key] = acc.get(key, 0) + n
         if any(acc.values()):
             return False
@@ -256,11 +258,10 @@ def shift(degree, element: GradedElement) -> GradedElement:
     and multiplicative in the degree.  The denominator is unchanged.
     """
     graph = element.graph
-    degree = Degree(*degree)
     out: dict = {}
-    for lam in graph._paths(degree):
+    for lam in graph._paths(tuple(degree)):
         for (mu, nu), n in element.nums.items():
-            key = (lam * mu, lam * nu)
+            key = (_compose(graph, lam, mu), _compose(graph, lam, nu))
             out[key] = out.get(key, 0) + n
     return GradedElement._of(graph, out, element.den)
 
@@ -274,16 +275,15 @@ def transfer(degree, element: GradedElement) -> GradedElement:
     by the number of paths of degree n.
     """
     graph = element.graph
-    degree = Degree(*degree)
-    lams = graph._paths(degree)
+    lams = graph._paths(tuple(degree))
     out: dict = {}
     for lam in lams:
         for (mu, nu), n in element.nums.items():
             # s_lam^* s_mu expands first, then s_nu^* s_lam on the right
             for head_tail, mu_tail in _extensions(graph, lam, mu):
-                left_nu = nu * mu_tail
+                left_nu = _compose(graph, nu, mu_tail)
                 for mid_tail, lam_tail in _extensions(graph, left_nu, lam):
-                    key = (head_tail * mid_tail, lam_tail)
+                    key = (_compose(graph, head_tail, mid_tail), lam_tail)
                     out[key] = out.get(key, 0) + n
     return GradedElement._of(graph, out, element.den * len(lams))
 
@@ -300,7 +300,7 @@ class ModuleVector:
     __slots__ = ("level", "payload")
 
     def __init__(self, level, payload: GradedElement):
-        self.level = Degree(*level)
+        self.level = _as_degree(level)
         self.payload = payload
 
     @classmethod
@@ -316,7 +316,7 @@ class ModuleVector:
 
     @classmethod
     def unit(cls, graph: TwoGraph) -> "ModuleVector":
-        return cls(ZERO_DEGREE, GradedElement.one(graph))
+        return cls((0, 0), GradedElement.one(graph))
 
     @property
     def graph(self) -> TwoGraph:
@@ -380,18 +380,27 @@ def check_covariance(mu: Path, nu: Path) -> bool:
     """
     if mu.degree != nu.degree:
         raise LevelMismatchError("covariance check needs equal degrees")
-    graph = mu.graph
-    level = mu.degree
-    word = GradedElement.word(mu, nu)
+    return _covariant(mu.graph, mu.code, nu.code)
+
+
+def _word(graph: TwoGraph, mu: tuple, nu: tuple) -> GradedElement:
+    """The word s_mu s_nu^* of two path codes."""
+    return GradedElement._of(graph, {(mu, nu): 1}, 1)
+
+
+def _covariant(graph: TwoGraph, mu: tuple, nu: tuple) -> bool:
+    """:func:`check_covariance` on path codes of equal degree."""
+    level = Degree(mu[0], mu[1])
+    word = _word(graph, mu, nu)
     lams = graph._paths(level)
     for alpha in lams:
         for beta in lams:
-            vec = ModuleVector.basis(graph, level, alpha, beta)
+            vec = ModuleVector(level, _word(graph, alpha, beta))
             lhs = vec.left_mul(word)
             rhs = ModuleVector(level, GradedElement.zero(graph))
             for lam in lams:
-                left_vec = ModuleVector.basis(graph, level, mu, lam)
-                right_vec = ModuleVector.basis(graph, level, nu, lam)
+                left_vec = ModuleVector(level, _word(graph, mu, lam))
+                right_vec = ModuleVector(level, _word(graph, nu, lam))
                 rhs = rhs + left_vec.right_mul(right_vec.inner(vec))
             if lhs != rhs:
                 return False
@@ -419,6 +428,19 @@ class SuiteCheck:
         }
 
 
+_BLUE_STEP = Degree(1, 0)
+_RED_STEP = Degree(0, 1)
+
+
+def _shown(graph: TwoGraph, case):
+    """``case`` with its path codes (plain 4-tuples of ints) shown as Paths."""
+    if type(case) is not tuple:  # a Degree is a tuple subclass, shown as it is
+        return case
+    if len(case) == 4 and all(type(x) is int for x in case):
+        return Path._of(graph, case)
+    return tuple(_shown(graph, x) for x in case)
+
+
 def degrees_upto(bound) -> Iterator[Degree]:
     bound = Degree(*bound)
     for n1 in range(bound.n1 + 1):
@@ -427,6 +449,7 @@ def degrees_upto(bound) -> Iterator[Degree]:
 
 
 def _balanced_words(graph: TwoGraph, bound: Degree) -> list:
+    """Code pairs (mu, nu) of equal degree, for every degree up to ``bound``."""
     words = []
     for level in degrees_upto(bound):
         paths = graph._paths(level)
@@ -471,7 +494,9 @@ def identity_suite(
             cases += 1
             if not predicate(case):
                 checks.append(
-                    SuiteCheck(name, cases, False, detail=f"counterexample: {case}")
+                    SuiteCheck(
+                        name, cases, False, f"counterexample: {_shown(graph, case)}"
+                    )
                 )
                 return
         checks.append(SuiteCheck(name, cases, True))
@@ -495,7 +520,7 @@ def identity_suite(
         # pairs (a, b) of each group; shift and transfer computed once per word
         cases = 0
         for n, group in groups:
-            elems = [GradedElement.word(mu, nu) for mu, nu in group]
+            elems = [_word(graph, mu, nu) for mu, nu in group]
             shifted = [shift(n, a) for a in elems]
             transferred = [transfer(n, b) for b in elems]
             for a, sa in zip(elems, shifted):
@@ -511,7 +536,7 @@ def identity_suite(
     words = _balanced_words(graph, bound)
     transfer_identity(
         "transfer-identity-generators",
-        [(n, words) for n in (Degree(1, 0), Degree(0, 1)) if n.leq(bound)],
+        [(n, words) for n in (_BLUE_STEP, _RED_STEP) if n.leq(bound)],
     )
     # at every degree, words small enough to stay in bound
     transfer_identity(
@@ -529,7 +554,7 @@ def identity_suite(
 
     def transfer_action(case):
         m, n, (mu, nu) = case
-        a = GradedElement.word(mu, nu)
+        a = _word(graph, mu, nu)
         return transfer(m, transfer(n, a)) == transfer(m + n, a)
 
     run("transfer-action", action_cases, transfer_action)
@@ -539,7 +564,7 @@ def identity_suite(
 
     def transfer_section(case):
         n, (mu, nu) = case
-        a = GradedElement.word(mu, nu)
+        a = _word(graph, mu, nu)
         return transfer(n, shift(n, a)) == a
 
     run("transfer-section", section_cases, transfer_section)
@@ -549,10 +574,10 @@ def identity_suite(
         paths = graph._paths(level)
         for mu in paths:
             for nu in paths:
-                left = ModuleVector.basis(graph, level, mu, nu)
+                left = ModuleVector(level, _word(graph, mu, nu))
                 for al in paths:
                     for be in paths:
-                        right = ModuleVector.basis(graph, level, al, be)
+                        right = ModuleVector(level, _word(graph, al, be))
                         expected = 1 if (mu, nu) == (al, be) else 0
                         if left.inner(right) != expected:
                             return False
@@ -576,9 +601,11 @@ def identity_suite(
 
     def product_rule(case):
         m, n, mu, nu, al, be = case
-        left = ModuleVector.basis(graph, m, mu, nu)
-        right = ModuleVector.basis(graph, n, al, be)
-        expected = ModuleVector.basis(graph, m + n, mu * al, nu * be)
+        left = ModuleVector(m, _word(graph, mu, nu))
+        right = ModuleVector(n, _word(graph, al, be))
+        expected = ModuleVector(
+            m + n, _word(graph, _compose(graph, mu, al), _compose(graph, nu, be))
+        )
         return left * right == expected
 
     run("module-product", prod_cases, product_rule)
@@ -588,15 +615,11 @@ def identity_suite(
 
     def family_blue(i):
         e, f = doubled.blue_pair(i)
-        return ModuleVector.basis(
-            graph, Degree(1, 0), graph.blue_path(e), graph.blue_path(f)
-        )
+        return ModuleVector(_BLUE_STEP, _word(graph, (1, 0, e, 0), (1, 0, f, 0)))
 
     def family_red(j):
         g, h = doubled.red_pair(j)
-        return ModuleVector.basis(
-            graph, Degree(0, 1), graph.red_path(g), graph.red_path(h)
-        )
+        return ModuleVector(_RED_STEP, _word(graph, (0, 1, 0, g), (0, 1, 0, h)))
 
     def commutation(case):
         i, j = case
@@ -612,10 +635,10 @@ def identity_suite(
     # isometry and reconstruction for the doubled Cuntz families
     def cuntz_family(color):
         if color == "blue":
-            level = Degree(1, 0)
+            level = _BLUE_STEP
             family = [family_blue(i) for i in range(doubled.n_blue)]
         else:
-            level = Degree(0, 1)
+            level = _RED_STEP
             family = [family_red(j) for j in range(doubled.n_red)]
         for vec in family:
             if vec.inner(vec) != 1:
@@ -623,7 +646,7 @@ def identity_suite(
         paths = graph._paths(level)
         for al in paths:
             for be in paths:
-                target = ModuleVector.basis(graph, level, al, be)
+                target = ModuleVector(level, _word(graph, al, be))
                 total = ModuleVector(level, GradedElement.zero(graph))
                 for vec in family:
                     total = total + vec.right_mul(vec.inner(target))
@@ -639,7 +662,7 @@ def identity_suite(
     for n in cov_levels:
         paths = graph._paths(n)
         cov_cases.extend((mu, nu) for mu in paths for nu in paths)
-    run("covariance", cov_cases, lambda case: check_covariance(*case))
+    run("covariance", cov_cases, lambda case: _covariant(graph, *case))
 
     # *-algebra axioms on random word triples
     small_words = _balanced_words(graph, bound.meet(Degree(1, 1)))
@@ -648,7 +671,7 @@ def identity_suite(
     ]
 
     def star_axioms(case):
-        x, y, z = (GradedElement.word(mu, nu) for mu, nu in case)
+        x, y, z = (_word(graph, mu, nu) for mu, nu in case)
         if (x * y) * z != x * (y * z):
             return False
         return (x * y).adjoint() == y.adjoint() * x.adjoint()

@@ -1,11 +1,29 @@
 """Single-vertex rank-2 graphs as bicolored words with a commutation rule.
 
-A graph is specified by a number of blue edges, a number of red edges,
-and a bijection pairing every blue-red word of length two with the
+A graph is specified by a number of blue edges N1, a number of red edges
+N2, and a bijection pairing every blue-red word of length two with the
 red-blue word that denotes the same path.  Repeated application of that
 rule gives every path a unique representative word for each admissible
-color pattern; the blue-first word is the stored normal form, so path
-equality is plain word equality.
+color pattern; the blue-first word is the normal form, so path equality
+is plain word equality.
+
+Paths are coded as integers, and this module owns the one code.  A path
+of degree (m, n) with blue-first word e_1..e_m f_1..f_n is the tuple
+``(m, n, blue, red)``, where ``blue`` is the sum of e_i * N1^(m-i) and
+``red`` the sum of f_j * N2^(n-j): first letter most significant.  So
+code i of a degree is ``enumerate_paths(degree)[i]``, and sorting codes
+sorts their paths.  Every refactorization runs on one move routine,
+:func:`_move`: it walks one letter leftward through a coded word of the
+other color, one adjacent swap at a time, with the table ``_fwd``
+(blue-red to red-blue) or ``_inv`` (red-blue to blue-red).
+Composition, splitting (and so reordering), minimal common extensions
+and the periodicity pass all call it.  The memo tables for compositions,
+extensions and path enumerations live here, keyed by codes.
+
+:class:`Path` is the immutable public view of a code, with its letters,
+its degree and the checked constructor.  Paths are built only where
+words enter or leave the package; the hot loops of periodicity and the
+word algebra work on codes.
 """
 
 from __future__ import annotations
@@ -18,7 +36,6 @@ BLUE = 0
 RED = 1
 
 _COLOR_OF_CHAR = {"b": BLUE, "B": BLUE, "r": RED, "R": RED}
-_CHAR_OF_COLOR = {BLUE: "b", RED: "r"}
 
 #: Enumerations larger than this raise SizeLimitError instead of running.
 DEFAULT_PATH_CAP = 10**6
@@ -88,9 +105,6 @@ class Degree(NamedTuple):
 
     def is_valid(self) -> bool:
         return self.n1 >= 0 and self.n2 >= 0
-
-
-ZERO_DEGREE = Degree(0, 0)
 
 
 def _as_degree(value) -> Degree:
@@ -230,7 +244,10 @@ class TwoGraph:
                     raise IdOutOfRangeError(f"blue id {x} out of range")
             elif not 0 <= x < self.n_red:
                 raise IdOutOfRangeError(f"red id {x} out of range")
-        return _blue_first(self, letters)
+        code = EMPTY
+        for color, x in letters:
+            code = _compose(self, code, (1, 0, x, 0) if color == BLUE else (0, 1, 0, x))
+        return Path._of(self, code)
 
     def path_count(self, degree) -> int:
         degree = _as_degree(degree)
@@ -250,28 +267,29 @@ class TwoGraph:
                 f"{count} paths of degree {tuple(degree)} exceed cap {cap}"
             )
 
-    def _paths(self, degree: "Degree", cap: int = DEFAULT_PATH_CAP) -> tuple:
+    def _paths(self, degree, cap: int = DEFAULT_PATH_CAP) -> tuple:
+        """The codes of all paths of ``degree`` (a pair), in order."""
         cached = self._paths_cache.get(degree)
         if cached is not None:
             return cached
-        if not degree.is_valid():
-            raise BadRangeError(f"negative degree {degree}")
+        m, n = degree
+        if m < 0 or n < 0:
+            raise BadRangeError(f"negative degree {_as_degree(degree)}")
         self.check_path_cap(degree, cap)
-        paths = tuple(
-            Path(self, blues, reds)
-            for blues in itertools.product(range(self.n_blue), repeat=degree.n1)
-            for reds in itertools.product(range(self.n_red), repeat=degree.n2)
+        reds = range(self.n_red**n)
+        codes = tuple(
+            (m, n, blue, red) for blue in range(self.n_blue**m) for red in reds
         )
-        self._paths_cache[degree] = paths
-        return paths
+        self._paths_cache[degree] = codes
+        return codes
 
     def enumerate_paths(self, degree, cap: int = DEFAULT_PATH_CAP) -> list:
         """All paths of the given degree in lexicographic word order."""
         degree = _as_degree(degree)
-        paths = self._paths(degree, cap)
+        codes = self._paths(degree, cap)
         # _paths skips the cap on a memo hit, so check it here
         self.check_path_cap(degree, cap)
-        return list(paths)
+        return [Path._of(self, code) for code in codes]
 
     # -- serialization -----------------------------------------------------
 
@@ -318,7 +336,9 @@ def _parse_word(word) -> list:
             except (KeyError, ValueError):
                 raise PatternMismatchError(f"bad letter {token!r}") from None
         return letters
-    return [(BLUE if int(c) == BLUE else RED, int(x)) for c, x in word]
+    word = list(word)
+    colors = _parse_pattern(c for c, _ in word)  # rejects a color that is not 0 or 1
+    return [(c, int(x)) for c, (_, x) in zip(colors, word)]
 
 
 def _parse_pattern(pattern) -> list:
@@ -332,42 +352,171 @@ def _parse_pattern(pattern) -> list:
                 raise PatternMismatchError(f"bad pattern letter {ch!r}")
             out.append(color)
         return out
-    return [int(c) for c in pattern]
+    out = list(pattern)
+    for i, color in enumerate(out):
+        if color not in (BLUE, RED):
+            raise PatternMismatchError(f"bad color {color!r} at position {i}")
+    return [int(c) for c in out]
+
+
+# -- path codes ----------------------------------------------------------------
+
+#: The code of the empty path.
+EMPTY = (0, 0, 0, 0)
+
+
+def _code(ids, base: int) -> int:
+    code = 0
+    for x in ids:
+        code = code * base + x
+    return code
+
+
+def _letters(code: int, base: int, length: int) -> tuple:
+    out = [0] * length
+    for i in range(length - 1, -1, -1):
+        code, out[i] = divmod(code, base)
+    return tuple(out)
+
+
+def _move(
+    table: tuple, n_word: int, n_letter: int, length: int, word: int, letter: int
+) -> tuple:
+    """Move one letter leftward through a coded word of the other color.
+
+    ``word`` codes ``length`` letters with ``n_word`` choices each, and
+    ``letter`` (one of ``n_letter``) stands on its right.  It passes the
+    word's letters last to first; ``table[x * n_letter + y]`` rewrites
+    each adjacent pair (x, y) as (y', x').  The table is ``_fwd`` for a
+    blue word, (b_e)(r_f) = (r_f')(b_e'), and ``_inv`` for a red one,
+    (r_f)(b_e) = (b_e')(r_f').  Returns the letter that comes out on the
+    left and the code of the word left behind.
+    """
+    out, place = 0, 1
+    for _ in range(length):
+        word, x = divmod(word, n_word)
+        letter, x = table[x * n_letter + letter]
+        out += x * place
+        place *= n_word
+    return letter, out
+
+
+def _compose(graph: TwoGraph, p: tuple, q: tuple) -> tuple:
+    """The code of ``p*q``: the blue letters of q move left through the red of p."""
+    key = (p, q)
+    cached = graph._compose_cache.get(key)
+    if cached is not None:
+        return cached
+    n_blue, n_red = graph.n_blue, graph.n_red
+    m1, n1, blue1, red1 = p
+    m2, n2, blue2, red2 = q
+    for e in _letters(blue2, n_blue, m2):
+        e, red1 = _move(graph._inv, n_red, n_blue, n1, red1, e)
+        blue1 = blue1 * n_blue + e
+    result = (m1 + m2, n1 + n2, blue1, red1 * n_red**n2 + red2)
+    graph._compose_cache[key] = result
+    return result
+
+
+def _split(graph: TwoGraph, p: tuple, c1: int, c2: int) -> tuple:
+    """The codes (head, tail) of ``p`` cut at degree (c1, c2) <= d(p).
+
+    The first c2 red letters move left through the last m-c1 blue ones.
+    """
+    n_blue, n_red = graph.n_blue, graph.n_red
+    m, n, blue, red = p
+    head_blue, tail_blue = divmod(blue, n_blue ** (m - c1))
+    head_red, tail_red = divmod(red, n_red ** (n - c2))
+    moved = 0
+    for f in _letters(head_red, n_red, c2):
+        f, tail_blue = _move(graph._fwd, n_blue, n_red, m - c1, tail_blue, f)
+        moved = moved * n_red + f
+    return (c1, c2, head_blue, moved), (m - c1, n - c2, tail_blue, tail_red)
+
+
+def _extensions(graph: TwoGraph, nu: tuple, alpha: tuple) -> tuple:
+    """Minimal common extensions: code pairs (z, x) with nu*z == alpha*x.
+
+    Both extensions reach degree join(d(nu), d(alpha)).  Results are
+    cached on the graph; the side with the smaller extension count is
+    enumerated.
+    """
+    key = (nu, alpha)
+    cached = graph._ext_cache.get(key)
+    if cached is not None:
+        return cached
+    m1, n1, m2, n2 = nu[0], nu[1], alpha[0], alpha[1]
+    top1, top2 = max(m1, m2), max(n1, n2)
+    d_nu, d_al = (top1 - m1, top2 - n1), (top1 - m2, top2 - n2)
+    out = []
+    if graph.path_count(d_nu) <= graph.path_count(d_al):
+        for tail in graph._paths(d_nu):
+            head, rest = _split(graph, _compose(graph, nu, tail), m2, n2)
+            if head == alpha:
+                out.append((tail, rest))
+    else:
+        for tail in graph._paths(d_al):
+            head, rest = _split(graph, _compose(graph, alpha, tail), m1, n1)
+            if head == nu:
+                out.append((rest, tail))
+    result = tuple(out)
+    graph._ext_cache[key] = result
+    return result
+
+
+# -- the public view -------------------------------------------------------------
 
 
 class Path:
-    """A path stored as its blue-first normal form word.
+    """The immutable public view of a path code.
 
-    Two paths are equal exactly when their normal-form words (and
-    graphs) agree.  Instances are immutable and hashable.
+    Two paths are equal exactly when their codes (and graphs) agree,
+    that is when their blue-first words agree.  Paths sort by degree,
+    then by word.
     """
 
-    __slots__ = ("graph", "blues", "reds", "_hash")
+    __slots__ = ("graph", "code")
 
     def __init__(self, graph: TwoGraph, blues: Sequence[int], reds: Sequence[int]):
-        self.graph = graph
-        self.blues = tuple(blues)
-        self.reds = tuple(reds)
-        for e in self.blues:
+        blues, reds = tuple(blues), tuple(reds)
+        for e in blues:
             if not 0 <= e < graph.n_blue:
                 raise IdOutOfRangeError(f"blue id {e} out of range")
-        for f in self.reds:
+        for f in reds:
             if not 0 <= f < graph.n_red:
                 raise IdOutOfRangeError(f"red id {f} out of range")
-        self._hash = hash((self.blues, self.reds))
+        self.graph = graph
+        self.code = (
+            len(blues), len(reds), _code(blues, graph.n_blue), _code(reds, graph.n_red)
+        )
+
+    @classmethod
+    def _of(cls, graph: TwoGraph, code: tuple) -> "Path":
+        """The view of a code already known to be valid on ``graph``."""
+        path = cls.__new__(cls)
+        path.graph = graph
+        path.code = code
+        return path
+
+    @property
+    def blues(self) -> tuple:
+        return _letters(self.code[2], self.graph.n_blue, self.code[0])
+
+    @property
+    def reds(self) -> tuple:
+        return _letters(self.code[3], self.graph.n_red, self.code[1])
 
     @property
     def degree(self) -> Degree:
-        return Degree(len(self.blues), len(self.reds))
+        return Degree(self.code[0], self.code[1])
 
     def word(self) -> list:
         """The normal-form word as ``(color, id)`` pairs."""
         return [(BLUE, e) for e in self.blues] + [(RED, f) for f in self.reds]
 
     def pretty(self) -> str:
-        if not self.blues and not self.reds:
-            return "e"
-        return " ".join(_CHAR_OF_COLOR[c] + str(x) for c, x in self.word())
+        letters = [f"b{e}" for e in self.blues] + [f"r{f}" for f in self.reds]
+        return " ".join(letters) or "e"
 
     def __repr__(self) -> str:
         return f"Path({self.pretty()!r})"
@@ -375,20 +524,15 @@ class Path:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Path)
-            and self.blues == other.blues
-            and self.reds == other.reds
+            and self.code == other.code
             and (self.graph is other.graph or self.graph == other.graph)
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.code)
 
     def __lt__(self, other: "Path") -> bool:
-        return (self.degree, self.blues, self.reds) < (
-            other.degree,
-            other.blues,
-            other.reds,
-        )
+        return self.code < other.code
 
     # -- refactorization ---------------------------------------------------
 
@@ -397,20 +541,20 @@ class Path:
 
         The pattern must contain exactly as many blue and red letters as
         the degree of the path; the result is a list of ``(color, id)``
-        pairs.  The representative does not depend on the order in which
-        the adjacent swaps are performed (factorization property).
+        pairs.  Each run of one color is split off the front in turn,
+        which is sound because a path has one representative per pattern.
         """
         pattern = _parse_pattern(pattern)
-        if pattern.count(BLUE) != len(self.blues) or pattern.count(RED) != len(
-            self.reds
-        ):
-            raise PatternMismatchError(
-                f"pattern does not match degree {tuple(self.degree)}"
-            )
-        colors = [BLUE] * len(self.blues) + [RED] * len(self.reds)
-        ids = list(self.blues + self.reds)
-        _rearrange(self.graph, colors, ids, pattern)
-        return list(zip(colors, ids))
+        m, n = self.code[0], self.code[1]
+        if pattern.count(BLUE) != m or pattern.count(RED) != n:
+            raise PatternMismatchError(f"pattern does not match degree {(m, n)}")
+        letters = []
+        rest = self
+        for color, run in itertools.groupby(pattern):
+            k = len(list(run))
+            head, rest = rest.split((k, 0) if color == BLUE else (0, k))
+            letters += head.word()
+        return letters
 
     def split(self, at) -> tuple:
         """Split into (prefix of degree ``at``, remaining suffix)."""
@@ -418,21 +562,8 @@ class Path:
         d = self.degree
         if not (at.is_valid() and at.leq(d)):
             raise BadRangeError(f"cannot split degree {tuple(d)} at {tuple(at)}")
-        pattern = (
-            [BLUE] * at.n1
-            + [RED] * at.n2
-            + [BLUE] * (d.n1 - at.n1)
-            + [RED] * (d.n2 - at.n2)
-        )
-        colors = [BLUE] * d.n1 + [RED] * d.n2
-        ids = list(self.blues + self.reds)
-        _rearrange(self.graph, colors, ids, pattern)
-        cut = at.n1 + at.n2
-        head = Path(self.graph, ids[: at.n1], ids[at.n1 : cut])
-        tail = Path(
-            self.graph, ids[cut : cut + d.n1 - at.n1], ids[cut + d.n1 - at.n1 :]
-        )
-        return head, tail
+        head, tail = _split(self.graph, self.code, at.n1, at.n2)
+        return Path._of(self.graph, head), Path._of(self.graph, tail)
 
     def segment(self, p, q) -> "Path":
         """The subpath from degree ``p`` to degree ``q``.
@@ -454,98 +585,9 @@ class Path:
         """Concatenation, renormalized to blue-first form."""
         if not (self.graph is other.graph or self.graph == other.graph):
             raise SpecMismatchError("paths live on different graphs")
-        graph = self.graph
-        key = (self.blues, self.reds, other.blues, other.reds)
-        cached = graph._compose_cache.get(key)
-        if cached is not None:
-            return cached
-        result = _blue_first(graph, self.word() + other.word())
-        graph._compose_cache[key] = result
-        return result
+        return Path._of(self.graph, _compose(self.graph, self.code, other.code))
 
     __mul__ = compose
-
-    def strip_prefix(self, prefix: "Path"):
-        """The suffix ``s`` with ``self == prefix * s``, or None."""
-        if not prefix.degree.leq(self.degree):
-            return None
-        head, tail = self.split(prefix.degree)
-        return tail if head == prefix else None
-
-
-def _extensions(graph: TwoGraph, nu: Path, alpha: Path) -> tuple:
-    """Minimal common extensions: pairs (z, x) with nu*z == alpha*x.
-
-    Both extensions reach degree join(d(nu), d(alpha)).  Results are
-    cached on the graph; the side with the smaller extension count is
-    enumerated.
-    """
-    key = (nu.blues, nu.reds, alpha.blues, alpha.reds)
-    cached = graph._ext_cache.get(key)
-    if cached is not None:
-        return cached
-    d_nu, d_al = nu.degree, alpha.degree
-    if d_nu == d_al:
-        empty = Path(graph, (), ())
-        result = ((empty, empty),) if nu == alpha else ()
-        graph._ext_cache[key] = result
-        return result
-    top = d_nu.join(d_al)
-    out = []
-    if graph.path_count(top - d_nu) <= graph.path_count(top - d_al):
-        for tail in graph._paths(top - d_nu):
-            rest = (nu * tail).strip_prefix(alpha)
-            if rest is not None:
-                out.append((tail, rest))
-    else:
-        for tail in graph._paths(top - d_al):
-            rest = (alpha * tail).strip_prefix(nu)
-            if rest is not None:
-                out.append((rest, tail))
-    result = tuple(out)
-    graph._ext_cache[key] = result
-    return result
-
-
-def _blue_first(graph: TwoGraph, letters: list) -> Path:
-    """The path of a word of ``(color, id)`` letters, in blue-first form."""
-    colors = [c for c, _ in letters]
-    ids = [x for _, x in letters]
-    n1 = colors.count(BLUE)
-    _rearrange(graph, colors, ids, [BLUE] * n1 + [RED] * (len(ids) - n1))
-    return Path(graph, ids[:n1], ids[n1:])
-
-
-def _rearrange(graph: TwoGraph, colors: list, ids: list, pattern: Sequence[int]):
-    """Reorder ``colors``/``ids`` in place to match ``pattern``.
-
-    Greedy left-to-right: the first letter of the wanted color is
-    bubbled into place by adjacent swaps through the commutation rule.
-    """
-    fwd = graph._fwd
-    inv = graph._inv
-    n_red = graph.n_red
-    n_blue = graph.n_blue
-    for k, want in enumerate(pattern):
-        if colors[k] == want:
-            continue
-        j = k + 1
-        while colors[j] != want:
-            j += 1
-        # letters in [k, j) all have the other color
-        for i in range(j, k, -1):
-            if colors[i - 1] == BLUE:
-                ff, ee = fwd[ids[i - 1] * n_red + ids[i]]
-                colors[i - 1] = RED
-                ids[i - 1] = ff
-                colors[i] = BLUE
-                ids[i] = ee
-            else:
-                ee, ff = inv[ids[i - 1] * n_blue + ids[i]]
-                colors[i - 1] = BLUE
-                ids[i - 1] = ee
-                colors[i] = RED
-                ids[i] = ff
 
 
 # -- stock graphs ------------------------------------------------------------

@@ -26,10 +26,6 @@ class TableSizeError(GroupError):
     """A value table does not cover the whole group."""
 
 
-class NotDivisibleError(GroupError):
-    """A vertex pair (a, b) with a not dividing b."""
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -366,59 +362,6 @@ def dual_transfer(a: int, point):
         return None
     out = tuple(x // a for x in coords)
     return out[0] if scalar else out
-
-
-# -- the divisibility graph over a finite group ---------------------------------
-
-
-def mu_path(group: FiniteAbelian, element, a: int, b: int) -> tuple:
-    """The canonical infinite-path edge from vertex a to vertex b.
-
-    Defined for a | b; the edge has degree b/a and range a*element.
-    Composes functorially along divisor chains.
-    """
-    if b % a != 0:
-        raise NotDivisibleError(f"{a} does not divide {b}")
-    return (b // a, group.scale(a, element))
-
-
-class PowerMapGraph:
-    """The degree-graded edge system (a, g) over a finite group.
-
-    Each edge has range g, source a*g and degree a; composition
-    multiplies degrees when the source of the first edge matches the
-    range of the second.
-    """
-
-    def __init__(self, group: FiniteAbelian, degrees: Sequence[int]):
-        self.group = group
-        self.degrees = tuple(sorted(set(int(a) for a in degrees)))
-        for a in self.degrees:
-            if a < 1:
-                raise GroupError("edge degrees must be positive")
-        self.edges = [
-            (a, g) for a in self.degrees for g in group.elements()
-        ]
-
-    def range_of(self, edge) -> tuple:
-        return edge[1]
-
-    def source_of(self, edge) -> tuple:
-        a, g = edge
-        return self.group.scale(a, g)
-
-    def degree_of(self, edge) -> int:
-        return edge[0]
-
-    def compose(self, first, second) -> tuple:
-        """(a, g) followed by (b, g^a) is (ab, g)."""
-        a, g = first
-        b, h = second
-        if h != self.group.scale(a, g):
-            raise GroupError(
-                f"edges not composable: source {self.source_of(first)} != range {h}"
-            )
-        return (a * b, g)
 
 
 # -- classification -------------------------------------------------------------

@@ -9,15 +9,15 @@ head of mu*nu must not depend on nu, the blue tail must not depend on
 mu, and the tail map must invert the head map.  Any pairing satisfying
 the condition is therefore the one read off the heads.
 
-Paths in that pass are integers.  A blue path of degree (a,0) with
-letters e_1..e_a is coded as the sum of e_i * N1^(a-i), first letter
-most significant, and a red path of degree (0,b) likewise in base N2,
-so code i is ``enumerate_paths(...)[i]``.  The red-first factorization
-of mu*nu moves each red letter of nu leftward through the current blue
-word by the commutation table.  One move is a function of (blue word,
-red letter); it is memoized for the length of one call and shared by
-all products whose red parts have a common prefix.  Path objects are
-built only for the pairing a caller gets back.
+Paths in that pass are the integer codes of ``graphs.py``: a blue path
+of degree (a,0) is its blue code and a red path of degree (0,b) its red
+code, so code i is ``enumerate_paths(...)[i]``.  The red-first
+factorization of mu*nu moves each red letter of nu leftward through the
+current blue word with the shared move routine ``graphs._move``.  One
+move is a function of (blue word, red letter); it is memoized for the
+length of one call and shared by all products whose red parts have a
+common prefix.  Path objects are built only for the pairing a caller
+gets back.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .graphs import (
     GraphError,
     SizeLimitError,
     TwoGraph,
+    _move,
 )
 
 
@@ -75,27 +76,6 @@ def minimal_exponents(n_blue: int, n_red: int) -> Optional[tuple]:
     return (ratio.numerator, ratio.denominator)
 
 
-def _red_moves(graph: TwoGraph, a: int, word: int) -> tuple:
-    """Move each red letter leftward through the blue word coded ``word``.
-
-    Returns (red letters out, blue codes out), both indexed by the red
-    letter going in.
-    """
-    n_blue, n_red, fwd = graph.n_blue, graph.n_red, graph._fwd
-    reds, words = [], []
-    for f in range(n_red):
-        rest, new, place = word, 0, 1
-        for _ in range(a):
-            # r_f passes the nearest blue letter on its left: (b_e)(r_f) = (r_f')(b_e')
-            rest, e = divmod(rest, n_blue)
-            f, e = fwd[e * n_red + f]
-            new += e * place
-            place *= n_blue
-        reds.append(f)
-        words.append(new)
-    return reds, words
-
-
 def _factor_rows(graph: TwoGraph, a: int, b: int):
     """Yield (heads, tails) for each blue code mu of degree (a,0) in order.
 
@@ -103,9 +83,9 @@ def _factor_rows(graph: TwoGraph, a: int, b: int):
     mu*nu, for each red code nu of degree (0,b): its red path of degree
     (0,b) and its blue path of degree (a,0).
     """
-    n_red = graph.n_red
+    fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
     moves: dict = {}
-    for mu in range(graph.n_blue**a):
+    for mu in range(n_blue**a):
         heads, tails = [0], [mu]
         # after j steps, entry i holds the j-letter red prefix numbered i
         for _ in range(b):
@@ -113,7 +93,12 @@ def _factor_rows(graph: TwoGraph, a: int, b: int):
             for head, word in zip(heads, tails):
                 move = moves.get(word)
                 if move is None:
-                    move = moves[word] = _red_moves(graph, a, word)
+                    # red letters out and blue codes out, by red letter in
+                    move = moves[word] = ([], [])
+                    for f in range(n_red):
+                        f, blue = _move(fwd, n_blue, n_red, a, word, f)
+                        move[0].append(f)
+                        move[1].append(blue)
                 reds, words = move
                 base = head * n_red
                 for f in reds:
@@ -186,8 +171,7 @@ def verify_period(graph: TwoGraph, a: int, b: int, pairing: dict) -> bool:
     reds = graph.enumerate_paths(Degree(0, b))
     if set(pairing.keys()) != set(blues) or set(pairing.values()) != set(reds):
         raise GraphError("pairing is not a bijection between the stated path sets")
-    red_code = {nu: i for i, nu in enumerate(reds)}
-    return _pairing_codes(graph, a, b) == [red_code[pairing[mu]] for mu in blues]
+    return _pairing_codes(graph, a, b) == [pairing[mu].code[3] for mu in blues]
 
 
 @dataclass(frozen=True)

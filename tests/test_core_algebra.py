@@ -150,7 +150,24 @@ def test_transfer_divides_the_denominator_by_the_path_count():
     got = transfer((1, 0), Fraction(3, 7) * word)
     assert got == Fraction(3, 14) * GradedElement.one(g)
     assert got.terms == {(g.empty_path(), g.empty_path()): Fraction(3, 14)}
-    assert (got.nums, got.den) == ({(g.empty_path(), g.empty_path()): 3}, 14)
+    empty = g.empty_path().code
+    assert (got.nums, got.den) == ({(empty, empty): 3}, 14)
+
+
+def test_repr_orders_terms_by_degree_then_word():
+    # bytes recorded before paths were coded as integers
+    g = flip_graph(2, 2)
+    x = (
+        GradedElement.word(g.blue_path(0), g.path("b1 r0"))
+        + GradedElement.word(g.red_path(1), g.red_path(1))
+        + Fraction(1, 3) * GradedElement.one(g)
+        + GradedElement.word(g.blue_path(0), g.blue_path(1), -2)
+        + GradedElement.word(g.path("b0 r1"), g.empty_path())
+    )
+    assert repr(x) == (
+        "1/3*s[e]s[e]* + 1*s[r1]s[r1]* + -2*s[b0]s[b1]* "
+        "+ 1*s[b0]s[b1 r0]* + 1*s[b0 r1]s[e]*"
+    )
 
 
 # -- adjoint -----------------------------------------------------------------------

@@ -7,9 +7,7 @@ import pytest
 from twograph import (
     FiniteAbelian,
     GroupError,
-    NotDivisibleError,
     Padic,
-    PowerMapGraph,
     Solenoid,
     TableSizeError,
     Torus,
@@ -20,7 +18,6 @@ from twograph import (
     group_to_json,
     image_index,
     ker_size,
-    mu_path,
     power_pullback,
     transfer_eval,
 )
@@ -243,54 +240,6 @@ def test_character_oracle_rejects_wrong_claims():
     assert not character_transfer_on_subgroup(2, 4, None)
     assert not character_transfer_on_subgroup(2, 4, 1)
     assert not character_transfer_on_subgroup(2, 3, 1)
-
-
-# -- the divisibility graph -----------------------------------------------------------------
-
-
-def test_mu_path_example():
-    z4 = FiniteAbelian([4])
-    assert mu_path(z4, (1,), 2, 6) == (3, (2,))
-
-
-def test_mu_path_identity_degree():
-    z4 = FiniteAbelian([4])
-    assert mu_path(z4, (3,), 5, 5) == (1, (3,))
-
-
-def test_mu_path_zero_element():
-    z4 = FiniteAbelian([4])
-    assert mu_path(z4, (0,), 2, 8) == (4, (0,))
-
-
-def test_mu_path_rejects_non_divisor():
-    with pytest.raises(NotDivisibleError):
-        mu_path(FiniteAbelian([4]), (1,), 2, 5)
-
-
-def test_mu_path_functorial_on_divisor_chains():
-    group = FiniteAbelian([2, 4])
-    graph = PowerMapGraph(group, range(1, 61))
-    for g in group.elements():
-        for a in range(1, 61):
-            for b in range(a, 61, a):
-                for c in range(b, 61, b):
-                    first = mu_path(group, g, a, b)
-                    second = mu_path(group, g, b, c)
-                    assert graph.compose(first, second) == mu_path(group, g, a, c)
-
-
-def test_power_graph_edges_and_maps():
-    group = FiniteAbelian([2, 2])
-    graph = PowerMapGraph(group, [1, 2, 3, 6])
-    assert len(graph.edges) == 4 * 4
-    edge = (2, (1, 0))
-    assert graph.range_of(edge) == (1, 0)
-    assert graph.source_of(edge) == (0, 0)
-    assert graph.degree_of(edge) == 2
-    assert graph.compose((2, (1, 1)), (3, (0, 0))) == (6, (1, 1))
-    with pytest.raises(GroupError):
-        graph.compose((2, (1, 1)), (3, (1, 1)))
 
 
 # -- classification ---------------------------------------------------------------------------

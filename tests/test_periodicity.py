@@ -354,6 +354,45 @@ def test_relabeling_conjugates_the_verdict(case):
         }
 
 
+# -- color swap --------------------------------------------------------------------------
+
+
+def transpose(graph: TwoGraph) -> TwoGraph:
+    """The same paths with the colors swapped: red ids become blue ids.
+
+    The blue-red pair (f, e) of the new graph is the red-blue word
+    (r_f)(b_e) of the old one, rewritten by ``commute_red_blue``.
+    """
+    rows = []
+    for f in range(graph.n_red):
+        for e in range(graph.n_blue):
+            ee, ff = graph.commute_red_blue(f, e)
+            rows.append((f, e, ee, ff))
+    return TwoGraph(graph.n_red, graph.n_blue, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(relabeled_graphs().map(lambda case: case[0]))
+@example(twin_graph(2))
+@example(TwoGraph(2, 2, [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 0], [1, 1, 0, 1]]))
+def test_swapping_colors_swaps_the_period(graph):
+    # a period (a, b) with pairing gamma is a period (b, a) of the
+    # transposed graph with pairing gamma^-1
+    swapped = transpose(graph)
+    assert transpose(swapped) == graph
+    verdict = decide_periodicity(graph, kmax=3)
+    other = decide_periodicity(swapped, kmax=3)
+    assert other.kind == verdict.kind
+    assert other.checked == tuple((b, a) for a, b in verdict.checked)
+    if verdict.is_periodic:
+        w, v = verdict.witness, other.witness
+        assert (v.a, v.b) == (w.b, w.a)
+        assert v.pairing == {
+            swapped.blue_path(*nu.reds): swapped.red_path(*mu.blues)
+            for mu, nu in w.pairing.items()
+        }
+
+
 # -- witness self-consistency ------------------------------------------------------
 
 

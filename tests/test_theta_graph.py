@@ -142,6 +142,17 @@ def test_reorder_rejects_wrong_pattern():
         g.path("b0 r1").reorder("BB")
 
 
+def test_colors_other_than_blue_and_red_are_rejected():
+    # the counts of [0, 1, 5] match degree (1, 1); the 5 must still be named
+    g = flip_graph(2, 2)
+    with pytest.raises(PatternMismatchError, match="bad color 5 at position 2"):
+        g.path("b0 r1").reorder([0, 1, 5])
+    with pytest.raises(PatternMismatchError, match="bad color 7 at position 0"):
+        g.path([(7, 1), (0, 0)])
+    with pytest.raises(PatternMismatchError, match="bad color 0.7 at position 1"):
+        g.path([(0, 1), (0.7, 1)])
+
+
 # -- segment -------------------------------------------------------------------
 
 
@@ -325,6 +336,32 @@ def test_normal_form_matches_swap_oracle(data):
     letter = st.one_of(st.tuples(st.just(BLUE), blue), st.tuples(st.just(RED), red))
     word = data.draw(st.lists(letter, max_size=6))
     assert randomized_reorder(g, g.path(word), [c for c, _ in word], rng) == word
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_split_and_compose_match_swap_oracle(data):
+    # split's head and tail are the two halves of the word reordered to
+    # B^c1 R^c2 B^(m-c1) R^(n-c2) by swaps made in random order
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    counts = st.integers(2, 3)
+    g = random_two_graph(data.draw(counts), data.draw(counts), rng)
+
+    def draw_path():
+        blues = data.draw(st.lists(st.integers(0, g.n_blue - 1), max_size=3))
+        reds = data.draw(st.lists(st.integers(0, g.n_red - 1), max_size=3))
+        return Path(g, blues, reds)
+
+    p, q = draw_path(), draw_path()
+    m, n = p.degree
+    c1, c2 = data.draw(st.integers(0, m)), data.draw(st.integers(0, n))
+    pattern = [BLUE] * c1 + [RED] * c2 + [BLUE] * (m - c1) + [RED] * (n - c2)
+    word = randomized_reorder(g, p, pattern, rng)
+    head, tail = p.split((c1, c2))
+    assert head.word() == word[: c1 + c2]
+    assert tail.word() == word[c1 + c2 :]
+    assert head * tail == p
+    assert (p * q).split(p.degree) == (p, q)
 
 
 def test_segment_three_way():
