@@ -9,6 +9,7 @@ suite.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,19 +38,27 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _load_json_arg(value: str):
+def _decode(option: str, text: str):
+    """JSON given to ``option``; a syntax error names the option."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{option} is not valid JSON: {exc}") from None
+
+
+def _load_json_arg(option: str, value: str):
     if value.lstrip().startswith(("{", "[")):
-        return json.loads(value)
+        return _decode(option, value)
     with open(value, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _decode(option, fh.read())
 
 
 def _load_graph(value: str) -> TwoGraph:
-    return TwoGraph.from_json(_load_json_arg(value))
+    return TwoGraph.from_json(_load_json_arg("--spec", value))
 
 
 def _load_group(value: str):
-    return group_from_json(_load_json_arg(value))
+    return group_from_json(_load_json_arg("--group", value))
 
 
 def _parse_degree(value: str) -> tuple:
@@ -61,7 +70,14 @@ def _parse_degree(value: str) -> tuple:
     return (n1, n2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared.
+
+    One parser serves every request of a process: ``parse_args`` returns
+    a fresh namespace and leaves the parser unchanged, and each handler
+    looks up what it calls when it runs.  Callers must not add to it.
+    """
     parser = _Parser(prog="twograph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -201,7 +217,8 @@ def _group_g123(args) -> int:
 
 
 def _group_transfer(args) -> int:
-    values = transfer_eval(_load_group(args.group), args.a, json.loads(args.table))
+    group = _load_group(args.group)
+    values = transfer_eval(group, args.a, _decode("--table", args.table))
     _emit({"a": args.a, "values": [str(v) for v in values]})
     return 0
 

@@ -237,15 +237,8 @@ class TwoGraph:
         commas or dots as separators) or an iterable of ``(color, id)``
         pairs.  The word is normalized to blue-first form.
         """
-        letters = _parse_word(word)
-        for color, x in letters:
-            if color == BLUE:
-                if not 0 <= x < self.n_blue:
-                    raise IdOutOfRangeError(f"blue id {x} out of range")
-            elif not 0 <= x < self.n_red:
-                raise IdOutOfRangeError(f"red id {x} out of range")
         code = EMPTY
-        for color, x in letters:
+        for color, x in _parse_word(word, (self.n_blue, self.n_red)):
             code = _compose(self, code, (1, 0, x, 0) if color == BLUE else (0, 1, 0, x))
         return Path._of(self, code)
 
@@ -327,7 +320,9 @@ class TwoGraph:
             return cls.from_json(json.load(fh))
 
 
-def _parse_word(word) -> list:
+def _parse_word(word, sizes: tuple) -> list:
+    """The ``(color, id)`` letters of a word, each id checked against
+    ``sizes`` (the blue and red edge counts)."""
     if isinstance(word, str):
         letters = []
         for token in word.replace(",", " ").replace(".", " ").split():
@@ -335,10 +330,22 @@ def _parse_word(word) -> list:
                 letters.append((_COLOR_OF_CHAR[token[0]], int(token[1:])))
             except (KeyError, ValueError):
                 raise PatternMismatchError(f"bad letter {token!r}") from None
-        return letters
-    word = list(word)
-    colors = _parse_pattern(c for c, _ in word)  # rejects a color that is not 0 or 1
-    return [(c, int(x)) for c, (_, x) in zip(colors, word)]
+    else:
+        word = list(word)
+        colors = _parse_pattern(c for c, _ in word)  # rejects a color that is not 0 or 1
+        letters = [(c, x) for c, (_, x) in zip(colors, word)]
+    for color, x in letters:
+        _check_id(color, x, sizes[color])
+    return letters
+
+
+def _check_id(color: int, x, n: int) -> None:
+    """Reject an edge id that is not an int (a bool is not one) in ``0..n-1``."""
+    name = "red" if color else "blue"
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise IdOutOfRangeError(f"{name} id {x!r} is not an integer")
+    if not 0 <= x < n:
+        raise IdOutOfRangeError(f"{name} id {x} out of range")
 
 
 def _parse_pattern(pattern) -> list:
@@ -480,11 +487,9 @@ class Path:
     def __init__(self, graph: TwoGraph, blues: Sequence[int], reds: Sequence[int]):
         blues, reds = tuple(blues), tuple(reds)
         for e in blues:
-            if not 0 <= e < graph.n_blue:
-                raise IdOutOfRangeError(f"blue id {e} out of range")
+            _check_id(BLUE, e, graph.n_blue)
         for f in reds:
-            if not 0 <= f < graph.n_red:
-                raise IdOutOfRangeError(f"red id {f} out of range")
+            _check_id(RED, f, graph.n_red)
         self.graph = graph
         self.code = (
             len(blues), len(reds), _code(blues, graph.n_blue), _code(reds, graph.n_red)

@@ -298,12 +298,18 @@ def check_conditions(group: GroupSpec, test_range=range(1, 13)) -> ConditionRepo
 def _power_index(group: FiniteAbelian, a: int, table: Sequence) -> list:
     """Index of ``a*x`` for each element x, once ``table`` covers the group.
 
-    The size is checked against the order before the elements are
-    listed, so a short table never enumerates a large group.
+    The size is checked against the order first, so a short table never
+    costs work in the size of a large group.  The index is then built
+    arithmetically, one mixed-radix place per invariant factor, in
+    :meth:`FiniteAbelian.elements` order, without listing the elements.
     """
     if len(table) != group.order:
         raise TableSizeError(f"table has {len(table)} entries, group has {group.order}")
-    return [group.index_of(group.scale(a, x)) for x in group.elements()]
+    index = [0]
+    for d in group.factors:
+        place = [a * x % d for x in range(d)]
+        index = [i * d + y for i in index for y in place]
+    return index
 
 
 def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
@@ -313,7 +319,9 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
     the inputs over its preimages; points off the image get zero.
     Tables are indexed by :meth:`FiniteAbelian.elements` order, and each
     entry must be a rational (an int, a Fraction or a string like "1/2");
-    floats and booleans are rejected.
+    floats and booleans are rejected.  The sums are taken in integers,
+    as numerators over the lcm of the entries' denominators, and each
+    output is one Fraction of its sum over that lcm times the kernel size.
     """
     if not isinstance(group, FiniteAbelian):
         raise GroupError("transfer tables only make sense on finite groups")
@@ -321,27 +329,58 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
         raise GroupError(f"table must be a list of rationals, got {table!r}")
     index = _power_index(group, a, table)
     kernel = ker_size(group, a)
-    sums = [Fraction(0)] * len(index)
-    for position, (idx, value) in enumerate(zip(index, table)):
-        sums[idx] += _table_entry(position, value)
-    return [s / kernel for s in sums]
+    values = _table_values(table)
+    scale = math.lcm(*{v.denominator for v in values})
+    sums = [0] * len(index)
+    for idx, v in zip(index, values):
+        sums[idx] += v.numerator * (scale // v.denominator)
+    return [Fraction(s, scale * kernel) for s in sums]
 
 
 def power_pullback(group: FiniteAbelian, a: int, table: Sequence) -> list:
-    """Precompose a value table with the a-th power map."""
-    return [_table_entry(idx, table[idx]) for idx in _power_index(group, a, table)]
+    """Precompose a value table with the a-th power map.
+
+    Every entry is checked, in table order, as for :func:`transfer_eval`,
+    including entries off the image that the result never reads.
+    """
+    index = _power_index(group, a, table)
+    values = _table_values(table)
+    return [Fraction(values[idx]) for idx in index]
+
+
+def _table_values(table: Sequence) -> list:
+    """The entries of ``table`` as ints and Fractions, checked in table order.
+
+    Ints pass as they are.  Every other distinct entry is parsed once;
+    the memo is keyed by type as well as value, so a ``True`` is never
+    served the entry of ``1``.
+    """
+    parsed: dict = {}
+    values = []
+    for position, value in enumerate(table):
+        if type(value) is not int:
+            key = (type(value), value)
+            try:
+                value = parsed[key]
+            except KeyError:
+                value = parsed[key] = _table_entry(position, value)
+            except TypeError:  # unhashable, so not a rational either
+                value = _table_entry(position, value)
+        values.append(value)
+    return values
 
 
 def _table_entry(position: int, value) -> Fraction:
     """A table entry as an exact rational.
 
     Floats (and booleans) are rejected rather than read through their
-    binary expansion: JSON ``0.1`` is not the rational 1/10.
+    binary expansion: JSON ``0.1`` is not the rational 1/10.  So is a
+    zero denominator.
     """
     if not isinstance(value, (bool, float)):
         try:
             return Fraction(value)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
     raise GroupError(f"table entry {position} is not a rational: {value!r}")
 

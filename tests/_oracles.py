@@ -4,10 +4,13 @@ Nothing here calls back into the decision paths it checks: the
 periodicity oracle compares raw path segments, the reorder oracle
 performs admissible swaps in random order, and the character-transfer
 oracle sums actual roots of unity in exact cyclotomic-integer
-arithmetic.
+arithmetic.  The finite-group transfer oracles list every element
+and add Fractions.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from twograph import Degree
 
@@ -164,3 +167,35 @@ def character_transfer_on_subgroup(a: int, x: int, claimed, K: int = 12) -> bool
             if not root_sum_is_zero(sums, m):
                 return False
     return True
+
+
+def _listed_group(factors):
+    """Elements of Z_d1 x ... x Z_dk in lexicographic order, and their positions."""
+    elements = [()]
+    for d in factors:
+        elements = [x + (y,) for x in elements for y in range(d)]
+    return elements, {x: i for i, x in enumerate(elements)}
+
+
+def transfer_by_listing(factors, a: int, table) -> list:
+    """Mean of ``table`` over the a-th power preimages of each element,
+    summed as Fractions over the listed elements."""
+    elements, position = _listed_group(factors)
+    sums = [Fraction(0)] * len(elements)
+    counts = [0] * len(elements)
+    for x, value in zip(elements, table):
+        image = position[tuple(a * c % d for c, d in zip(x, factors))]
+        sums[image] += Fraction(value)
+        counts[image] += 1
+    # every image point has as many preimages as the kernel has elements
+    kernel = counts[0]
+    return [s / kernel for s in sums]
+
+
+def pullback_by_listing(factors, a: int, table) -> list:
+    """``table`` evaluated at the a-th power of each listed element."""
+    elements, position = _listed_group(factors)
+    return [
+        Fraction(table[position[tuple(a * c % d for c, d in zip(x, factors))]])
+        for x in elements
+    ]

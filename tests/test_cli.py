@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from twograph import flip_graph, twin_graph
+from twograph import cli, flip_graph, twin_graph
 from twograph.cli import main
 
 
@@ -677,3 +679,92 @@ def test_core_verify_seed_is_deterministic(capsys, flip_spec):
         )
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_zero_denominator_in_table_is_input_error(capsys):
+    code = main(["group", "transfer", "--group", _FINITE_2, "--a", "2",
+                 "--table", '["1/0", 1]'])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: table entry 0 is not a rational: '1/0'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("theta", "validate", "--spec", "{bad"),
+         "--spec is not valid JSON: Expecting property name enclosed in double "
+         "quotes: line 1 column 2 (char 1)"),
+        (("group", "classify", "--group", "[1"),
+         "--group is not valid JSON: Expecting ',' delimiter: line 1 column 3 (char 2)"),
+        (("group", "transfer", "--group", _FINITE_2, "--a", "1", "--table", "abc"),
+         "--table is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        # the group is read before the table, so its error comes first
+        (("group", "transfer", "--group", "[1", "--a", "1", "--table", "abc"),
+         "--group is not valid JSON: Expecting ',' delimiter: line 1 column 3 (char 2)"),
+    ],
+)
+def test_unparsable_json_names_its_option(capsys, argv, err):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+def test_unparsable_spec_file_names_its_option(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n1": 1,\n "n2"}')
+    code = main(["theta", "validate", "--spec", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --spec is not valid JSON: Expecting ':' delimiter: line 2 column 6 (char 15)\n"
+    )
+
+
+def _main_result(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_answers_like_a_fresh_one(monkeypatch, twin_spec, flip_spec):
+    # one parser serves the whole process; every request must come out as
+    # it does from a parser built for it alone
+    group = '{"kind": "finite", "factors": [2, 4]}'
+    table = '[1, "1/2", -3, 0, "7/3", 2, 5, "-1/4"]'
+    requests = [
+        ("theta", "validate", "--spec", twin_spec),
+        ("theta", "normal-form", "--spec", flip_spec, "--word", "r1 b0", "--pattern", "RB"),
+        ("theta", "normal-form", "--spec", flip_spec, "--word", "r1 b0"),
+        ("theta", "periodicity", "--spec", twin_spec),
+        ("theta", "periodicity", "--spec", flip_spec, "--kmax", "2"),
+        ("double", "--spec", twin_spec),
+        ("crossed-product", "--spec", twin_spec, "--kmax", "1"),
+        ("core", "verify", "--spec", flip_spec, "--max-degree", "1,0"),
+        ("group", "classify", "--group", group),
+        ("group", "g123", "--group", group, "--range", "3"),
+        ("group", "transfer", "--group", group, "--a", "2", "--table", table),
+        # usage errors exit 1 through the parser
+        ("theta", "validate"),
+        ("theta", "periodicity", "--spec", twin_spec, "--kmax", "x"),
+        ("core", "verify", "--spec", flip_spec, "--output", "xml"),
+        ("nonsense",),
+        ("group", "transfer", "--group", group, "--a", "2", "--table", "abc"),
+        ("group", "transfer", "--help"),
+        ("theta", "normal-form", "--spec", flip_spec, "--word", "r1 b0"),
+    ]
+    cached = [_main_result(argv) for argv in requests * 2]
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_main_result(argv) for argv in requests * 2]
+    assert cached == fresh
+    assert {code for code, _, _ in cached} == {0, 1}
+    assert sum(code == 1 for code, _, _ in cached) == 10

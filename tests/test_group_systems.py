@@ -1,5 +1,6 @@
 """Kernel arithmetic, transfer averages and classification on groups."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,11 @@ from twograph import (
     transfer_eval,
 )
 
-from _oracles import character_transfer_on_subgroup
+from _oracles import (
+    character_transfer_on_subgroup,
+    pullback_by_listing,
+    transfer_by_listing,
+)
 
 
 # -- kernel sizes -----------------------------------------------------------------
@@ -216,6 +221,48 @@ def test_transfer_semigroup_matches_kernel_multiplicativity():
                     assert agree, (order, a, b)
                 else:
                     assert not agree, (order, a, b)
+
+
+_ENTRIES = (
+    0, 1, -2, 7, "1/2", "-3/4", "5", "1/2", Fraction(2, 3), Fraction(-5, 6), Fraction(4)
+)
+
+
+@pytest.mark.parametrize("factors", [[], [1], [2, 4], [3, 3], [2, 2, 4]])
+def test_transfer_and_pullback_match_the_listing_oracle(factors):
+    # ints, repeated strings and Fractions mixed in one table
+    group = FiniteAbelian(factors)
+    rng = random.Random(str(factors))
+    for a in (1, 2, 3, 4, 5, 6, 8, 12):
+        for _ in range(4):
+            table = [rng.choice(_ENTRIES) for _ in range(group.order)]
+            values = transfer_eval(group, a, table)
+            assert values == transfer_by_listing(factors, a, table), (a, table)
+            assert all(type(v) is Fraction for v in values)
+            pulled = power_pullback(group, a, table)
+            assert pulled == pullback_by_listing(factors, a, table), (a, table)
+            assert all(type(v) is Fraction for v in pulled)
+
+
+@pytest.mark.parametrize("evaluate", [transfer_eval, power_pullback])
+def test_true_after_equal_entries_is_rejected_at_its_position(evaluate):
+    # the parsed-entry memo must not serve True the entry of 1
+    table = [1, Fraction(1), "1", True]
+    with pytest.raises(GroupError, match=r"^table entry 3 is not a rational: True$"):
+        evaluate(FiniteAbelian([4]), 1, table)
+
+
+@pytest.mark.parametrize("evaluate", [transfer_eval, power_pullback])
+def test_zero_denominator_is_not_a_rational(evaluate):
+    with pytest.raises(GroupError, match=r"^table entry 0 is not a rational: '1/0'$"):
+        evaluate(FiniteAbelian([2]), 2, ["1/0", 1])
+
+
+@pytest.mark.parametrize("evaluate", [transfer_eval, power_pullback])
+def test_first_bad_entry_in_table_order_is_named(evaluate):
+    # entry 1 lies off the image of the doubling map on Z2, and is checked anyway
+    with pytest.raises(GroupError, match=r"^table entry 1 is not a rational: 0.5$"):
+        evaluate(FiniteAbelian([2]), 2, [1, 0.5])
 
 
 # -- dual transfer against the root-of-unity oracle --------------------------------------

@@ -413,3 +413,21 @@ def test_path_equality_is_word_equality():
     assert g.path("b0 r1") == g.path("r1 b0")
     assert g.path("b0 r1") != g.path("b1 r1")
     assert hash(g.path("b0 r1")) == hash(g.path("r1 b0"))
+
+
+@pytest.mark.parametrize(
+    "build, err",
+    [
+        # int() would truncate 1.9 to the id 1
+        (lambda g: g.path([(BLUE, 1.9)]), "blue id 1.9 is not an integer"),
+        (lambda g: Path(g, [1.5], []), "blue id 1.5 is not an integer"),
+        # a bool is an int to Python, not an edge id
+        (lambda g: g.path([(BLUE, True)]), "blue id True is not an integer"),
+        (lambda g: Path(g, [0], [False]), "red id False is not an integer"),
+        (lambda g: g.path([(RED, "1")]), "red id '1' is not an integer"),
+    ],
+)
+def test_non_integer_edge_ids_are_rejected(build, err):
+    with pytest.raises(IdOutOfRangeError) as exc:
+        build(flip_graph(2, 2))
+    assert str(exc.value) == err
