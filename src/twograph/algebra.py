@@ -18,6 +18,15 @@ algebra.  Any rational is accepted at the boundary (the constructor,
 word coefficients and scalar multiples) and ``terms`` reads the
 coefficients back as Fractions.
 
+The word product and the transfer each run in one kernel on numerator
+dicts, ``_product`` and ``_transfer``.  A kernel returns raw numerators:
+zeros are kept and no gcd is taken.  ``GradedElement.__mul__`` and
+:func:`transfer` hand that output to ``GradedElement._of``, the one
+place where numerators are reduced to lowest terms and zeros dropped.
+The suite's transfer identity calls the kernels directly and passes
+the difference of its two sides to ``_vanishes``, so it builds no
+element per case.
+
 Equality is decided modulo the summation relation
 s_mu s_nu^* == sum over d(lambda)=n of s_{mu lambda} s_{nu lambda}^*:
 terms are grouped by the degree difference d(mu)-d(nu) and expanded to
@@ -165,26 +174,20 @@ class GradedElement:
             self.graph, {key: n * num for key, n in self.nums.items()}, self.den * den
         )
 
-    def __rmul__(self, scalar) -> "GradedElement":
-        return self._scaled(scalar)
+    def __rmul__(self, scalar):
+        if isinstance(scalar, (int, Fraction)):
+            return self._scaled(scalar)
+        return NotImplemented
 
     # -- the word product ------------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, GradedElement):
-            if isinstance(other, (int, Fraction)):
-                return self._scaled(other)
-            return NotImplemented
+            return self.__rmul__(other)  # a scalar multiple, or NotImplemented
         self._check_same(other)
-        graph = self.graph
-        out: dict = {}
-        for (mu, nu), c in self.nums.items():
-            for (alpha, beta), d in other.nums.items():
-                cd = c * d
-                for tail_nu, tail_al in _extensions(graph, nu, alpha):
-                    key = (_compose(graph, mu, tail_nu), _compose(graph, beta, tail_al))
-                    out[key] = out.get(key, 0) + cd
-        return GradedElement._of(graph, out, self.den * other.den)
+        return GradedElement._of(
+            self.graph, _product(self.graph, self.nums, other.nums), self.den * other.den
+        )
 
     def adjoint(self) -> "GradedElement":
         """The *-operation: swap word sides (rational coefficients)."""
@@ -199,11 +202,15 @@ class GradedElement:
         return _vanishes(self.graph, self.nums)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedElement):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = GradedElement.one(self.graph)._scaled(other)
-        nums, _ = self._combine(other, -1)
+        if isinstance(other, GradedElement):
+            nums, _ = self._combine(other, -1)
+        elif isinstance(other, (int, Fraction)):
+            # self - p/q vanishes exactly when q*self - p*1 does
+            p, q = _ratio(other)
+            nums = {key: n * q for key, n in self.nums.items()}
+            nums[EMPTY, EMPTY] = nums.get((EMPTY, EMPTY), 0) - p * self.den
+        else:
+            return NotImplemented
         return _vanishes(self.graph, nums)
 
     def __hash__(self):
@@ -276,16 +283,45 @@ def transfer(degree, element: GradedElement) -> GradedElement:
     """
     graph = element.graph
     lams = graph._paths(tuple(degree))
+    return GradedElement._of(
+        graph, _transfer(graph, lams, element.nums), element.den * len(lams)
+    )
+
+
+# -- the two kernels: numerator dicts in, raw numerator dicts out -------------
+
+
+def _product(graph: TwoGraph, left: dict, right: dict) -> dict:
+    """Numerators of the word product left*right, zeros kept and no gcd taken.
+
+    ``left`` and ``right`` are numerator dicts; the product's denominator
+    is the product of theirs.
+    """
     out: dict = {}
-    for lam in lams:
-        for (mu, nu), n in element.nums.items():
+    for (mu, nu), c in left.items():
+        for (alpha, beta), d in right.items():
+            for tail_nu, tail_al in _extensions(graph, nu, alpha):
+                key = (_compose(graph, mu, tail_nu), _compose(graph, beta, tail_al))
+                out[key] = out.get(key, 0) + c * d
+    return out
+
+
+def _transfer(graph: TwoGraph, lams: tuple, nums: dict) -> dict:
+    """Numerators of the sum of s_lam^* a s_lam over the path codes ``lams``.
+
+    Zeros are kept and no gcd is taken; the transfer's denominator is
+    that of ``nums`` times ``len(lams)``.
+    """
+    out: dict = {}
+    for (mu, nu), n in nums.items():
+        for lam in lams:
             # s_lam^* s_mu expands first, then s_nu^* s_lam on the right
             for head_tail, mu_tail in _extensions(graph, lam, mu):
                 left_nu = _compose(graph, nu, mu_tail)
                 for mid_tail, lam_tail in _extensions(graph, left_nu, lam):
                     key = (_compose(graph, head_tail, mid_tail), lam_tail)
                     out[key] = out.get(key, 0) + n
-    return GradedElement._of(graph, out, element.den * len(lams))
+    return out
 
 
 class ModuleVector:
@@ -300,7 +336,10 @@ class ModuleVector:
     __slots__ = ("level", "payload")
 
     def __init__(self, level, payload: GradedElement):
-        self.level = _as_degree(level)
+        level = _as_degree(level)
+        if not level.is_valid():
+            raise BadRangeError(f"module level must be non-negative, got {tuple(level)}")
+        self.level = level
         self.payload = payload
 
     @classmethod
@@ -517,16 +556,24 @@ def identity_suite(
 
     def transfer_identity(name, groups):
         # transfer(n, shift(n, a) * b) == a * transfer(n, b) for all word
-        # pairs (a, b) of each group; shift and transfer computed once per word
+        # pairs (a, b) of each group, on numerator dicts, with shift and
+        # transfer computed once per word: the left side is over
+        # sa.den * len(lams) and the right side over len(lams), so the
+        # right side is scaled by sa.den
         cases = 0
         for n, group in groups:
-            elems = [_word(graph, mu, nu) for mu, nu in group]
-            shifted = [shift(n, a) for a in elems]
-            transferred = [transfer(n, b) for b in elems]
+            lams = graph._paths(tuple(n))
+            elems = [{word: 1} for word in group]
+            shifted = [shift(n, _word(graph, *word)) for word in group]
+            transferred = [_transfer(graph, lams, b) for b in elems]
             for a, sa in zip(elems, shifted):
                 for b, tb in zip(elems, transferred):
                     cases += 1
-                    if transfer(n, sa * b) != a * tb:
+                    diff = _transfer(graph, lams, _product(graph, sa.nums, b))
+                    for key, c in _product(graph, a, tb).items():
+                        diff[key] = diff.get(key, 0) - c * sa.den
+                    if not _vanishes(graph, diff):
+                        a, b = (GradedElement._of(graph, x, 1) for x in (a, b))
                         detail = f"counterexample: n={tuple(n)}, a={a!r}, b={b!r}"
                         checks.append(SuiteCheck(name, cases, False, detail))
                         return

@@ -5,7 +5,8 @@ periodicity oracle compares raw path segments, the reorder oracle
 performs admissible swaps in random order, and the character-transfer
 oracle sums actual roots of unity in exact cyclotomic-integer
 arithmetic.  The finite-group transfer oracles list every element
-and add Fractions.
+and add Fractions.  The word-algebra oracles find common extensions
+by trying every pair of paths at the join degree, and add Fractions.
 """
 
 from __future__ import annotations
@@ -199,3 +200,43 @@ def pullback_by_listing(factors, a: int, table) -> list:
         Fraction(table[position[tuple(a * c % d for c, d in zip(x, factors))]])
         for x in elements
     ]
+
+
+# -- the word algebra on Paths and Fractions -------------------------------------
+
+
+def _concat(graph, p, q):
+    """The path of the colored word of p followed by that of q."""
+    return graph.path(p.word() + q.word())
+
+
+def word_product(graph, x: dict, y: dict) -> dict:
+    """The word product of ``{(Path, Path): coefficient}`` dicts, zeros dropped.
+
+    s_mu s_nu^* . s_alpha s_beta^* is the sum of s_{mu z} s_{beta w}^*
+    over every pair (z, w) with nu z == alpha w at the join of d(nu)
+    and d(alpha), found by trying all such pairs.
+    """
+    out = {}
+    for (mu, nu), c in x.items():
+        for (alpha, beta), d in y.items():
+            top = nu.degree.join(alpha.degree)
+            for z in graph.enumerate_paths(top - nu.degree):
+                nu_z = _concat(graph, nu, z)
+                for w in graph.enumerate_paths(top - alpha.degree):
+                    if _concat(graph, alpha, w) == nu_z:
+                        key = (_concat(graph, mu, z), _concat(graph, beta, w))
+                        out[key] = out.get(key, 0) + Fraction(c) * Fraction(d)
+    return {key: c for key, c in out.items() if c}
+
+
+def word_transfer(graph, degree, x: dict) -> dict:
+    """The exact average of s_lam^* x s_lam over every path lam of ``degree``."""
+    empty = graph.empty_path()
+    lams = graph.enumerate_paths(degree)
+    out = {}
+    for lam in lams:
+        left = word_product(graph, {(empty, lam): 1}, x)
+        for key, c in word_product(graph, left, {(lam, empty): 1}).items():
+            out[key] = out.get(key, 0) + c / len(lams)
+    return {key: c for key, c in out.items() if c}

@@ -2,11 +2,14 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from _oracles import word_product, word_transfer
 
 from twograph import (
     BadRangeError,
@@ -81,6 +84,19 @@ def test_scalars_and_linearity():
     assert not any(c == 0 for c in (x - x).terms.values())
 
 
+def test_scalar_multiples_accept_the_same_scalars_in_either_order():
+    g = flip_graph(2, 2)
+    one = GradedElement.one(g)
+    for scalar in (3, -1, 0, True, Fraction(2, 7)):
+        assert (scalar * one).terms == (one * scalar).terms
+        assert scalar * one == one * scalar == scalar
+    for bad in (0.1, 1.5, complex(1, 0), "2", None):
+        with pytest.raises(TypeError):
+            bad * one
+        with pytest.raises(TypeError):
+            one * bad
+
+
 # -- coefficient arithmetic against a Fraction oracle --------------------------------
 
 
@@ -142,6 +158,24 @@ def test_coefficient_arithmetic_matches_fraction_oracle(data):
     for got, expected in cases:
         assert got.terms == expected
         _assert_lowest_terms(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_and_transfer_match_word_oracle(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    g = random_two_graph(data.draw(st.integers(2, 3)), 2, rng)
+    paths = [p for d in _SMALL_DEGREES for p in g.enumerate_paths(d)]
+    pairs = st.tuples(st.sampled_from(paths), st.sampled_from(paths))
+
+    def draw_terms():
+        return {key: data.draw(_COEFFS) for key in data.draw(st.lists(pairs, max_size=3))}
+
+    x_terms, y_terms = draw_terms(), draw_terms()
+    x, y = GradedElement(g, x_terms), GradedElement(g, y_terms)
+    step = data.draw(st.sampled_from(_SMALL_DEGREES))
+    assert (x * y).terms == word_product(g, x_terms, y_terms)
+    assert transfer(step, x).terms == word_transfer(g, step, x_terms)
 
 
 def test_transfer_divides_the_denominator_by_the_path_count():
@@ -373,6 +407,13 @@ def test_inner_product_rejects_level_mismatch():
         x.inner(ModuleVector.unit(g))
 
 
+@pytest.mark.parametrize("level", [(-1, 0), (0, -2), (-3, -1)])
+def test_module_vector_rejects_negative_level(level):
+    one = GradedElement.one(flip_graph(2, 2))
+    with pytest.raises(BadRangeError, match=re.escape(f"got {level}")):
+        ModuleVector(level, one)
+
+
 def test_module_product_of_basis_vectors():
     rng = random.Random(29)
     g = random_two_graph(2, 2, rng)
@@ -532,3 +573,59 @@ def test_identity_suite_reports_transfer_failures(monkeypatch):
     assert by_name["transfer-section"].detail == (
         "counterexample: (Degree(n1=1, n2=0), (Path('e'), Path('e')))"
     )
+
+
+def test_identity_suite_reports_product_failures(monkeypatch):
+    # a word product that drops one term of every result with several fails
+    # both transfer identities, which call the product kernel directly
+    from twograph import algebra
+
+    true_product = algebra._product
+
+    def broken_product(graph, left, right):
+        out = true_product(graph, left, right)
+        if len(out) > 1:
+            del out[next(iter(out))]
+        return out
+
+    monkeypatch.setattr(algebra, "_product", broken_product)
+    checks = identity_suite(flip_graph(2, 2), max_degree=(1, 1), seed=0)
+    assert [(c.cases, c.passed) for c in checks] == [
+        (4, True),
+        (4, True),
+        (1, False),
+        (626, False),
+        (225, True),
+        (100, True),
+        (4, True),
+        (81, True),
+        (16, True),
+        (2, True),
+        (25, True),
+        (25, True),
+    ]
+    by_name = {c.name: c for c in checks}
+    assert by_name["transfer-identity-generators"].detail == (
+        "counterexample: n=(1, 0), a=1*s[e]s[e]*, b=1*s[e]s[e]*"
+    )
+    assert by_name["transfer-identity-all-degrees"].detail == (
+        "counterexample: n=(0, 1), a=1*s[e]s[e]*, b=1*s[e]s[e]*"
+    )
+
+
+def test_identity_suite_transfer_identity_scales_by_the_shift_denominator(monkeypatch):
+    # a shift that halves its result at degree (0, 1) has denominator 2 there;
+    # the transfer identity must still see that its two sides differ
+    from twograph import algebra
+
+    true_shift = algebra.shift
+
+    def halved_shift(degree, element):
+        result = true_shift(degree, element)
+        return Fraction(1, 2) * result if tuple(degree) == (0, 1) else result
+
+    monkeypatch.setattr(algebra, "shift", halved_shift)
+    checks = identity_suite(flip_graph(2, 2), max_degree=(1, 1), seed=0)
+    detail = "counterexample: n=(0, 1), a=1*s[e]s[e]*, b=1*s[e]s[e]*"
+    for check in checks[2:4]:
+        assert (check.cases, check.passed, check.detail) == (626, False, detail)
