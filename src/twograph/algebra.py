@@ -25,7 +25,13 @@ zeros are kept and no gcd is taken.  ``GradedElement.__mul__`` and
 place where numerators are reduced to lowest terms and zeros dropped.
 The suite's transfer identity calls the kernels directly and passes
 the difference of its two sides to ``_vanishes``, so it builds no
-element per case.
+element per case.  The covariance check does the same per basis
+vector.  The elements shift(n, <(nu, lam), (alpha, beta)>) it needs do
+not depend on the word's first path, so it keeps them in a dict keyed
+by (nu, lam, alpha, beta) that lives for one ``identity_suite`` call
+(and one :func:`check_covariance` call), each computed once through
+``ModuleVector.inner`` and the module-level :func:`shift` and
+:func:`transfer`.
 
 Equality is decided modulo the summation relation
 s_mu s_nu^* == sum over d(lambda)=n of s_{mu lambda} s_{nu lambda}^*:
@@ -336,6 +342,10 @@ class ModuleVector:
     __slots__ = ("level", "payload")
 
     def __init__(self, level, payload: GradedElement):
+        if not isinstance(payload, GradedElement):
+            raise TypeError(
+                f"module payload must be a GradedElement, got {type(payload).__name__}"
+            )
         level = _as_degree(level)
         if not level.is_valid():
             raise BadRangeError(f"module level must be non-negative, got {tuple(level)}")
@@ -417,9 +427,11 @@ def check_covariance(mu: Path, nu: Path) -> bool:
     (nu, lambda): each applies v to the inner product and multiplies
     back.  True exactly when all basis vectors agree.
     """
+    if not (mu.graph is nu.graph or mu.graph == nu.graph):
+        raise SpecMismatchError("paths live on different graphs")
     if mu.degree != nu.degree:
         raise LevelMismatchError("covariance check needs equal degrees")
-    return _covariant(mu.graph, mu.code, nu.code)
+    return _covariant(mu.graph, mu.code, nu.code, {})
 
 
 def _word(graph: TwoGraph, mu: tuple, nu: tuple) -> GradedElement:
@@ -427,21 +439,46 @@ def _word(graph: TwoGraph, mu: tuple, nu: tuple) -> GradedElement:
     return GradedElement._of(graph, {(mu, nu): 1}, 1)
 
 
-def _covariant(graph: TwoGraph, mu: tuple, nu: tuple) -> bool:
-    """:func:`check_covariance` on path codes of equal degree."""
+def _covariant(graph: TwoGraph, mu: tuple, nu: tuple, table: dict) -> bool:
+    """:func:`check_covariance` on path codes of equal degree.
+
+    The right side applies the basis vector v = (alpha, beta) to the
+    vector (nu, lam) and multiplies back: the element
+    shift(n, <(nu, lam), v>) does not depend on ``mu``, so it is kept in
+    ``table`` under the key (nu, lam, alpha, beta), filled on first use
+    through :meth:`ModuleVector.inner` and the module-level
+    :func:`shift` (and so :func:`transfer`).  The caller owns the table:
+    :func:`check_covariance` passes a fresh one, and ``identity_suite``
+    one per call.  Both sides are numerator dicts over the lcm of the
+    looked-up elements' denominators, and their difference goes to
+    ``_vanishes``.  With the true shift and transfer every inner product
+    is 0 or 1, so that lcm is 1.
+    """
     level = Degree(mu[0], mu[1])
-    word = _word(graph, mu, nu)
     lams = graph._paths(level)
+    word = {(mu, nu): 1}
     for alpha in lams:
         for beta in lams:
-            vec = ModuleVector(level, _word(graph, alpha, beta))
-            lhs = vec.left_mul(word)
-            rhs = ModuleVector(level, GradedElement.zero(graph))
+            backs = []
             for lam in lams:
-                left_vec = ModuleVector(level, _word(graph, mu, lam))
-                right_vec = ModuleVector(level, _word(graph, nu, lam))
-                rhs = rhs + left_vec.right_mul(right_vec.inner(vec))
-            if lhs != rhs:
+                key = (nu, lam, alpha, beta)
+                back = table.get(key)
+                if back is None:
+                    left = ModuleVector(level, _word(graph, nu, lam))
+                    inner = left.inner(ModuleVector(level, _word(graph, alpha, beta)))
+                    back = table[key] = shift(level, inner)
+                if back.nums:
+                    backs.append((lam, back))
+            scale = math.lcm(*(back.den for _, back in backs))
+            diff = {
+                key: scale * c
+                for key, c in _product(graph, word, {(alpha, beta): 1}).items()
+            }
+            for lam, back in backs:
+                factor = scale // back.den
+                for key, c in _product(graph, {(mu, lam): 1}, back.nums).items():
+                    diff[key] = diff.get(key, 0) - factor * c
+            if not _vanishes(graph, diff):
                 return False
     return True
 
@@ -709,7 +746,8 @@ def identity_suite(
     for n in cov_levels:
         paths = graph._paths(n)
         cov_cases.extend((mu, nu) for mu in paths for nu in paths)
-    run("covariance", cov_cases, lambda case: _covariant(graph, *case))
+    cov_table: dict = {}
+    run("covariance", cov_cases, lambda case: _covariant(graph, *case, cov_table))
 
     # *-algebra axioms on random word triples
     small_words = _balanced_words(graph, bound.meet(Degree(1, 1)))

@@ -407,6 +407,12 @@ def test_inner_product_rejects_level_mismatch():
         x.inner(ModuleVector.unit(g))
 
 
+@pytest.mark.parametrize("payload", [5, Fraction(1, 2), None])
+def test_module_vector_rejects_a_payload_that_is_not_an_element(payload):
+    with pytest.raises(TypeError, match=type(payload).__name__):
+        ModuleVector((0, 0), payload)
+
+
 @pytest.mark.parametrize("level", [(-1, 0), (0, -2), (-3, -1)])
 def test_module_vector_rejects_negative_level(level):
     one = GradedElement.one(flip_graph(2, 2))
@@ -474,6 +480,51 @@ def test_covariance_rejects_unequal_degrees():
     g = flip_graph(2, 2)
     with pytest.raises(LevelMismatchError):
         check_covariance(g.blue_path(0), g.red_path(0))
+
+
+def test_covariance_rejects_paths_from_different_graphs():
+    # code (1, 0, 2, 0) names no blue edge of the 2x2 graph
+    with pytest.raises(SpecMismatchError):
+        check_covariance(flip_graph(2, 2).blue_path(0), flip_graph(3, 2).blue_path(2))
+
+
+_COVARIANCE_LEVELS = [(0, 0), (0, 1), (1, 0), (1, 1)]  # the suite's order
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_suite_covariance_agrees_with_check_covariance(data):
+    # under a shift scaled at one degree, the suite's covariance entry stops
+    # at the first pair that check_covariance rejects, in the suite's order;
+    # under the true shift every pair at (1, 0), (0, 1) and (1, 1) holds
+    from twograph import algebra
+
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    g = random_two_graph(data.draw(st.integers(2, 3)), 2, rng)
+    scale = data.draw(st.sampled_from([1, 2, Fraction(1, 2)]))
+    scaled_degree = data.draw(st.sampled_from(_COVARIANCE_LEVELS[1:]))
+    true_shift = algebra.shift
+
+    def scaled_shift(degree, element):
+        result = true_shift(degree, element)
+        return scale * result if tuple(degree) == scaled_degree else result
+
+    pairs = [
+        (mu, nu)
+        for level in _COVARIANCE_LEVELS
+        for mu in g.enumerate_paths(level)
+        for nu in g.enumerate_paths(level)
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "shift", scaled_shift)
+        verdicts = [check_covariance(mu, nu) for mu, nu in pairs]
+        checks = identity_suite(g, max_degree=(1, 1), seed=0)
+    if scale == 1:
+        assert all(verdicts)
+    failed = [i for i, ok in enumerate(verdicts) if not ok]
+    expected = (failed[0] + 1, False) if failed else (len(pairs), True)
+    covariance = next(c for c in checks if c.name == "covariance")
+    assert (covariance.cases, covariance.passed) == expected
 
 
 # -- the full suite ------------------------------------------------------------------------------
@@ -629,3 +680,67 @@ def test_identity_suite_transfer_identity_scales_by_the_shift_denominator(monkey
     detail = "counterexample: n=(0, 1), a=1*s[e]s[e]*, b=1*s[e]s[e]*"
     for check in checks[2:4]:
         assert (check.cases, check.passed, check.detail) == (626, False, detail)
+
+
+def test_identity_suite_covariance_detects_a_shift_denominator(monkeypatch):
+    # a halved shift at (0, 1) gives the looked-up elements denominator 2;
+    # covariance scales both sides by it and fails at the first red word
+    from twograph import algebra
+
+    true_shift = algebra.shift
+
+    def halved_shift(degree, element):
+        result = true_shift(degree, element)
+        return Fraction(1, 2) * result if tuple(degree) == (0, 1) else result
+
+    monkeypatch.setattr(algebra, "shift", halved_shift)
+    checks = identity_suite(flip_graph(2, 2), max_degree=(1, 1), seed=0)
+    covariance = next(c for c in checks if c.name == "covariance")
+    assert (covariance.cases, covariance.passed, covariance.detail) == (
+        2,
+        False,
+        "counterexample: (Path('r0'), Path('r0'))",
+    )
+
+
+def test_identity_suite_covariance_table_does_not_outlive_its_call(monkeypatch):
+    # the covariance table is local to one suite call: a run under a broken
+    # shift leaves nothing behind for the next run on the same graph
+    from twograph import algebra
+
+    g = flip_graph(2, 2)
+    true_shift = algebra.shift
+
+    def broken_shift(degree, element):
+        result = true_shift(degree, element)
+        return 2 * result if tuple(degree) == (0, 1) else result
+
+    monkeypatch.setattr(algebra, "shift", broken_shift)
+    broken = identity_suite(g, max_degree=(1, 1), seed=0)
+    assert not next(c for c in broken if c.name == "covariance").passed
+    monkeypatch.undo()
+    checks = identity_suite(g, max_degree=(1, 1), seed=0)
+    assert len(checks) == 12
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+def test_identity_suite_passes_a_shift_written_over_a_denominator(monkeypatch):
+    # adding a multiple of 1 - shift(n, 1), which equals zero, keeps every
+    # shift's value but writes it over denominator 2 (zero inner products) or
+    # 3 (the others), so covariance scales each side's terms by their share
+    # of the lcm 6; every check must still pass
+    from twograph import algebra
+
+    g = flip_graph(2, 2)
+    true_shift = algebra.shift
+
+    def padded_shift(degree, element):
+        one = GradedElement.one(element.graph)
+        share = Fraction(1, 2) if not element.nums else Fraction(1, 3)
+        return true_shift(degree, element) + share * (one - true_shift(degree, one))
+
+    monkeypatch.setattr(algebra, "shift", padded_shift)
+    assert padded_shift((1, 0), GradedElement.zero(g)).den == 2
+    assert padded_shift((1, 0), GradedElement.one(g)).den == 3
+    checks = identity_suite(g, max_degree=(1, 1), seed=0)
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
