@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -334,7 +336,9 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
     sums = [0] * len(index)
     for idx, v in zip(index, values):
         sums[idx] += v.numerator * (scale // v.denominator)
-    return [Fraction(s, scale * kernel) for s in sums]
+    denominator = scale * kernel
+    shared = {s: Fraction(s, denominator) for s in set(sums)}
+    return [shared[s] for s in sums]
 
 
 def power_pullback(group: FiniteAbelian, a: int, table: Sequence) -> list:
@@ -351,23 +355,27 @@ def power_pullback(group: FiniteAbelian, a: int, table: Sequence) -> list:
 def _table_values(table: Sequence) -> list:
     """The entries of ``table`` as ints and Fractions, checked in table order.
 
-    Ints pass as they are.  Every other distinct entry is parsed once;
-    the memo is keyed by type as well as value, so a ``True`` is never
-    served the entry of ``1``.
+    Ints pass as they are.  Each distinct string is parsed once, in a
+    memo keyed by the string; every other entry is parsed where it
+    stands, so a ``True`` is never served the entry of ``1``.
     """
     parsed: dict = {}
     values = []
     for position, value in enumerate(table):
-        if type(value) is not int:
-            key = (type(value), value)
+        if type(value) is str:
+            text = value
             try:
-                value = parsed[key]
+                value = parsed[text]
             except KeyError:
-                value = parsed[key] = _table_entry(position, value)
-            except TypeError:  # unhashable, so not a rational either
-                value = _table_entry(position, value)
+                value = parsed[text] = _table_entry(position, text)
+        elif type(value) is not int:
+            value = _table_entry(position, value)
         values.append(value)
     return values
+
+
+# The exponent of a decimal string such as "2.5e-3", as Fraction reads it.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def _table_entry(position: int, value) -> Fraction:
@@ -375,14 +383,27 @@ def _table_entry(position: int, value) -> Fraction:
 
     Floats (and booleans) are rejected rather than read through their
     binary expansion: JSON ``0.1`` is not the rational 1/10.  So is a
-    zero denominator.
+    zero denominator, and a decimal exponent larger in magnitude than
+    the interpreter's limit on digits in an int-to-str conversion
+    (``sys.get_int_max_str_digits()``, where 0 means no limit), which
+    Fraction would expand to a power of ten before anything could
+    refuse it.
     """
-    if not isinstance(value, (bool, float)):
+    if not isinstance(value, (bool, float)) and not _huge_exponent(value):
         try:
             return Fraction(value)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError):
             pass
     raise GroupError(f"table entry {position} is not a rational: {value!r}")
+
+
+def _huge_exponent(value) -> bool:
+    limit = sys.get_int_max_str_digits()
+    match = isinstance(value, str) and limit and _EXPONENT.search(value)
+    if not match:
+        return False
+    digits = match[1].replace("_", "").lstrip("0")
+    return len(digits) > len(str(limit)) or int(digits or "0") > limit
 
 
 def dual_transfer(a: int, point):

@@ -690,6 +690,26 @@ def test_zero_denominator_in_table_is_input_error(capsys):
     assert captured.err == "error: table entry 0 is not a rational: '1/0'\n"
 
 
+@pytest.mark.parametrize("entry", ["1e5000", "1e3000000"])
+def test_huge_decimal_exponent_in_table_is_input_error(capsys, entry):
+    code = main(["group", "transfer", "--group", '{"kind":"finite","factors":[3]}',
+                 "--a", "1", "--table", json.dumps([1, 2, entry])])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: table entry 2 is not a rational: '{entry}'\n"
+
+
+def test_transfer_value_too_long_to_print_names_the_table(capsys):
+    # every entry parses, but their sum has about 8,000 digits
+    code = main(["group", "transfer", "--group", '{"kind":"finite","factors":[3]}',
+                 "--a", "3", "--table", '["1e4000", "1e-4000", 3]'])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: --table gives a value too long to print: ")
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [

@@ -1,6 +1,8 @@
 """Kernel arithmetic, transfer averages and classification on groups."""
 
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from twograph import (
     power_pullback,
     transfer_eval,
 )
+from twograph import groups
 
 from _oracles import (
     character_transfer_on_subgroup,
@@ -263,6 +266,69 @@ def test_first_bad_entry_in_table_order_is_named(evaluate):
     # entry 1 lies off the image of the doubling map on Z2, and is checked anyway
     with pytest.raises(GroupError, match=r"^table entry 1 is not a rational: 0.5$"):
         evaluate(FiniteAbelian([2]), 2, [1, 0.5])
+
+
+def test_transfer_reads_equal_values_alike_whatever_their_spelling():
+    # Z2 x Z4 under a = 2 has kernel 4: every image point averages four entries
+    group = FiniteAbelian([2, 4])
+    table = ["1/2", "2/4", "0.5", 1, "1", Fraction(1, 2), "5e-1", "1"]
+    values = transfer_eval(group, 2, table)
+    assert values == transfer_by_listing([2, 4], 2, table)
+    assert values == [Fraction(5, 8), 0, Fraction(3, 4), 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("factors, a", [([6, 12], 2), ([6, 12], 3), ([6, 12], 6), ([8], 4)])
+def test_transfer_with_many_repeated_sums_matches_the_listing_oracle(factors, a):
+    group = FiniteAbelian(factors)
+    assert ker_size(group, a) > 1
+    rng = random.Random(a)
+    table = [rng.choice([0, 1, "1", "1/3", "2/6", -1]) for _ in range(group.order)]
+    values = transfer_eval(group, a, table)
+    assert values == transfer_by_listing(factors, a, table)
+    assert all(type(v) is Fraction for v in values)
+    # equal outputs are one shared Fraction
+    assert len(set(values)) < len(values)
+    assert len({id(v) for v in values}) == len(set(values))
+
+
+@pytest.mark.parametrize("evaluate", [transfer_eval, power_pullback])
+@pytest.mark.parametrize(
+    "table, position",
+    [
+        (["1/2", "1/2", "1/2", "x"], 3),
+        (["1/2", True, "1/2", "x"], 1),
+        ([1, "1", "1", 0.5], 3),
+        (["1", "1", Fraction(1), "1/0"], 3),
+        (["1", "1e5000", "1", "1"], 1),
+    ],
+)
+def test_every_entry_is_checked_in_table_order(evaluate, table, position):
+    # on Z4 under a = 2, entries 1 and 3 lie off the image and are never read
+    with pytest.raises(GroupError, match=rf"^table entry {position} is not a rational: "):
+        evaluate(FiniteAbelian([4]), 2, table)
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1E+5000", "-2.5e-5000", "1e3000000", "1e" + "9" * 5000])
+def test_huge_decimal_exponent_is_refused_before_it_is_expanded(monkeypatch, text):
+    def expanded(value, *args):
+        raise AssertionError(f"Fraction({value!r}) was called")
+
+    monkeypatch.setattr(groups, "Fraction", expanded)
+    with pytest.raises(GroupError, match=rf"^table entry 0 is not a rational: '{re.escape(text)}'$"):
+        transfer_eval(FiniteAbelian([1]), 1, [text])
+
+
+def test_exponent_limit_is_the_interpreters_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert transfer_eval(FiniteAbelian([1]), 1, ["1e640"]) == [10**640]
+        with pytest.raises(GroupError, match="table entry 0 is not a rational"):
+            transfer_eval(FiniteAbelian([1]), 1, ["1e641"])
+        sys.set_int_max_str_digits(0)  # no limit
+        assert transfer_eval(FiniteAbelian([1]), 1, ["1e5000"]) == [10**5000]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- dual transfer against the root-of-unity oracle --------------------------------------
