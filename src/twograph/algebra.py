@@ -23,15 +23,34 @@ dicts, ``_product`` and ``_transfer``.  A kernel returns raw numerators:
 zeros are kept and no gcd is taken.  ``GradedElement.__mul__`` and
 :func:`transfer` hand that output to ``GradedElement._of``, the one
 place where numerators are reduced to lowest terms and zeros dropped.
-The suite's transfer identity calls the kernels directly and passes
-the difference of its two sides to ``_vanishes``, so it builds no
-element per case.  The covariance check does the same per basis
-vector.  The elements shift(n, <(nu, lam), (alpha, beta)>) it needs do
-not depend on the word's first path, so it keeps them in a dict keyed
-by (nu, lam, alpha, beta) that lives for one ``identity_suite`` call
-(and one :func:`check_covariance` call), each computed once through
-``ModuleVector.inner`` and the module-level :func:`shift` and
-:func:`transfer`.
+The identity suite shares work across its cases through tables that
+live for one ``identity_suite`` call (each transfer-identity table for
+one degree n of one check); nothing is kept on the graph.  Every word
+product still goes through the module-level ``_product`` and every shift
+through :func:`shift`, names the tests patch; the transfer identity runs
+the transfer kernel ``_transfer`` and the other checks :func:`transfer`.
+
+- The transfer identity transfer(n, shift(n, a) b) == a transfer(n, b)
+  computes shift(n, a) and the kernel transfer of b once per word, and
+  the kernel transfer T(w) of each word w once per n.  A case whose two
+  sides are both empty is counted and nothing else is done: its
+  difference is the empty dict, which vanishes, so skipping it is exact.
+  The left side is empty when no term of shift(n, a) has a minimal
+  common extension with the first path of b, and the right side when
+  the second path of a has none with any first path of transfer(n, b);
+  both are read from the graph's ``_extensions`` table.  Every other
+  case still makes its two ``_product`` calls, takes the left side as
+  the sum of c T(w) over the terms c w of shift(n, a) b (exact because
+  the transfer is linear) and passes the difference of the two sides
+  to ``_vanishes``, so it builds no element.
+- transfer-action computes transfer(n, w) once per degree n and word w.
+- module-orthonormal calls ``_product`` on the numerator dicts of the
+  two basis words and transfers each distinct product once per level.
+- covariance keeps the elements shift(n, <(nu, lam), (alpha, beta)>) it
+  multiplies back; they do not depend on the word's first path, so they
+  are keyed by (nu, lam, alpha, beta), each computed once through
+  ``ModuleVector.inner`` and :func:`shift`.  :func:`check_covariance`
+  builds the same table for its one call.
 
 Equality is decided modulo the summation relation
 s_mu s_nu^* == sum over d(lambda)=n of s_{mu lambda} s_{nu lambda}^*:
@@ -593,27 +612,73 @@ def identity_suite(
 
     def transfer_identity(name, groups):
         # transfer(n, shift(n, a) * b) == a * transfer(n, b) for all word
-        # pairs (a, b) of each group, on numerator dicts, with shift and
-        # transfer computed once per word: the left side is over
+        # pairs (a, b) of each group, in order, on numerator dicts.  The
+        # tables below live for one degree n of one call.  shift(n, a) and
+        # transfer(n, b) are computed once per word; the left side is over
         # sa.den * len(lams) and the right side over len(lams), so the
-        # right side is scaled by sa.den
+        # right side is scaled by sa.den.
         cases = 0
         for n, group in groups:
             lams = graph._paths(tuple(n))
             elems = [{word: 1} for word in group]
             shifted = [shift(n, _word(graph, *word)) for word in group]
             transferred = [_transfer(graph, lams, b) for b in elems]
-            for a, sa in zip(elems, shifted):
-                for b, tb in zip(elems, transferred):
-                    cases += 1
-                    diff = _transfer(graph, lams, _product(graph, sa.nums, b))
-                    for key, c in _product(graph, a, tb).items():
+            # A case whose two sides are both empty has diff {}, which
+            # vanishes, so it is counted and nothing else is done.  The
+            # left side _product(shift(n, a), b) is empty exactly when no
+            # term (mu, nu) of shift(n, a) has a common extension with the
+            # first path alpha of b, and the right side _product(a, tb)
+            # exactly when a's second path has none with any head (first
+            # path) of tb = transfer(n, b).  So b enters the test only
+            # through alpha and the head set of tb: the indices of the b
+            # with each are listed once per n, and each a tests every
+            # alpha and head set once.
+            by_alpha: dict = {}
+            by_heads: dict = {}
+            for j, ((alpha, _), tb) in enumerate(zip(group, transferred)):
+                by_alpha.setdefault(alpha, []).append(j)
+                by_heads.setdefault(frozenset(x for x, _ in tb), []).append(j)
+            right_live: dict = {}  # a's second path -> b with a non-empty right side
+            # T(w) = _transfer of the one word w at this n.  A case that is
+            # not skipped takes its left side as the sum of c * T(w) over
+            # the terms c*w of _product(shift(n, a), b), exact because
+            # _transfer is linear, subtracts its right side and passes the
+            # difference to _vanishes.
+            word_transfers: dict = {}
+            for (_, a_nu), a, sa in zip(group, elems, shifted):
+                nus = {nu for _, nu in sa.nums}
+                live = {
+                    j
+                    for alpha, js in by_alpha.items()
+                    if any(_extensions(graph, nu, alpha) for nu in nus)
+                    for j in js
+                }
+                right = right_live.get(a_nu)
+                if right is None:
+                    right = right_live[a_nu] = [
+                        j
+                        for heads, js in by_heads.items()
+                        if any(_extensions(graph, a_nu, x) for x in heads)
+                        for j in js
+                    ]
+                live.update(right)
+                for j in sorted(live):
+                    b = elems[j]
+                    diff: dict = {}
+                    for key, c in _product(graph, sa.nums, b).items():
+                        tw = word_transfers.get(key)
+                        if tw is None:
+                            tw = word_transfers[key] = _transfer(graph, lams, {key: 1})
+                        for k, t in tw.items():
+                            diff[k] = diff.get(k, 0) + c * t
+                    for key, c in _product(graph, a, transferred[j]).items():
                         diff[key] = diff.get(key, 0) - c * sa.den
                     if not _vanishes(graph, diff):
                         a, b = (GradedElement._of(graph, x, 1) for x in (a, b))
                         detail = f"counterexample: n={tuple(n)}, a={a!r}, b={b!r}"
-                        checks.append(SuiteCheck(name, cases, False, detail))
+                        checks.append(SuiteCheck(name, cases + j + 1, False, detail))
                         return
+                cases += len(group)
         checks.append(SuiteCheck(name, cases, True))
 
     # on the generators, all word pairs
@@ -636,10 +701,18 @@ def identity_suite(
         for w in words
     ]
 
+    # transfer(n, w) for every (n, w) the cases name, each computed once
+    transfers: dict = {}
+
+    def word_transfer(n, word):
+        out = transfers.get((n, word))
+        if out is None:
+            out = transfers[n, word] = transfer(n, _word(graph, *word))
+        return out
+
     def transfer_action(case):
-        m, n, (mu, nu) = case
-        a = _word(graph, mu, nu)
-        return transfer(m, transfer(n, a)) == transfer(m + n, a)
+        m, n, word = case
+        return transfer(m, word_transfer(n, word)) == word_transfer(m + n, word)
 
     run("transfer-action", action_cases, transfer_action)
 
@@ -655,15 +728,29 @@ def identity_suite(
 
     # orthonormal module bases
     def orthonormal(level):
+        # <(mu, nu), (al, be)> = path_count * transfer(level, s_nu s_mu^* s_al s_be^*)
+        # is 1 on equal basis words and 0 otherwise.  Most products are
+        # empty (they vanish unless mu == al), so each distinct product is
+        # transferred once per level.
         paths = graph._paths(level)
+        scale = graph.path_count(level)
+        inners: dict = {}
         for mu in paths:
             for nu in paths:
-                left = ModuleVector(level, _word(graph, mu, nu))
+                adjoint = {(nu, mu): 1}
                 for al in paths:
                     for be in paths:
-                        right = ModuleVector(level, _word(graph, al, be))
-                        expected = 1 if (mu, nu) == (al, be) else 0
-                        if left.inner(right) != expected:
+                        product = _product(graph, adjoint, {(al, be): 1})
+                        terms = tuple(product.items())
+                        inner = inners.get(terms)
+                        if inner is None:
+                            inner = inners[terms] = transfer(
+                                level, GradedElement._of(graph, product, 1)
+                            )
+                        diff = {key: scale * c for key, c in inner.nums.items()}
+                        if (mu, nu) == (al, be):
+                            diff[EMPTY, EMPTY] = diff.get((EMPTY, EMPTY), 0) - inner.den
+                        if not _vanishes(graph, diff):
                             return False
         return True
 

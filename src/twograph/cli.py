@@ -274,11 +274,14 @@ def _group_g123(args) -> int:
 def _group_transfer(args) -> int:
     group = _load_group(args.group)
     values = transfer_eval(group, args.a, _decode("--table", args.table))
+    # transfer_eval returns one shared Fraction per distinct value, so each
+    # distinct object is converted to text once
+    distinct = {id(v): v for v in values}
     try:
-        texts = [str(v) for v in values]
+        texts = {key: str(v) for key, v in distinct.items()}
     except ValueError as exc:  # past the interpreter's int-to-str digit limit
         raise ValueError(f"--table gives a value too long to print: {exc}") from None
-    _emit({"a": args.a, "values": texts})
+    _emit({"a": args.a, "values": [texts[id(v)] for v in values]})
     return 0
 
 

@@ -527,6 +527,150 @@ def test_suite_covariance_agrees_with_check_covariance(data):
     assert (covariance.cases, covariance.passed) == expected
 
 
+# -- the shared-work checks against one-case-at-a-time evaluation -----------------
+
+
+def _degrees_upto(bound):
+    return [Degree(i, j) for i in range(bound[0] + 1) for j in range(bound[1] + 1)]
+
+
+def _word_paths(g, bound):
+    return [
+        (mu, nu)
+        for level in _degrees_upto(bound)
+        for mu in g.enumerate_paths(level)
+        for nu in g.enumerate_paths(level)
+    ]
+
+
+def _first_failure(name, cases, holds, show):
+    for index, case in enumerate(cases, 1):
+        if not holds(case):
+            return (name, index, False, f"counterexample: {show(case)}")
+    return (name, len(cases), True, "")
+
+
+def _reference_suite(g, bound):
+    # (name, cases, passed, detail) of the transfer identities,
+    # transfer-action and module-orthonormal, one case at a time through
+    # the public operations, reading algebra.shift and algebra.transfer at
+    # call time so that a patched shift reaches every case
+    from twograph import algebra
+
+    def words_upto(top):
+        return [GradedElement.word(mu, nu) for mu, nu in _word_paths(g, top)]
+
+    def identity(case):
+        n, a, b = case
+        return algebra.transfer(n, algebra.shift(n, a) * b) == a * algebra.transfer(n, b)
+
+    def identity_check(name, groups):
+        cases = [(n, a, b) for n, group in groups for a in group for b in group]
+        return _first_failure(
+            name, cases, identity, lambda c: f"n={tuple(c[0])}, a={c[1]!r}, b={c[2]!r}"
+        )
+
+    def action(case):
+        m, n, (mu, nu) = case
+        a = GradedElement.word(mu, nu)
+        return algebra.transfer(m, algebra.transfer(n, a)) == algebra.transfer(m + n, a)
+
+    def orthonormal(level):
+        paths = g.enumerate_paths(level)
+        basis = [ModuleVector.basis(g, level, mu, nu) for mu in paths for nu in paths]
+        return all(
+            x.inner(y) == (1 if i == j else 0)
+            for i, x in enumerate(basis)
+            for j, y in enumerate(basis)
+        )
+
+    steps = [n for n in (Degree(1, 0), Degree(0, 1)) if n.leq(bound)]
+    action_cases = [
+        (m, n, w)
+        for m in _degrees_upto(bound)
+        for n in _degrees_upto(bound - m)
+        for w in _word_paths(g, bound)
+    ]
+    return [
+        identity_check(
+            "transfer-identity-generators", [(n, words_upto(bound)) for n in steps]
+        ),
+        identity_check(
+            "transfer-identity-all-degrees",
+            [(n, words_upto(bound - n)) for n in _degrees_upto(bound)],
+        ),
+        _first_failure("transfer-action", action_cases, action, str),
+        _first_failure("module-orthonormal", _degrees_upto(bound), orthonormal, str),
+    ]
+
+
+def _doubled_at_red(true_shift, degree, element):
+    result = true_shift(degree, element)
+    return 2 * result if tuple(degree) == (0, 1) else result
+
+
+def _halved_at_red(true_shift, degree, element):
+    result = true_shift(degree, element)
+    return Fraction(1, 2) * result if tuple(degree) == (0, 1) else result
+
+
+def _spurious_at_red(true_shift, degree, element):
+    # at (0, 1) the shift of a word s_mu s_nu^* gains s_{r mu} s_{r' nu'}^*,
+    # r and r' the first and last red edges and nu' the path after nu, a
+    # term the true shift does not have
+    result = true_shift(degree, element)
+    if tuple(degree) != (0, 1) or len(element.nums) != 1:
+        return result
+    ((mu, nu), c), = element.terms.items()
+    g = element.graph
+    reds = g.enumerate_paths((0, 1))
+    level = g.enumerate_paths(nu.degree)
+    other = level[(level.index(nu) + 1) % len(level)]
+    return result + c * GradedElement.word(reds[0].compose(mu), reds[-1].compose(other))
+
+
+def _zero_at_red(true_shift, degree, element):
+    # at (0, 1) every left side is empty while the right sides are not
+    result = true_shift(degree, element)
+    return GradedElement.zero(element.graph) if tuple(degree) == (0, 1) else result
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_shared_work_checks_match_one_case_at_a_time(data):
+    # the suite skips transfer-identity cases whose two sides are both
+    # empty and shares transfers across cases; under the true shift and
+    # under shifts that break the identity at different cases, its
+    # verdicts, case counts and details equal a case-by-case evaluation
+    from twograph import algebra
+
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    g = random_two_graph(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), rng)
+    variant = data.draw(
+        st.sampled_from(
+            [None, _doubled_at_red, _halved_at_red, _spurious_at_red, _zero_at_red]
+        )
+    )
+    true_shift = algebra.shift
+    with pytest.MonkeyPatch.context() as patch:
+        if variant is not None:
+            patch.setattr(
+                algebra, "shift", lambda degree, element: variant(true_shift, degree, element)
+            )
+        expected = _reference_suite(g, Degree(1, 1))
+        names = [name for name, *_ in expected]
+        got = [
+            (c.name, c.cases, c.passed, c.detail)
+            for c in identity_suite(g, max_degree=(1, 1), seed=0)
+            if c.name in names
+        ]
+    assert got == expected
+    if variant is None:
+        assert all(passed for _, _, passed, _ in expected)
+    else:
+        assert not all(passed for _, _, passed, _ in expected[:2])
+
+
 # -- the full suite ------------------------------------------------------------------------------
 
 
