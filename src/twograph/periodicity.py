@@ -4,20 +4,31 @@ Periodicity is equivalent to the existence of a degree pair (a, b) and
 a bijection gamma between the blue paths of degree (a,0) and the red
 paths of degree (0,b) under which every product mu*nu refactors
 red-first as gamma(mu) followed by gamma^-1(nu).  Instead of searching
-the (N1^a)! bijections, one pass over the products decides it: the red
-head of mu*nu must not depend on nu, the blue tail must not depend on
-mu, and the tail map must invert the head map.  Any pairing satisfying
-the condition is therefore the one read off the heads.
+the (N1^a)! bijections, one pass over the products decides it.  A
+pairing exists exactly when four conditions hold:
+
+1. the red head of mu*nu does not depend on nu;
+2. the blue tail of mu*nu does not depend on mu;
+3. the tail map inverts the head map;
+4. no two blue paths share a head.
+
+A pairing that satisfies the refactorization condition is therefore
+the one read off the heads.  The candidate pairing is the head map
+under conditions 1 and 4 alone.
 
 Paths in that pass are the integer codes of ``graphs.py``: a blue path
 of degree (a,0) is its blue code and a red path of degree (0,b) its red
 code, so code i is ``enumerate_paths(...)[i]``.  The red-first
 factorization of mu*nu moves each red letter of nu leftward through the
-current blue word with the shared move routine ``graphs._move``.  One
-move is a function of (blue word, red letter); it is memoized for the
-length of one call and shared by all products whose red parts have a
-common prefix.  Path objects are built only for the pairing a caller
-gets back.
+current blue word with the shared move routine ``graphs._move``.  The
+pass walks one row mu at a time, one red letter per level: the words
+reached after j letters are shared by every nu with the same j-letter
+prefix, and condition 1 holds exactly when, at every level, every word
+reached puts out one common letter for every red letter moved in.  So a
+row's head is built digit by digit and a row fails at the first level
+whose letters differ, with no per-product list of heads.  Each word's
+moves are memoized for the length of one call.  Path objects are built
+only for the pairing a caller gets back.
 """
 
 from __future__ import annotations
@@ -76,65 +87,78 @@ def minimal_exponents(n_blue: int, n_red: int) -> Optional[tuple]:
     return (ratio.numerator, ratio.denominator)
 
 
-def _factor_rows(graph: TwoGraph, a: int, b: int):
-    """Yield (heads, tails) for each blue code mu of degree (a,0) in order.
-
-    ``heads[nu]`` and ``tails[nu]`` code the red-first factorization of
-    mu*nu, for each red code nu of degree (0,b): its red path of degree
-    (0,b) and its blue path of degree (a,0).
-    """
-    fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
-    moves: dict = {}
-    for mu in range(n_blue**a):
-        heads, tails = [0], [mu]
-        # after j steps, entry i holds the j-letter red prefix numbered i
-        for _ in range(b):
-            next_heads, next_tails = [], []
-            for head, word in zip(heads, tails):
-                move = moves.get(word)
-                if move is None:
-                    # red letters out and blue codes out, by red letter in
-                    move = moves[word] = ([], [])
-                    for f in range(n_red):
-                        f, blue = _move(fwd, n_blue, n_red, a, word, f)
-                        move[0].append(f)
-                        move[1].append(blue)
-                reds, words = move
-                base = head * n_red
-                for f in reds:
-                    next_heads.append(base + f)
-                next_tails.extend(words)
-            heads, tails = next_heads, next_tails
-        yield heads, tails
-
-
 def _pairing_codes(
     graph: TwoGraph, a: int, b: int, heads_only: bool = False
 ) -> Optional[list]:
     """The red code paired with each blue code at (a, b), or None.
 
-    Returns at the first failure of the checks.  With ``heads_only``,
-    only the canonical candidate is computed: each head must not depend
-    on nu, and the head map must be injective.  Otherwise the tail must
-    also not depend on mu, and the tail map must invert the head map,
-    which makes the result a verified period.
+    Walks each blue row mu one level at a time.  Level j holds, in the
+    order of the red prefixes of nu, the blue words left behind once j
+    red letters have moved through mu.  A word's moves are memoized as
+    the pair (the red letter that every move puts out, or None if they
+    differ; the blue words left behind), so a level passes exactly when
+    all its words carry one common letter, which is the next digit of
+    the row's head.  After b levels the list holds the row's tails.
+
+    Returns None at the first failure, each kind at its own site: two
+    products of a row with different heads; a tail that differs from
+    row 0's; a tail map that does not send the head back to mu; two
+    rows with the same head.  With ``heads_only``, only the first and
+    the last are checked, which gives the canonical candidate; otherwise
+    the result is a verified period.
     """
+    fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
+    moves: dict = {}
     heads_of: list = []
     tails_of = None
-    for mu, (heads, tails) in enumerate(_factor_rows(graph, a, b)):
-        head = heads[0]
-        if heads.count(head) != len(heads):
-            return None
+    for mu in range(n_blue**a):
+        head, words = 0, [mu]
+        for _ in range(b):
+            # letter stays -1 until the level's first word sets it
+            letter, level = -1, []
+            for word in words:
+                move = moves.get(word)
+                if move is None:
+                    letters, blues = set(), []
+                    for f in range(n_red):
+                        f, blue = _move(fwd, n_blue, n_red, a, word, f)
+                        letters.add(f)
+                        blues.append(blue)
+                    move = moves[word] = (
+                        letters.pop() if len(letters) == 1 else None,
+                        blues,
+                    )
+                f, blues = move
+                if f != letter:
+                    if f is None or letter >= 0:
+                        # two products mu*nu of this row have different heads
+                        return None
+                    letter = f
+                level += blues
+            head, words = head * n_red + letter, level
         heads_of.append(head)
         if heads_only:
             continue
         if tails_of is None:
-            tails_of = tails
-        if tails != tails_of or tails_of[head] != mu:
+            tails_of = words
+        elif words != tails_of:
+            # the tail of some mu*nu depends on mu
+            return None
+        if tails_of[head] != mu:
+            # the tail map does not invert the head map at mu
             return None
     if len(set(heads_of)) != len(heads_of):
+        # two rows share a head, so the head map is not a bijection
         return None
     return heads_of
+
+
+def _check_exponents(a: int, b: int) -> None:
+    # (0, 0) would pair the empty paths vacuously; negative ones have no paths
+    if not (isinstance(a, int) and isinstance(b, int) and a >= 1 and b >= 1):
+        raise BadRangeError(
+            f"exponents must be integers of at least 1, got (a, b) = {(a, b)}"
+        )
 
 
 def _pairing_paths(graph: TwoGraph, a: int, b: int, codes: list, cap: int) -> dict:
@@ -152,6 +176,7 @@ def candidate_pairing(
     candidate exists only if that prefix is independent of the choice of
     the red path beta and the resulting map is a bijection.
     """
+    _check_exponents(a, b)
     if graph.path_count(Degree(a, 0)) != graph.path_count(Degree(0, b)):
         raise GraphError(f"path counts differ at (a, b) = {(a, b)}")
     graph.check_path_cap(Degree(a, 0), cap)
@@ -167,6 +192,7 @@ def verify_period(graph: TwoGraph, a: int, b: int, pairing: dict) -> bool:
     inverse pairing of nu.  A period's pairing is unique, so this holds
     exactly when the single verified pass finds this pairing.
     """
+    _check_exponents(a, b)
     blues = graph.enumerate_paths(Degree(a, 0))
     reds = graph.enumerate_paths(Degree(0, b))
     if set(pairing.keys()) != set(blues) or set(pairing.values()) != set(reds):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,9 +17,11 @@ from twograph import (
     Degree,
     DegenerateCountsError,
     GraphError,
+    Path,
     TwoGraph,
     candidate_pairing,
     decide_periodicity,
+    double,
     flip_graph,
     minimal_exponents,
     random_two_graph,
@@ -26,7 +29,9 @@ from twograph import (
     verify_period,
 )
 
-from _oracles import easier_periodic_holds
+from twograph.periodicity import _pairing_codes
+
+from _oracles import easier_periodic_holds, randomized_reorder
 
 
 # -- minimal exponents -----------------------------------------------------------
@@ -86,6 +91,12 @@ def test_candidate_trivial_graph():
     assert pairing == {g.blue_path(0): g.red_path(0)}
 
 
+@pytest.mark.parametrize("a, b", [(-1, -1), (0, 0), (0, 1), (1, 0), (1.5, 1.5)])
+def test_candidate_rejects_exponents_that_are_not_positive_integers(a, b):
+    with pytest.raises(BadRangeError, match=re.escape(f"(a, b) = {(a, b)}")):
+        candidate_pairing(twin_graph(3), a, b)
+
+
 # -- verification ----------------------------------------------------------------
 
 
@@ -106,6 +117,16 @@ def test_verify_flip_all_bijections_false():
 def test_verify_trivial_graph():
     g = TwoGraph(1, 1, {(0, 0): (0, 0)})
     assert verify_period(g, 1, 1, {g.blue_path(0): g.red_path(0)})
+
+
+def test_verify_rejects_exponents_below_one():
+    g = twin_graph(3)
+    empty = g.empty_path()
+    # the vacuous pairing of the empty paths is not a period
+    with pytest.raises(BadRangeError, match=re.escape("(a, b) = (0, 0)")):
+        verify_period(g, 0, 0, {empty: empty})
+    with pytest.raises(BadRangeError, match=re.escape("(a, b) = (-1, -1)")):
+        verify_period(g, -1, -1, {empty: empty})
 
 
 # -- the decision ----------------------------------------------------------------
@@ -308,6 +329,29 @@ def test_deep_graph_candidate_is_a_bijection_that_fails_verification(k):
     assert verdict.checked == tuple((j, j) for j in range(1, k + 1))
 
 
+@pytest.mark.parametrize("k", [4, 5, 6, 7, 8])
+def test_deep_graph_candidates_up_to_the_benchmark_depth_fail_verification(k):
+    # the shapes the deep-period benchmark times, without the oracle
+    pairing = candidate_pairing(DEEP_GRAPH, k, k)
+    assert pairing is not None
+    assert set(pairing) == set(DEEP_GRAPH.enumerate_paths(Degree(k, 0)))
+    assert set(pairing.values()) == set(DEEP_GRAPH.enumerate_paths(Degree(0, k)))
+    assert not verify_period(DEEP_GRAPH, k, k, pairing)
+
+
+def test_deep_graph_aperiodic_at_the_benchmark_kmax():
+    verdict = decide_periodicity(DEEP_GRAPH, kmax=8)
+    assert verdict.kind == APERIODIC
+    assert verdict.checked == tuple((j, j) for j in range(1, 9))
+
+
+def test_twin_three_reverifies_at_five_five():
+    g = twin_graph(3)
+    pairing = candidate_pairing(g, 5, 5)
+    assert pairing == {mu: g.red_path(*mu.blues) for mu in g.enumerate_paths(Degree(5, 0))}
+    assert verify_period(g, 5, 5, pairing)
+
+
 def test_verify_rejects_a_non_bijective_pairing():
     g = twin_graph(2)
     with pytest.raises(GraphError, match="not a bijection"):
@@ -434,3 +478,99 @@ def test_any_verifying_bijection_equals_candidate():
             if verify_period(graph, a, b, pairing):
                 assert candidate is not None
                 assert pairing == candidate
+
+
+# -- the level walk against a product-by-product reference -----------------------
+
+
+def reference_pairing_codes(graph, a, b, heads_only, rng):
+    """``_pairing_codes`` from every product mu*nu, factored red-first by
+    random admissible swaps, then the four conditions of the module
+    docstring, checked one after another."""
+    blues = graph.enumerate_paths(Degree(a, 0))
+    reds = graph.enumerate_paths(Degree(0, b))
+    blue_code = {mu.blues: i for i, mu in enumerate(blues)}
+    red_code = {nu.reds: j for j, nu in enumerate(reds)}
+    red_first = [1] * b + [0] * a
+    heads, tails = [], []
+    for mu in blues:
+        row_heads, row_tails = [], []
+        for nu in reds:
+            word = randomized_reorder(graph, Path(graph, mu.blues, nu.reds), red_first, rng)
+            row_heads.append(red_code[tuple(x for _, x in word[:b])])
+            row_tails.append(blue_code[tuple(x for _, x in word[b:])])
+        heads.append(row_heads)
+        tails.append(row_tails)
+    # 1. the head of mu*nu does not depend on nu
+    if any(len(set(row)) != 1 for row in heads):
+        return None
+    head_of = [row[0] for row in heads]
+    # 4. no two blue paths share a head
+    if len(set(head_of)) != len(head_of):
+        return None
+    if heads_only:
+        return head_of
+    # 2. the tail of mu*nu does not depend on mu
+    if any(row != tails[0] for row in tails):
+        return None
+    # 3. the tail map inverts the head map
+    if any(tails[0][head] != mu for mu, head in enumerate(head_of)):
+        return None
+    return head_of
+
+
+# the twin graph with its blue tails swapped: every head is constant and
+# every tail independent of mu, but the tail map does not invert the heads
+TWISTED_TWIN = TwoGraph(2, 2, [[e, f, e, 1 - f] for e in range(2) for f in range(2)])
+# here a move's red letter depends on the red letter moved in
+HEAD_SPLITTING = TwoGraph(2, 2, [[0, 0, 1, 1], [0, 1, 0, 0], [1, 0, 0, 1], [1, 1, 1, 0]])
+
+NAMED_GRAPHS = [
+    TWISTED_TWIN,
+    HEAD_SPLITTING,
+    twin_graph(2),
+    twin_graph(3),
+    flip_graph(2, 2),
+    flip_graph(3, 3),
+    DEEP_GRAPH,
+    shift_register_graph_4x2(),
+    shift_register_graph_2x4(),
+    double(twin_graph(2)),
+    double(flip_graph(2, 2)),
+    double(DEEP_GRAPH),
+]
+
+# products mu*nu per call, so that one example stays within a few ms
+MAX_PRODUCTS = 256
+
+
+@st.composite
+def graphs_and_exponents(draw):
+    if draw(st.booleans()):
+        graph = draw(st.sampled_from(NAMED_GRAPHS))
+    else:
+        shape = draw(st.sampled_from([(2, 2), (3, 2), (3, 3), (4, 2), (2, 4), (4, 4)]))
+        graph = random_two_graph(*shape, draw(st.randoms(use_true_random=False)))
+    pairs = [
+        (a, b)
+        for a in range(1, 9)
+        for b in range(1, 9)
+        if graph.n_blue**a * graph.n_red**b <= MAX_PRODUCTS
+    ]
+    a, b = draw(st.sampled_from(pairs))
+    return graph, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_and_exponents(), st.booleans(), st.randoms(use_true_random=False))
+@example((twin_graph(3), 2, 2), False, random.Random(0))
+@example((TWISTED_TWIN, 1, 1), False, random.Random(0))
+@example((HEAD_SPLITTING, 1, 1), False, random.Random(0))
+@example((DEEP_GRAPH, 4, 4), True, random.Random(0))
+@example((DEEP_GRAPH, 4, 4), False, random.Random(0))
+@example((shift_register_graph_4x2(), 1, 2), False, random.Random(0))
+@example((double(twin_graph(2)), 1, 1), False, random.Random(0))
+def test_level_walk_matches_the_product_reference(case, heads_only, rng):
+    graph, a, b = case
+    expected = reference_pairing_codes(graph, a, b, heads_only, rng)
+    assert _pairing_codes(graph, a, b, heads_only) == expected
