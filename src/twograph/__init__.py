@@ -61,10 +61,8 @@ from .groups import (
     Torus,
     check_conditions,
     classify,
-    dual_transfer,
     group_from_json,
     group_to_json,
-    image_index,
     ker_size,
     power_pullback,
     transfer_eval,

@@ -409,10 +409,6 @@ class ModuleVector:
             self.payload * shift(self.level, other.payload),
         )
 
-    def left_mul(self, element: GradedElement) -> "ModuleVector":
-        """The left action of the word algebra on the module."""
-        return ModuleVector(self.level, element * self.payload)
-
     def right_mul(self, element: GradedElement) -> "ModuleVector":
         """The right module action; multiplies by the shifted element."""
         return ModuleVector(self.level, self.payload * shift(self.level, element))
@@ -420,10 +416,6 @@ class ModuleVector:
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_level(other)
         return ModuleVector(self.level, self.payload + other.payload)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        self._check_level(other)
-        return ModuleVector(self.level, self.payload - other.payload)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleVector):

@@ -93,11 +93,16 @@ def _key_text(key) -> str:
     )
 
 
-def _decode(option: str, text: str):
-    """JSON given to ``option``; a syntax error names the option."""
+def _decode(option: str, source):
+    """JSON given to ``option`` as a string or an open text file.
+
+    Every error in reading or parsing it names the option: bad syntax,
+    a number longer than the interpreter converts, or a file that is
+    not UTF-8.
+    """
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(source if isinstance(source, str) else source.read())
+    except ValueError as exc:
         raise ValueError(f"{option} is not valid JSON: {exc}") from None
 
 
@@ -105,7 +110,7 @@ def _load_json_arg(option: str, value: str):
     if value.lstrip().startswith(("{", "[")):
         return _decode(option, value)
     with open(value, "r", encoding="utf-8") as fh:
-        return _decode(option, fh.read())
+        return _decode(option, fh)
 
 
 def _load_graph(value: str) -> TwoGraph:

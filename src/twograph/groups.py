@@ -3,10 +3,10 @@
 Four families are supported: finite abelian groups given by invariant
 factors, torus groups of a given rank, solenoids given by how often
 each prime repeats in the defining sequence, and the p-adic integer
-groups.  Kernel sizes and image indices of the power endomorphisms are
-closed-form in all four; the averaging transfer operator is evaluated
-exactly on finite groups; connectedness and torsion facts feed a
-classification verdict for the associated crossed product.
+groups.  Kernel sizes of the power endomorphisms are closed-form in
+all four; the averaging transfer operator is evaluated exactly on
+finite groups; connectedness and torsion facts feed a classification
+verdict for the associated crossed product.
 """
 
 from __future__ import annotations
@@ -28,14 +28,42 @@ class TableSizeError(GroupError):
     """A value table does not cover the whole group."""
 
 
+# Miller-Rabin on the primes up to 41 decides primality exactly below
+# this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin.
+
+    The answer is exact below ``_PRIME_LIMIT``; larger values are refused.
+    """
+    if n >= _PRIME_LIMIT:
+        raise GroupError(
+            f"cannot decide whether {n} is prime: primality is decided "
+            f"only below {_PRIME_LIMIT}"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -131,7 +159,7 @@ class Padic:
 GroupSpec = Union[FiniteAbelian, Torus, Solenoid, Padic]
 
 
-# -- kernel and index arithmetic ----------------------------------------------
+# -- kernel arithmetic ---------------------------------------------------------
 
 
 def ker_size(group: GroupSpec, a: int) -> int:
@@ -155,28 +183,6 @@ def ker_size(group: GroupSpec, a: int) -> int:
         return b
     if isinstance(group, Padic):
         return 1
-    raise GroupError(f"unsupported group {group!r}")
-
-
-def image_index(group: GroupSpec, a: int) -> int:
-    """Index of the image of the a-th power map.
-
-    Divisible groups (tori, solenoids) are onto; p-adic images have
-    index p^v where v is the p-valuation of a; finite groups have
-    index equal to the kernel size.
-    """
-    if a < 1:
-        raise GroupError("exponent must be positive")
-    if isinstance(group, FiniteAbelian):
-        return ker_size(group, a)
-    if isinstance(group, (Torus, Solenoid)):
-        return 1
-    if isinstance(group, Padic):
-        v = 0
-        while a % group.prime == 0:
-            v += 1
-            a //= group.prime
-        return group.prime**v
     raise GroupError(f"unsupported group {group!r}")
 
 
@@ -404,24 +410,6 @@ def _huge_exponent(value) -> bool:
         return False
     digits = match[1].replace("_", "").lstrip("0")
     return len(digits) > len(str(limit)) or int(digits or "0") > limit
-
-
-def dual_transfer(a: int, point):
-    """The transfer operator on torus characters, in lattice coordinates.
-
-    A character with exponent vector x maps to the character with
-    exponent x/a when a divides every coordinate, and is annihilated
-    otherwise (its restriction to the kernel sums to zero).  Accepts an
-    int for rank one or a sequence of ints.
-    """
-    if a < 1:
-        raise GroupError("exponent must be positive")
-    scalar = isinstance(point, int)
-    coords = (point,) if scalar else tuple(int(x) for x in point)
-    if any(x % a for x in coords):
-        return None
-    out = tuple(x // a for x in coords)
-    return out[0] if scalar else out
 
 
 # -- classification -------------------------------------------------------------

@@ -1,11 +1,9 @@
 """Independent brute-force oracles; used by tests only.
 
 Nothing here calls back into the decision paths it checks: the
-periodicity oracle compares raw path segments, the reorder oracle
-performs admissible swaps in random order, and the character-transfer
-oracle sums actual roots of unity in exact cyclotomic-integer
-arithmetic.  The finite-group transfer oracles list every element
-and add Fractions.  The word-algebra oracles find common extensions
+periodicity oracle compares raw path segments, and the reorder oracle
+performs admissible swaps in random order.  The finite-group transfer
+oracles list every element and add Fractions.  The word-algebra oracles find common extensions
 by trying every pair of paths at the join degree, and add Fractions.
 """
 
@@ -74,100 +72,7 @@ def randomized_reorder(graph, path, pattern, rng) -> list:
     return list(zip(colors, ids))
 
 
-# -- exact root-of-unity sums --------------------------------------------------
-
-
-def _poly_mod(num: list, den: list) -> list:
-    """Remainder of integer polynomial division; divisor must be monic.
-
-    Coefficients ascending.  Exact integer arithmetic throughout.
-    """
-    assert den[-1] == 1
-    num = list(num)
-    dn = len(den) - 1
-    while len(num) - 1 >= dn:
-        coeff = num[-1]
-        if coeff:
-            shift_by = len(num) - 1 - dn
-            for i, c in enumerate(den):
-                num[shift_by + i] -= coeff * c
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return num
-
-
-def _poly_div_exact(num: list, den: list) -> list:
-    """Exact quotient (remainder must vanish); divisor monic, ascending."""
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    while len(num) - 1 >= dn:
-        coeff = num[-1]
-        out[len(num) - 1 - dn] = coeff
-        if coeff:
-            shift_by = len(num) - 1 - dn
-            for i, c in enumerate(den):
-                num[shift_by + i] -= coeff * c
-        num.pop()
-    assert all(c == 0 for c in num), "division was not exact"
-    return out
-
-
-_CYCLOTOMIC_CACHE: dict = {}
-
-
-def cyclotomic(n: int) -> list:
-    """Integer coefficients (ascending) of the n-th cyclotomic polynomial."""
-    cached = _CYCLOTOMIC_CACHE.get(n)
-    if cached is not None:
-        return cached
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic(d))
-    _CYCLOTOMIC_CACHE[n] = poly
-    return poly
-
-
-def root_sum_is_zero(exponent_coeffs: dict, m: int) -> bool:
-    """Whether sum of c_t * zeta_m^t vanishes, decided in Z[zeta_m]."""
-    poly = [0] * m
-    for t, c in exponent_coeffs.items():
-        poly[t % m] += c
-    while poly and poly[-1] == 0:
-        poly.pop()
-    if not poly:
-        return True
-    return not _poly_mod(poly, cyclotomic(m))
-
-
-def character_transfer_on_subgroup(a: int, x: int, claimed, K: int = 12) -> bool:
-    """Pointwise transfer of the exponent-x character on a cyclic subgroup.
-
-    Realizes the circle's order-K cyclic subgroup together with its
-    a-th roots inside the order a*K subgroup, sums the character over
-    the preimages of each point, and compares with the claimed result
-    (a character exponent, or None for the zero function).  All
-    comparisons happen in exact cyclotomic-integer arithmetic.
-    """
-    m = a * K
-    for u in range(K):
-        # preimages of zeta_K^u are zeta_m^(u + j*K); the transfer value
-        # is (1/a) * sum over j of the character, so compare a * claim
-        sums: dict = {}
-        for j in range(a):
-            t = (x * (u + j * K)) % m
-            sums[t] = sums.get(t, 0) + 1
-        if claimed is None:
-            if not root_sum_is_zero(sums, m):
-                return False
-        else:
-            t = (a * u * claimed) % m
-            sums[t] = sums.get(t, 0) - a
-            if not root_sum_is_zero(sums, m):
-                return False
-    return True
+# -- finite-group transfers by listing -------------------------------------------
 
 
 def _listed_group(factors):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -347,6 +348,16 @@ def test_group_classify_inline_json(capsys):
     assert json.loads(out)["verdict_computed"] is False
 
 
+def test_group_classify_decides_a_large_prime_quickly(capsys):
+    start = time.perf_counter()
+    code, out = run(
+        capsys, "group", "classify", "--group", '{"kind": "padic", "p": 1000000000000000003}'
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["group"] == {"kind": "padic", "p": 10**18 + 3}
+
+
 def test_group_g123_witness(capsys):
     code, out = run(
         capsys, "group", "g123", "--group", '{"kind": "finite", "factors": [2]}'
@@ -642,6 +653,10 @@ _FINITE_2 = '{"kind": "finite", "factors": [2]}'
         (("theta", "validate", "--spec",
           '{"n1": 1000000000, "n2": 1000000000, "theta": [[0, 0, 0, 0]]}'),
          "pair (b0, r1) has no image"),
+        # primality is decided exactly only below this bound
+        (("group", "g123", "--group", '{"kind": "padic", "p": 3317044064679887385961981}'),
+         "cannot decide whether 3317044064679887385961981 is prime: primality is "
+         "decided only below 3317044064679887385961981"),
     ],
 )
 def test_malformed_spec_names_the_field(capsys, argv, err):
@@ -710,6 +725,19 @@ def test_transfer_value_too_long_to_print_names_the_table(capsys):
     assert captured.err.startswith("error: --table gives a value too long to print: ")
 
 
+def _int_error(text: str) -> str:
+    """The interpreter's own message on converting ``text`` to an int."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text[:20]}... converts")
+
+
+_TOO_LONG = "9" * 5000
+_NOT_UTF8 = "<a file that is not UTF-8>"
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [
@@ -723,10 +751,22 @@ def test_transfer_value_too_long_to_print_names_the_table(capsys):
         # the group is read before the table, so its error comes first
         (("group", "transfer", "--group", "[1", "--a", "1", "--table", "abc"),
          "--group is not valid JSON: Expecting ',' delimiter: line 1 column 3 (char 2)"),
+        # numbers longer than the interpreter converts, and undecodable files
+        (("theta", "validate", "--spec", '{"n1": ' + _TOO_LONG + "}"),
+         "--spec is not valid JSON: " + _int_error(_TOO_LONG)),
+        (("group", "classify", "--group", '{"kind": "padic", "p": ' + _TOO_LONG + "}"),
+         "--group is not valid JSON: " + _int_error(_TOO_LONG)),
+        (("group", "transfer", "--group", _FINITE_2, "--a", "1", "--table", f"[{_TOO_LONG}, 1]"),
+         "--table is not valid JSON: " + _int_error(_TOO_LONG)),
+        (("theta", "validate", "--spec", _NOT_UTF8),
+         "--spec is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
     ],
 )
-def test_unparsable_json_names_its_option(capsys, argv, err):
-    code = main(list(argv))
+def test_unparsable_json_names_its_option(capsys, tmp_path, argv, err):
+    latin = tmp_path / "latin-1.json"
+    latin.write_bytes(b"\xff{}")
+    code = main([str(latin) if arg == _NOT_UTF8 else arg for arg in argv])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

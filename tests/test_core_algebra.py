@@ -451,25 +451,6 @@ def test_covariance_all_pairs_level_one_one():
             assert check_covariance(mu, nu)
 
 
-def test_covariance_survivor_term():
-    # applying the word to a basis vector with matching first word
-    # swaps it in; everything else dies
-    g = flip_graph(2, 2)
-    level = Degree(1, 0)
-    mu, nu = g.blue_path(0), g.blue_path(1)
-    word = GradedElement.word(mu, nu)
-    for be in g.enumerate_paths(level):
-        hit = ModuleVector.basis(g, level, nu, be)
-        assert hit.left_mul(word) == ModuleVector.basis(g, level, mu, be)
-        for al in g.enumerate_paths(level):
-            if al == nu:
-                continue
-            miss = ModuleVector.basis(g, level, al, be)
-            assert miss.left_mul(word) == ModuleVector(
-                level, GradedElement.zero(g)
-            )
-
-
 def test_covariance_scalar_level():
     g = flip_graph(2, 2)
     empty = g.empty_path()

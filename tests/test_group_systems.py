@@ -1,11 +1,15 @@
 """Kernel arithmetic, transfer averages and classification on groups."""
 
+import math
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twograph import (
     FiniteAbelian,
@@ -16,10 +20,8 @@ from twograph import (
     Torus,
     check_conditions,
     classify,
-    dual_transfer,
     group_from_json,
     group_to_json,
-    image_index,
     ker_size,
     power_pullback,
     transfer_eval,
@@ -27,7 +29,6 @@ from twograph import (
 from twograph import groups
 
 from _oracles import (
-    character_transfer_on_subgroup,
     pullback_by_listing,
     transfer_by_listing,
 )
@@ -76,27 +77,6 @@ def test_ker_padic_injective():
     assert ker_size(Padic(3), 18) == 1
 
 
-# -- image indices -----------------------------------------------------------------
-
-
-def test_index_padic_valuation():
-    assert image_index(Padic(3), 18) == 9
-    assert image_index(Padic(2), 12) == 4
-    assert image_index(Padic(5), 6) == 1
-
-
-def test_index_divisible_groups():
-    assert image_index(Torus(3), 7) == 1
-    assert image_index(Solenoid(infinite=(2,)), 10) == 1
-
-
-def test_index_finite_equals_kernel():
-    z4 = FiniteAbelian([4])
-    assert image_index(z4, 2) == 2
-    image = {z4.scale(2, x) for x in z4.elements()}
-    assert len(z4.elements()) // len(image) == 2
-
-
 # -- system conditions ---------------------------------------------------------------
 
 
@@ -134,6 +114,44 @@ def test_conditions_torus_kernels_multiplicative_range():
 def test_conditions_trivial_group_passes_range():
     report = check_conditions(FiniteAbelian([1]))
     assert report.multiplicative_kernels.status == "holds-on-tested-range"
+
+
+def _finite_groups(max_order):
+    """Invariant factors d1 | d2 | ... (each at least 2) of every finite
+    abelian group of order at most ``max_order``, the trivial group first."""
+    found = [[]]
+    for factors in found:
+        last = factors[-1] if factors else 1
+        room = max_order // math.prod(factors)
+        found.extend(factors + [d] for d in range(max(last, 2), room + 1, last))
+    return found
+
+
+def _first_non_composing_pair(factors, exponents):
+    """The first (a, b), in lexicographic order, at which L_a(L_b f) and
+    L_ab f differ on some indicator table f, by listing the elements."""
+    tables = _indicators(math.prod(factors))
+    for a in exponents:
+        for b in exponents:
+            for f in tables:
+                twice = transfer_by_listing(factors, a, transfer_by_listing(factors, b, f))
+                if twice != transfer_by_listing(factors, a * b, f):
+                    return (a, b)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_finite_groups(16)))
+def test_g3_verdict_matches_transfer_composition(factors):
+    # Larsen's transfer operators compose, L_a L_b = L_ab, exactly when
+    # |ker ab| = |ker a| |ker b|; the oracle finds G3's first failing pair
+    # from the transfers alone, without kernel arithmetic
+    g3 = check_conditions(FiniteAbelian(factors)).multiplicative_kernels
+    witness = _first_non_composing_pair(factors, range(1, 13))
+    if witness is None:
+        assert g3.status == "holds-on-tested-range"
+    else:
+        assert (g3.status, g3.witness) == ("fails", witness)
 
 
 @pytest.mark.parametrize("report", [check_conditions, classify])
@@ -331,30 +349,6 @@ def test_exponent_limit_is_the_interpreters_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
-# -- dual transfer against the root-of-unity oracle --------------------------------------
-
-
-def test_dual_transfer_examples():
-    assert dual_transfer(2, 4) == 2
-    assert dual_transfer(2, 3) is None
-    assert dual_transfer(2, 0) == 0
-    assert dual_transfer(3, (6, -9)) == (2, -3)
-    assert dual_transfer(3, (6, 5)) is None
-
-
-def test_dual_transfer_matches_character_sums():
-    for a in range(1, 7):
-        for x in range(-12, 13):
-            claimed = dual_transfer(a, x)
-            assert character_transfer_on_subgroup(a, x, claimed), (a, x)
-
-
-def test_character_oracle_rejects_wrong_claims():
-    assert not character_transfer_on_subgroup(2, 4, None)
-    assert not character_transfer_on_subgroup(2, 4, 1)
-    assert not character_transfer_on_subgroup(2, 3, 1)
-
-
 # -- classification ---------------------------------------------------------------------------
 
 
@@ -409,3 +403,44 @@ def test_group_validation():
         Padic(6)
     with pytest.raises(GroupError):
         Solenoid(finite={2: 1}, infinite=(2,))
+
+
+# -- primality of solenoid and p-adic primes ----------------------------------------------------
+
+
+def test_primality_agrees_with_a_sieve():
+    limit = 200_000
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    assert [n for n in range(-3, limit) if groups._is_prime(n) != (n >= 0 and sieve[n])] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # 151 * 751 * 28351, strong pseudoprime to bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to every prime base up to 31
+        318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+    ],
+)
+def test_strong_pseudoprimes_are_composite(n):
+    assert not groups._is_prime(n)
+
+
+def test_large_prime_is_decided_quickly():
+    start = time.perf_counter()
+    assert groups._is_prime(10**18 + 3)
+    assert Padic(10**18 + 3).prime == 10**18 + 3
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [groups._PRIME_LIMIT, 10**40 + 1])
+def test_primality_refuses_values_from_the_limit_up(n):
+    # the limit is itself a strong pseudoprime to every base the test uses
+    message = rf"^cannot decide whether {n} is prime: .* below {groups._PRIME_LIMIT}$"
+    with pytest.raises(GroupError, match=message):
+        groups._is_prime(n)
+    with pytest.raises(GroupError, match=f"cannot decide whether {n} is prime"):
+        Solenoid(infinite=(n,))
