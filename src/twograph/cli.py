@@ -281,12 +281,12 @@ def _group_transfer(args) -> int:
     values = transfer_eval(group, args.a, _decode("--table", args.table))
     # transfer_eval returns one shared Fraction per distinct value, so each
     # distinct object is converted to text once
-    distinct = {id(v): v for v in values}
+    ids = list(map(id, values))
     try:
-        texts = {key: str(v) for key, v in distinct.items()}
+        texts = {key: str(v) for key, v in dict(zip(ids, values)).items()}
     except ValueError as exc:  # past the interpreter's int-to-str digit limit
         raise ValueError(f"--table gives a value too long to print: {exc}") from None
-    _emit({"a": args.a, "values": [texts[id(v)] for v in values]})
+    _emit({"a": args.a, "values": list(map(texts.__getitem__, ids))})
     return 0
 
 

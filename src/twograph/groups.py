@@ -280,8 +280,10 @@ def check_conditions(group: GroupSpec, test_range=range(1, 13)) -> ConditionRepo
     Tori, solenoids and p-adic groups get exact closed-form verdicts
     valid for every exponent.  Finite groups always have finite index
     and kernels; multiplicativity is checked over all pairs from the
-    range and reported with a witness on failure.  An empty range is
-    rejected: it would read as a multiplicativity result.
+    range, in lexicographic order, and reported with the first failing
+    pair as witness.  Each kernel size, of an exponent or of a product,
+    is computed once per call, when the scan first needs it.  An empty
+    range is rejected: it would read as a multiplicativity result.
     """
     exponents = list(test_range)
     if not exponents:
@@ -289,9 +291,17 @@ def check_conditions(group: GroupSpec, test_range=range(1, 13)) -> ConditionRepo
     if isinstance(group, FiniteAbelian):
         g1 = ConditionVerdict(HOLDS, detail="finite group: every index is finite")
         g2 = ConditionVerdict(HOLDS, detail="finite group: every kernel is finite")
+        sizes: dict = {}
+
+        def size(n: int) -> int:
+            if n not in sizes:
+                sizes[n] = ker_size(group, n)
+            return sizes[n]
+
         for a in exponents:
+            ker_a = size(a)
             for b in exponents:
-                if ker_size(group, a * b) != ker_size(group, a) * ker_size(group, b):
+                if size(a * b) != ker_a * size(b):
                     g3 = ConditionVerdict(FAILS, witness=(a, b))
                     return ConditionReport(g1, g2, g3)
         span = f"all pairs with a, b in {exponents[0]}..{exponents[-1]}"
@@ -327,9 +337,12 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
     the inputs over its preimages; points off the image get zero.
     Tables are indexed by :meth:`FiniteAbelian.elements` order, and each
     entry must be a rational (an int, a Fraction or a string like "1/2");
-    floats and booleans are rejected.  The sums are taken in integers,
-    as numerators over the lcm of the entries' denominators, and each
-    output is one Fraction of its sum over that lcm times the kernel size.
+    floats and booleans are rejected.  Each distinct entry is parsed
+    once per call into a reduced integer ratio (see :func:`_table_values`)
+    and scaled once to a numerator over the lcm of the denominators; the
+    sums are taken in integers, and each distinct sum becomes one
+    Fraction, of that sum over the lcm times the kernel size, shared by
+    every output equal to it.
     """
     if not isinstance(group, FiniteAbelian):
         raise GroupError("transfer tables only make sense on finite groups")
@@ -337,14 +350,15 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
         raise GroupError(f"table must be a list of rationals, got {table!r}")
     index = _power_index(group, a, table)
     kernel = ker_size(group, a)
-    values = _table_values(table)
-    scale = math.lcm(*{v.denominator for v in values})
+    keys, ratios = _table_values(table)
+    scale = math.lcm(*{den for _, den in ratios.values()})
+    scaled = {key: num * (scale // den) for key, (num, den) in ratios.items()}
     sums = [0] * len(index)
-    for idx, v in zip(index, values):
-        sums[idx] += v.numerator * (scale // v.denominator)
+    for idx, numerator in zip(index, map(scaled.__getitem__, keys)):
+        sums[idx] += numerator
     denominator = scale * kernel
     shared = {s: Fraction(s, denominator) for s in set(sums)}
-    return [shared[s] for s in sums]
+    return list(map(shared.__getitem__, sums))
 
 
 def power_pullback(group: FiniteAbelian, a: int, table: Sequence) -> list:
@@ -354,30 +368,58 @@ def power_pullback(group: FiniteAbelian, a: int, table: Sequence) -> list:
     including entries off the image that the result never reads.
     """
     index = _power_index(group, a, table)
-    values = _table_values(table)
-    return [Fraction(values[idx]) for idx in index]
+    keys, ratios = _table_values(table)
+    shared = {key: Fraction(num, den) for key, (num, den) in ratios.items()}
+    return [shared[keys[idx]] for idx in index]
 
 
-def _table_values(table: Sequence) -> list:
-    """The entries of ``table`` as ints and Fractions, checked in table order.
+# An entry in its plainest spelling: an optional sign, ASCII digits and an
+# optional denominator of ASCII digits.  Fraction reads each such string as
+# the same ratio, unless the denominator is zero or a part has more digits
+# than the interpreter converts; Fraction refuses those too.
+_PLAIN_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
-    Ints pass as they are.  Each distinct string is parsed once, in a
-    memo keyed by the string; every other entry is parsed where it
-    stands, so a ``True`` is never served the entry of ``1``.
+
+def _table_values(table: Sequence) -> tuple:
+    """The entries of ``table`` as reduced integer ratios, checked in table order.
+
+    Returns the key of each entry, in table order, and a dict from key to
+    ``(numerator, denominator)``, reduced, with a positive denominator.
+    An int or a string is its own key, so each distinct one is parsed
+    once per call; every other entry gets a key of its own and is parsed
+    where it stands, so a ``True`` is never served the entry of ``1``.
     """
-    parsed: dict = {}
-    values = []
-    for position, value in enumerate(table):
-        if type(value) is str:
-            text = value
-            try:
-                value = parsed[text]
-            except KeyError:
-                value = parsed[text] = _table_entry(position, text)
-        elif type(value) is not int:
-            value = _table_entry(position, value)
-        values.append(value)
-    return values
+    ratios: dict = {}
+    keys = []
+    for position, entry in enumerate(table):
+        kind = type(entry)
+        key = entry if kind is int or kind is str else (position,)
+        if key not in ratios:
+            ratios[key] = (entry, 1) if kind is int else _ratio(position, entry)
+        keys.append(key)
+    return keys, ratios
+
+
+def _ratio(position: int, entry) -> tuple:
+    """One non-int entry as a reduced ``(numerator, denominator)`` pair.
+
+    A string in the plainest spelling is read with two int conversions;
+    everything else, and any such string whose digits or denominator
+    Fraction would refuse, goes through :func:`_table_entry`, so both
+    routes accept and reject alike.
+    """
+    match = type(entry) is str and _PLAIN_RATIO.fullmatch(entry)
+    if match:
+        try:
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+        else:
+            if den:
+                g = math.gcd(num, den)
+                return num // g, den // g
+    value = _table_entry(position, entry)
+    return value.numerator, value.denominator
 
 
 # The exponent of a decimal string such as "2.5e-3", as Fraction reads it.
@@ -504,6 +546,24 @@ def _ints(key: str, value) -> list:
     return value
 
 
+_DECIMAL = re.compile(r"[0-9]+")
+
+
+def _prime_counts(finite) -> dict:
+    """A solenoid's ``finite`` field as ints: each key must be written in
+    ASCII decimal digits and each multiplicity must be an integer."""
+    if not isinstance(finite, dict) or not all(
+        _DECIMAL.fullmatch(str(p)) and type(m) is int for p, m in finite.items()
+    ):
+        raise GroupError(
+            f"finite must map primes to integer multiplicities, got {finite!r}"
+        )
+    try:
+        return {int(p): m for p, m in finite.items()}
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise GroupError(f"finite has a prime too long to read: {exc}") from None
+
+
 def group_from_json(obj: dict) -> GroupSpec:
     """Build a group from its JSON spec, naming the field of any malformed value."""
     if not isinstance(obj, dict):
@@ -514,13 +574,7 @@ def group_from_json(obj: dict) -> GroupSpec:
     if kind == "torus":
         return Torus(_int("rank", _field(obj, "rank")))
     if kind == "solenoid":
-        finite = obj.get("finite", {})
-        if not isinstance(finite, dict) or not all(
-            str(p).isdigit() and type(m) is int for p, m in finite.items()
-        ):
-            raise GroupError(
-                f"finite must map primes to integer multiplicities, got {finite!r}"
-            )
+        finite = _prime_counts(obj.get("finite", {}))
         return Solenoid(finite, _ints("infinite", obj.get("infinite", [])))
     if kind == "padic":
         return Padic(_int("p", _field(obj, "p")))

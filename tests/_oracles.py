@@ -3,8 +3,10 @@
 Nothing here calls back into the decision paths it checks: the
 periodicity oracle compares raw path segments, and the reorder oracle
 performs admissible swaps in random order.  The finite-group transfer
-oracles list every element and add Fractions.  The word-algebra oracles find common extensions
-by trying every pair of paths at the join degree, and add Fractions.
+oracles list every element and add Fractions, and the kernel oracle
+counts the listed elements a power map sends to zero.  The word-algebra
+oracles find common extensions by trying every pair of paths at the
+join degree, and add Fractions.
 """
 
 from __future__ import annotations
@@ -81,6 +83,12 @@ def _listed_group(factors):
     for d in factors:
         elements = [x + (y,) for x in elements for y in range(d)]
     return elements, {x: i for i, x in enumerate(elements)}
+
+
+def kernel_by_listing(factors, n: int) -> int:
+    """How many listed elements x have n copies of x adding up to zero."""
+    elements, _ = _listed_group(factors)
+    return sum(all(n * c % d == 0 for c, d in zip(x, factors)) for x in elements)
 
 
 def transfer_by_listing(factors, a: int, table) -> list:

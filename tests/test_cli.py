@@ -601,6 +601,18 @@ def test_path_cap_below_one_is_rejected_without_exponent_pair(capsys, mixed_spec
 _FINITE_2 = '{"kind": "finite", "factors": [2]}'
 
 
+def _int_error(text: str) -> str:
+    """The interpreter's own message on converting ``text`` to an int."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text[:20]}... converts")
+
+
+_TOO_LONG = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [
@@ -657,6 +669,17 @@ _FINITE_2 = '{"kind": "finite", "factors": [2]}'
         (("group", "g123", "--group", '{"kind": "padic", "p": 3317044064679887385961981}'),
          "cannot decide whether 3317044064679887385961981 is prime: primality is "
          "decided only below 3317044064679887385961981"),
+        # a prime key is ASCII decimal digits, few enough to convert to an int;
+        # a superscript and an Arabic-Indic digit are digits to str.isdigit()
+        (("group", "classify", "--group", '{"kind": "solenoid", "finite": {"\u00b2": 1}}'),
+         "finite must map primes to integer multiplicities, got {'\u00b2': 1}"),
+        (("group", "classify", "--group", '{"kind": "solenoid", "finite": {"\u0663": 1}}'),
+         "finite must map primes to integer multiplicities, got {'\u0663': 1}"),
+        (("group", "classify", "--group", '{"kind": "solenoid", "finite": {" 3": 1}}'),
+         "finite must map primes to integer multiplicities, got {' 3': 1}"),
+        (("group", "classify", "--group",
+          '{"kind": "solenoid", "finite": {"' + _TOO_LONG + '": 1}}'),
+         "finite has a prime too long to read: " + _int_error(_TOO_LONG)),
     ],
 )
 def test_malformed_spec_names_the_field(capsys, argv, err):
@@ -725,16 +748,6 @@ def test_transfer_value_too_long_to_print_names_the_table(capsys):
     assert captured.err.startswith("error: --table gives a value too long to print: ")
 
 
-def _int_error(text: str) -> str:
-    """The interpreter's own message on converting ``text`` to an int."""
-    try:
-        int(text)
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError(f"{text[:20]}... converts")
-
-
-_TOO_LONG = "9" * 5000
 _NOT_UTF8 = "<a file that is not UTF-8>"
 
 

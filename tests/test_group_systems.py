@@ -29,6 +29,7 @@ from twograph import (
 from twograph import groups
 
 from _oracles import (
+    kernel_by_listing,
     pullback_by_listing,
     transfer_by_listing,
 )
@@ -152,6 +153,37 @@ def test_g3_verdict_matches_transfer_composition(factors):
         assert g3.status == "holds-on-tested-range"
     else:
         assert (g3.status, g3.witness) == ("fails", witness)
+
+
+def _g3_by_listing(factors, exponents, kernels):
+    """G3's verdict from a scan of every pair in lexicographic order, with
+    kernel sizes counted by listing the elements (``kernels`` memoizes
+    them across calls)."""
+
+    def size(n):
+        if n not in kernels:
+            kernels[n] = kernel_by_listing(factors, n)
+        return kernels[n]
+
+    for a in exponents:
+        for b in exponents:
+            if size(a * b) != size(a) * size(b):
+                return groups.ConditionVerdict("fails", witness=(a, b))
+    span = f"all pairs with a, b in {exponents[0]}..{exponents[-1]}"
+    return groups.ConditionVerdict("holds-on-tested-range", detail=span)
+
+
+@pytest.mark.parametrize("factors", _finite_groups(32), ids=str)
+def test_g3_verdict_matches_a_scan_of_listed_kernels(factors):
+    # each range 1..R, and one unsorted list with repeats, so that the
+    # kernel sizes check_conditions keeps for one call cannot change the
+    # order of the scan or its first witness
+    group = FiniteAbelian(factors)
+    kernels = {}
+    ranges = [list(range(1, r + 1)) for r in range(1, 21)] + [[3, 1, 3, 2]]
+    for exponents in ranges:
+        g3 = check_conditions(group, exponents).multiplicative_kernels
+        assert g3 == _g3_by_listing(factors, exponents, kernels), exponents
 
 
 @pytest.mark.parametrize("report", [check_conditions, classify])
@@ -307,6 +339,76 @@ def test_transfer_with_many_repeated_sums_matches_the_listing_oracle(factors, a)
     # equal outputs are one shared Fraction
     assert len(set(values)) < len(values)
     assert len({id(v) for v in values}) == len(set(values))
+
+
+def _fraction_reads(entry) -> bool:
+    try:
+        Fraction(entry)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+# Every spelling of an entry the parser must read as Fraction does: the
+# plain ASCII forms, and the decimals, exponents, underscores, non-ASCII
+# digits and surrounding whitespace that only Fraction reads.  Fraction
+# reads underscores from Python 3.11 on, so "1_000" is checked against
+# what this interpreter's Fraction does.
+_SPELLED_ENTRIES = st.one_of(
+    st.integers(-30, 30),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 12)),
+    st.builds("+{}".format, st.integers(0, 30)),
+    st.sampled_from([
+        "-0", "007", "+0/3", "-6/4", "2.5", "-0.125", ".5", "1e2", "2.5E-3", "-3e+1",
+        "1_000", "1_0/2_0", "\u0663/4", "\u0661\u0662", " 3/4 ", "\t-2\n", " +5",
+    ]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_finite_groups(64)),
+    st.integers(1, 12),
+    st.data(),
+)
+def test_transfer_matches_the_listing_oracle_on_every_spelling(factors, a, data):
+    order = math.prod(factors)
+    table = data.draw(st.lists(_SPELLED_ENTRIES, min_size=order, max_size=order))
+    group = FiniteAbelian(factors)
+    bad = [position for position, entry in enumerate(table) if not _fraction_reads(entry)]
+    if bad:
+        with pytest.raises(GroupError, match=rf"^table entry {bad[0]} is not a rational: "):
+            transfer_eval(group, a, table)
+        return
+    assert transfer_eval(group, a, table) == transfer_by_listing(factors, a, table)
+    assert power_pullback(group, a, table) == pullback_by_listing(factors, a, table)
+
+
+@pytest.mark.parametrize("evaluate", [transfer_eval, power_pullback])
+@pytest.mark.parametrize(
+    "text",
+    ["3/-4", "3/ 4", "1/0", "", "9" * 5000, "9" * 5000 + "/7", "1/" + "9" * 5000],
+    ids=["negative-denominator", "inner-space", "zero-denominator", "empty",
+         "long-integer", "long-numerator", "long-denominator"],
+)
+def test_texts_fraction_refuses_are_refused_at_their_position(evaluate, text):
+    # the plain-spelling parser accepts only what Fraction accepts, and
+    # anything it cannot read is refused with Fraction's verdict
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        Fraction(text)
+    message = rf"^table entry 0 is not a rational: {re.escape(repr(text))}$"
+    with pytest.raises(GroupError, match=message):
+        evaluate(FiniteAbelian([]), 1, [text])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789+-/ _.\u0663\u00b2", max_size=8))
+def test_short_texts_are_read_exactly_as_fraction_reads_them(text):
+    if _fraction_reads(text):
+        assert transfer_eval(FiniteAbelian([]), 1, [text]) == [Fraction(text)]
+    else:
+        with pytest.raises(GroupError, match=r"^table entry 0 is not a rational: "):
+            transfer_eval(FiniteAbelian([]), 1, [text])
 
 
 @pytest.mark.parametrize("evaluate", [transfer_eval, power_pullback])
