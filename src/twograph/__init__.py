@@ -64,7 +64,6 @@ from .groups import (
     group_from_json,
     group_to_json,
     ker_size,
-    power_pullback,
     transfer_eval,
 )
 

@@ -100,11 +100,11 @@ class GradedElement:
     denominator ``den``, in lowest terms: no numerator is zero, and
     ``den`` has no factor common to all of them (the zero element has
     ``den == 1``).  :attr:`terms` gives the coefficients as Fractions,
-    keyed by pairs of Paths.  Addition, subtraction and scalar
-    multiples are coefficient-wise; ``*`` is the word product (or a
-    scalar multiple when given a number).  ``==`` compares modulo the
-    summation relation, so e.g. the identity equals its level-n
-    expansion.
+    keyed by pairs of Paths.  Addition and scalar multiples are
+    coefficient-wise, and ``x + (-1) * y`` is a difference; ``*`` is
+    the word product (or a scalar multiple when given a number).
+    ``==`` compares modulo the summation relation, so e.g. the identity
+    equals its level-n expansion.
     """
 
     __slots__ = ("graph", "nums", "den")
@@ -184,14 +184,6 @@ class GradedElement:
 
     def __add__(self, other: "GradedElement") -> "GradedElement":
         return GradedElement._of(self.graph, *self._combine(other, 1))
-
-    def __sub__(self, other: "GradedElement") -> "GradedElement":
-        return GradedElement._of(self.graph, *self._combine(other, -1))
-
-    def __neg__(self) -> "GradedElement":
-        return GradedElement._of(
-            self.graph, {key: -n for key, n in self.nums.items()}, self.den
-        )
 
     def _scaled(self, scalar) -> "GradedElement":
         num, den = _ratio(scalar)
@@ -370,21 +362,6 @@ class ModuleVector:
             raise BadRangeError(f"module level must be non-negative, got {tuple(level)}")
         self.level = level
         self.payload = payload
-
-    @classmethod
-    def basis(cls, graph: TwoGraph, level, mu: Path, nu: Path) -> "ModuleVector":
-        level = Degree(*level)
-        if not (mu.graph is graph or mu.graph == graph):
-            raise SpecMismatchError("basis words live on a different graph")
-        if mu.degree != level or nu.degree != level:
-            raise LevelMismatchError(
-                f"basis words must have degree {tuple(level)}"
-            )
-        return cls(level, GradedElement.word(mu, nu))
-
-    @classmethod
-    def unit(cls, graph: TwoGraph) -> "ModuleVector":
-        return cls((0, 0), GradedElement.one(graph))
 
     @property
     def graph(self) -> TwoGraph:

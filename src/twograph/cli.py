@@ -3,7 +3,8 @@
 Exit status: 0 when a command ran and decided its question, 2 when a
 periodicity search came back unknown (so scripts cannot mistake a
 bounded failure for a decision), 1 on bad input or a failed identity
-suite.
+suite.  A reader that closes stdout early (``| head``) ends the run with
+exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .algebra import identity_suite
@@ -293,7 +295,14 @@ def _group_transfer(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # as Python's signal docs advise: what is still buffered goes to
+        # devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (GraphError, GroupError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -29,7 +29,6 @@ word algebra work on codes.
 from __future__ import annotations
 
 import itertools
-import json
 from typing import Mapping, NamedTuple, Sequence
 
 BLUE = 0
@@ -313,11 +312,6 @@ class TwoGraph:
                     f"theta row {i} must be 4 integers [e, f, f2, e2], got {row!r}"
                 )
         return cls(n1, n2, rows)
-
-    @classmethod
-    def from_file(cls, path: str) -> "TwoGraph":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _parse_word(word, sizes: tuple) -> list:

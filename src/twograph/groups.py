@@ -90,19 +90,6 @@ class FiniteAbelian:
     def elements(self) -> list:
         return list(itertools.product(*(range(d) for d in self.factors)))
 
-    def index_of(self, element) -> int:
-        idx = 0
-        for x, d in zip(element, self.factors):
-            idx = idx * d + (x % d)
-        return idx
-
-    def scale(self, a: int, element) -> tuple:
-        """The power map in additive notation: a copies of the element."""
-        return tuple((a * x) % d for x, d in zip(element, self.factors))
-
-    def zero(self) -> tuple:
-        return (0,) * len(self.factors)
-
 
 @dataclass(frozen=True)
 class Torus:
@@ -361,18 +348,6 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
     return list(map(shared.__getitem__, sums))
 
 
-def power_pullback(group: FiniteAbelian, a: int, table: Sequence) -> list:
-    """Precompose a value table with the a-th power map.
-
-    Every entry is checked, in table order, as for :func:`transfer_eval`,
-    including entries off the image that the result never reads.
-    """
-    index = _power_index(group, a, table)
-    keys, ratios = _table_values(table)
-    shared = {key: Fraction(num, den) for key, (num, den) in ratios.items()}
-    return [shared[keys[idx]] for idx in index]
-
-
 # An entry in its plainest spelling: an optional sign, ASCII digits and an
 # optional denominator of ASCII digits.  Fraction reads each such string as
 # the same ratio, unless the denominator is zero or a part has more digits
@@ -551,7 +526,8 @@ _DECIMAL = re.compile(r"[0-9]+")
 
 def _prime_counts(finite) -> dict:
     """A solenoid's ``finite`` field as ints: each key must be written in
-    ASCII decimal digits and each multiplicity must be an integer."""
+    ASCII decimal digits, name a prime no other key names, and map to an
+    integer multiplicity."""
     if not isinstance(finite, dict) or not all(
         _DECIMAL.fullmatch(str(p)) and type(m) is int for p, m in finite.items()
     ):
@@ -559,9 +535,17 @@ def _prime_counts(finite) -> dict:
             f"finite must map primes to integer multiplicities, got {finite!r}"
         )
     try:
-        return {int(p): m for p, m in finite.items()}
+        primes = [int(p) for p in finite]
     except ValueError as exc:  # more digits than the interpreter converts
         raise GroupError(f"finite has a prime too long to read: {exc}") from None
+    spelling: dict = {}
+    for prime, key in zip(primes, finite):
+        if prime in spelling:
+            raise GroupError(
+                f"finite names the prime {prime} twice: {spelling[prime]!r} and {key!r}"
+            )
+        spelling[prime] = key
+    return dict(zip(primes, finite.values()))
 
 
 def group_from_json(obj: dict) -> GroupSpec:

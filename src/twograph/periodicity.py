@@ -208,9 +208,6 @@ class PeriodWitness:
     b: int
     pairing: dict
 
-    def inverse(self) -> dict:
-        return {v: k for k, v in self.pairing.items()}
-
     def to_json(self) -> dict:
         rows = sorted(
             (mu.pretty(), nu.pretty()) for mu, nu in self.pairing.items()
@@ -240,10 +237,6 @@ class PeriodicityVerdict:
     checked: tuple = ()
     kmax: int = 0
     detail: str = ""
-
-    @property
-    def is_periodic(self) -> bool:
-        return self.kind == PERIODIC
 
     @property
     def is_unknown(self) -> bool:

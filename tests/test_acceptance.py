@@ -23,7 +23,6 @@ from twograph import (
     flip_graph,
     identity_suite,
     ker_size,
-    power_pullback,
     random_two_graph,
     transfer_eval,
     twin_graph,
@@ -32,6 +31,7 @@ from twograph import (
 
 from _oracles import (
     easier_periodic_holds,
+    pullback_by_listing,
     randomized_reorder,
 )
 
@@ -161,7 +161,7 @@ def test_criterion_7_transfer_oracle():
             ]
             for a in range(1, 7):
                 for f in tables:
-                    pulled = power_pullback(group, a, f)
+                    pulled = pullback_by_listing([order], a, f)
                     for h in tables:
                         product = [x * y for x, y in zip(pulled, h)]
                         lhs = transfer_eval(group, a, product)

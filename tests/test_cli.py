@@ -61,6 +61,7 @@ def test_validate_bad_spec(tmp_path, capsys):
 
 def test_missing_file_is_input_error(capsys):
     assert main(["theta", "validate", "--spec", "/nonexistent.json"]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
 
 
 def test_usage_error_exits_one():
@@ -329,6 +330,30 @@ def test_module_entry_point_runs_from_source():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("usage: twograph ")
+
+
+@pytest.mark.parametrize("size", [3, 6])
+def test_closed_stdout_ends_quietly(size):
+    # the read end is closed before the child starts, so writing stdout
+    # fails whatever the pipe buffer holds.  stdout is block-buffered, as
+    # it is by default: the 3x3 double's report (5 kB) fails only when
+    # stdout is flushed, the 6x6 one (71 kB) as it is printed
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONUNBUFFERED", None)
+    spec = json.dumps(flip_graph(size, size).to_json())
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "twograph", "double", "--spec", spec],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_group_classify(capsys, tmp_path):
@@ -680,6 +705,10 @@ _TOO_LONG = "9" * 5000
         (("group", "classify", "--group",
           '{"kind": "solenoid", "finite": {"' + _TOO_LONG + '": 1}}'),
          "finite has a prime too long to read: " + _int_error(_TOO_LONG)),
+        # two spellings of one prime would otherwise merge into one key
+        (("group", "classify", "--group",
+          '{"kind": "solenoid", "finite": {"3": 1, "03": 2}}'),
+         "finite names the prime 3 twice: '3' and '03'"),
     ],
 )
 def test_malformed_spec_names_the_field(capsys, argv, err):

@@ -1,16 +1,20 @@
 """The doubled graph and the crossed-product verdict."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twograph import (
-    Degree,
     DegenerateCountsError,
+    GradedElement,
     ModuleVector,
     PERIODIC,
     TwoGraph,
     crossed_product_report,
+    decide_periodicity,
     double,
     flip_graph,
     random_two_graph,
@@ -70,6 +74,10 @@ def test_double_json_has_provenance():
     assert out["provenance"]["blue_pairs"][1] == [0, 1]
 
 
+def _basis_vector(level, mu, nu):
+    return ModuleVector(level, GradedElement.word(mu, nu))
+
+
 def test_commutation_holds_in_the_word_algebra():
     # cross-module: the doubled rule matches products of basis vectors
     rng = random.Random(3)
@@ -79,24 +87,79 @@ def test_commutation_holds_in_the_word_algebra():
         d = double(g)
         for i in range(d.n_blue):
             e, f = d.blue_pair(i)
-            blue_vec = ModuleVector.basis(
-                g, Degree(1, 0), g.blue_path(e), g.blue_path(f)
-            )
+            blue_vec = _basis_vector((1, 0), g.blue_path(e), g.blue_path(f))
             for j in range(d.n_red):
                 gg, h = d.red_pair(j)
-                red_vec = ModuleVector.basis(
-                    g, Degree(0, 1), g.red_path(gg), g.red_path(h)
-                )
+                red_vec = _basis_vector((0, 1), g.red_path(gg), g.red_path(h))
                 j2, i2 = d.commute_blue_red(i, j)
                 g2, h2 = d.red_pair(j2)
                 e2, f2 = d.blue_pair(i2)
                 lhs = blue_vec * red_vec
-                rhs = ModuleVector.basis(
-                    g, Degree(0, 1), g.red_path(g2), g.red_path(h2)
-                ) * ModuleVector.basis(
-                    g, Degree(1, 0), g.blue_path(e2), g.blue_path(f2)
+                rhs = _basis_vector((0, 1), g.red_path(g2), g.red_path(h2)) * _basis_vector(
+                    (1, 0), g.blue_path(e2), g.blue_path(f2)
                 )
                 assert lhs == rhs
+
+
+# -- the double factorizes ---------------------------------------------------------
+#
+# A doubled path of degree (a, b) is a pair of source paths of that degree,
+# and its red-first factorization is the pair of their factorizations.  So
+# the double is periodic at (a, b) exactly when the source is, with the
+# pairing gamma x gamma.
+
+
+def _graph(n_blue, n_red, images):
+    domain = [(e, f) for e in range(n_blue) for f in range(n_red)]
+    return TwoGraph(n_blue, n_red, dict(zip(domain, images)))
+
+
+def _red_blue_pairs(n_blue, n_red):
+    return [(f, e) for f in range(n_red) for e in range(n_blue)]
+
+
+def _pairing_squared(graph, doubled, gamma):
+    """gamma x gamma on the doubled paths: the blue path with letters
+    e_i*N1 + f_i goes to the red path with letters g_i*N2 + h_i."""
+    n1, n2 = graph.n_blue, graph.n_red
+    return {
+        doubled.blue_path(*(e * n1 + f for e, f in zip(mu.blues, mu2.blues))):
+        doubled.red_path(*(g * n2 + h for g, h in zip(gamma[mu].reds, gamma[mu2].reds)))
+        for mu in gamma
+        for mu2 in gamma
+    }
+
+
+def _check_the_double_factorizes(graph) -> str:
+    verdict = decide_periodicity(graph, kmax=2)
+    doubled = double(graph)
+    other = decide_periodicity(doubled, kmax=2)
+    assert (other.kind, other.checked) == (verdict.kind, verdict.checked)
+    if verdict.kind == PERIODIC:
+        w, v = verdict.witness, other.witness
+        assert (v.a, v.b) == (w.a, w.b)
+        assert v.pairing == _pairing_squared(graph, doubled, w.pairing)
+    return verdict.kind
+
+
+def test_the_double_factorizes_on_every_2x2_table():
+    tables = itertools.permutations(_red_blue_pairs(2, 2))
+    kinds = [_check_the_double_factorizes(_graph(2, 2, images)) for images in tables]
+    assert len(kinds) == 24
+    assert kinds.count(PERIODIC) == 4
+
+
+@st.composite
+def _random_graphs(draw):
+    n_blue, n_red = draw(st.sampled_from([(3, 3), (4, 2), (2, 4)]))
+    return _graph(n_blue, n_red, draw(st.permutations(_red_blue_pairs(n_blue, n_red))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_graphs())
+@example(twin_graph(3))
+def test_the_double_factorizes_on_random_graphs(graph):
+    _check_the_double_factorizes(graph)
 
 
 # -- the crossed-product verdict -------------------------------------------------

@@ -385,15 +385,6 @@ def test_json_round_trip():
     assert TwoGraph.from_json(g.to_json()) == g
 
 
-def test_json_file_round_trip(tmp_path):
-    import json
-
-    g = twin_graph(3)
-    target = tmp_path / "graph.json"
-    target.write_text(json.dumps(g.to_json()))
-    assert TwoGraph.from_file(str(target)) == g
-
-
 def test_json_rejects_non_bijection():
     with pytest.raises(NotBijectiveError):
         TwoGraph.from_json(
