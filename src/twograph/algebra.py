@@ -547,7 +547,7 @@ def identity_suite(
     if not bound.is_valid():
         raise BadRangeError(f"max_degree must be non-negative, got {tuple(bound)}")
     for level in degrees_upto(bound):
-        graph.enumerate_paths(level, cap)
+        graph.check_path_cap(level, cap)
     rng = random.Random(seed)
     one = GradedElement.one(graph)
     checks = []

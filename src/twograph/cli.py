@@ -293,11 +293,12 @@ def _group_transfer(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.run(args)
-        sys.stdout.flush()  # so a closed stdout shows here, not at exit
-        return code
+        try:
+            args = build_parser().parse_args(argv)
+            return args.run(args)
+        finally:  # a closed stdout shows here, not at exit, even after --help
+            sys.stdout.flush()
     except BrokenPipeError:
         # as Python's signal docs advise: what is still buffered goes to
         # devnull, so the flush at exit cannot fail again

@@ -6,14 +6,23 @@ commutation rule applies the source rule coordinatewise.  Simplicity of
 the crossed product over the balanced-word core is equivalent to
 aperiodicity of the doubled graph, and a simple crossed product is
 automatically purely infinite.
+
+The report decides the double on the source graph.  A doubled path of
+degree (a, b) is a pair of source paths and the doubled rule is the
+source rule on each coordinate, so the red-first factorization of
+(mu, mu')(nu, nu') pairs those of mu*nu and mu'*nu'.  Each of the four
+conditions of ``periodicity.py`` thus holds on pairs exactly when it
+holds on each coordinate, that is on the source, and the double's
+pairing is gamma x gamma: blue letters e_i*N1 + f_i to red g_i*N2 + h_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .graphs import DEFAULT_PATH_CAP, Path, TwoGraph
+from .graphs import DEFAULT_PATH_CAP, TwoGraph
 from .periodicity import (
     APERIODIC,
     NO_CANDIDATE_PAIRS,
@@ -42,20 +51,6 @@ class DoubledTwoGraph(TwoGraph):
 
     def red_pair(self, j: int) -> tuple:
         return divmod(j, self.source.n_red)
-
-    def pretty_blue(self, i: int) -> str:
-        e, f = self.blue_pair(i)
-        return f"b{e}b{f}"
-
-    def pretty_red(self, j: int) -> str:
-        g, h = self.red_pair(j)
-        return f"r{g}r{h}"
-
-    def pretty_path(self, path: Path) -> str:
-        """Path rendered in source edge-pair notation."""
-        parts = [self.pretty_blue(i) for i in path.blues]
-        parts += [self.pretty_red(j) for j in path.reds]
-        return " ".join(parts) if parts else "e"
 
     def to_json(self) -> dict:
         out = super().to_json()
@@ -87,6 +82,11 @@ def double(graph: TwoGraph) -> DoubledTwoGraph:
     return DoubledTwoGraph(graph, rows)
 
 
+def _pair_word(color: str, pairs) -> str:
+    """A doubled path in source edge-pair notation, such as ``b0b1 b1b1``."""
+    return " ".join(f"{color}{x}{color}{y}" for x, y in pairs)
+
+
 @dataclass(frozen=True)
 class CrossedProductReport:
     """Machine-readable simplicity verdict for the core crossed product."""
@@ -116,16 +116,15 @@ def crossed_product_report(
 ) -> CrossedProductReport:
     """Simplicity/pure-infiniteness verdict via the doubled graph.
 
-    The exponent candidates coincide for the source and doubled counts
-    (N1^a = N2^b iff (N1^2)^a = (N2^2)^b), so the bounded periodicity
-    decision runs directly on the doubled graph.  Aperiodic or
-    no-candidate outcomes give a simple, purely infinite crossed
-    product; a periodic doubled graph gives a non-simple one.
+    The decision runs on the source and its witness is squared, but the
+    cap counts doubled paths, as a periodic report lists N1^(2a) rows.
+    Aperiodic or no-candidate outcomes give a simple, purely infinite
+    crossed product; a periodic doubled graph gives a non-simple one.
     """
     # checked on the source, so a degenerate-count error names its counts
     minimal_exponents(graph.n_blue, graph.n_red)
     doubled = double(graph)
-    verdict = decide_periodicity(doubled, kmax=kmax, cap=cap)
+    verdict = decide_periodicity(graph, kmax=kmax, cap=cap, _counted=doubled)
     if verdict.kind in (APERIODIC, NO_CANDIDATE_PAIRS):
         simple, pi = True, True
     elif verdict.kind == PERIODIC:
@@ -134,12 +133,14 @@ def crossed_product_report(
         simple, pi = None, None
     witness_pairs = ()
     if verdict.witness is not None:
-        witness_pairs = tuple(
-            sorted(
-                (doubled.pretty_path(mu), doubled.pretty_path(nu))
-                for mu, nu in verdict.witness.pairing.items()
-            )
-        )
+        w, square, rows = verdict.witness, {}, []
+        for (mu, nu), (mu2, nu2) in itertools.product(w.pairing.items(), repeat=2):
+            blues, reds = tuple(zip(mu.blues, mu2.blues)), tuple(zip(nu.reds, nu2.reds))
+            mu_mu2 = doubled.blue_path(*(e * graph.n_blue + f for e, f in blues))
+            square[mu_mu2] = doubled.red_path(*(g * graph.n_red + h for g, h in reds))
+            rows.append((_pair_word("b", blues), _pair_word("r", reds)))
+        verdict = replace(verdict, witness=replace(w, pairing=square))
+        witness_pairs = tuple(sorted(rows))
     return CrossedProductReport(
         n_blue=graph.n_blue,
         n_red=graph.n_red,

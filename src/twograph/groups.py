@@ -11,7 +11,6 @@ verdict for the associated crossed product.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import sys
@@ -86,9 +85,6 @@ class FiniteAbelian:
     @property
     def order(self) -> int:
         return math.prod(self.factors)
-
-    def elements(self) -> list:
-        return list(itertools.product(*(range(d) for d in self.factors)))
 
 
 @dataclass(frozen=True)
@@ -304,9 +300,10 @@ def _power_index(group: FiniteAbelian, a: int, table: Sequence) -> list:
     """Index of ``a*x`` for each element x, once ``table`` covers the group.
 
     The size is checked against the order first, so a short table never
-    costs work in the size of a large group.  The index is then built
-    arithmetically, one mixed-radix place per invariant factor, in
-    :meth:`FiniteAbelian.elements` order, without listing the elements.
+    costs work in the size of a large group.  The table lists the
+    elements in mixed radix, the first invariant factor most significant,
+    so the index is built arithmetically, one place per invariant factor,
+    without listing the elements.
     """
     if len(table) != group.order:
         raise TableSizeError(f"table has {len(table)} entries, group has {group.order}")
@@ -322,14 +319,14 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
 
     The output value at a point of the image subgroup is the mean of
     the inputs over its preimages; points off the image get zero.
-    Tables are indexed by :meth:`FiniteAbelian.elements` order, and each
-    entry must be a rational (an int, a Fraction or a string like "1/2");
-    floats and booleans are rejected.  Each distinct entry is parsed
-    once per call into a reduced integer ratio (see :func:`_table_values`)
-    and scaled once to a numerator over the lcm of the denominators; the
-    sums are taken in integers, and each distinct sum becomes one
-    Fraction, of that sum over the lcm times the kernel size, shared by
-    every output equal to it.
+    Tables list the elements in mixed radix, the first invariant factor
+    most significant.  Each entry must be a rational (an int, a Fraction
+    or a string like "1/2"); floats and booleans are rejected.  Each
+    distinct entry is parsed once per call into a reduced integer ratio
+    (see :func:`_table_values`) and scaled once to a numerator over the
+    lcm of the denominators; the sums are taken in integers, and each
+    distinct sum becomes one Fraction, of that sum over the lcm times
+    the kernel size, shared by every output equal to it.
     """
     if not isinstance(group, FiniteAbelian):
         raise GroupError("transfer tables only make sense on finite groups")

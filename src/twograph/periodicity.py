@@ -255,7 +255,7 @@ class PeriodicityVerdict:
 
 
 def decide_periodicity(
-    graph: TwoGraph, kmax: int = 4, cap: int = DEFAULT_PATH_CAP
+    graph: TwoGraph, kmax: int = 4, cap: int = DEFAULT_PATH_CAP, *, _counted=None
 ) -> PeriodicityVerdict:
     """Bounded periodicity decision.
 
@@ -280,8 +280,8 @@ def decide_periodicity(
     for k in range(1, kmax + 1):
         a, b = k * a0, k * b0
         try:
-            # N1^a == N2^b, so the blue cap also bounds the red paths
-            graph.check_path_cap(Degree(a, 0), cap)
+            # caps the paths of _counted, if given; N1^a == N2^b caps the red too
+            (_counted or graph).check_path_cap(Degree(a, 0), cap)
         except SizeLimitError as exc:
             return PeriodicityVerdict(
                 kind=UNKNOWN,

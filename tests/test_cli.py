@@ -332,27 +332,40 @@ def test_module_entry_point_runs_from_source():
     assert result.stdout.startswith("usage: twograph ")
 
 
-@pytest.mark.parametrize("size", [3, 6])
-def test_closed_stdout_ends_quietly(size):
+def _run_with_closed_stdout(*argv):
     # the read end is closed before the child starts, so writing stdout
     # fails whatever the pipe buffer holds.  stdout is block-buffered, as
-    # it is by default: the 3x3 double's report (5 kB) fails only when
-    # stdout is flushed, the 6x6 one (71 kB) as it is printed
+    # it is by default
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("PYTHONUNBUFFERED", None)
-    spec = json.dumps(flip_graph(size, size).to_json())
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = subprocess.run(
-            [sys.executable, "-m", "twograph", "double", "--spec", spec],
+        return subprocess.run(
+            [sys.executable, "-m", "twograph", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("size", [3, 6])
+def test_closed_stdout_ends_quietly(size):
+    # the 3x3 double's report (5 kB) fails only when stdout is flushed,
+    # the 6x6 one (71 kB) as it is printed
+    spec = json.dumps(flip_graph(size, size).to_json())
+    result = _run_with_closed_stdout("double", "--spec", spec)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["theta", "--help"]])
+def test_closed_stdout_on_help_ends_quietly(argv):
+    # argparse prints the help and leaves by SystemExit, so the flush
+    # must come before that exit leaves main
+    result = _run_with_closed_stdout(*argv)
     assert (result.returncode, result.stderr) == (1, b"")
 
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twograph import (
+    DEFAULT_PATH_CAP,
     DegenerateCountsError,
     GradedElement,
     ModuleVector,
@@ -17,9 +18,12 @@ from twograph import (
     decide_periodicity,
     double,
     flip_graph,
+    minimal_exponents,
     random_two_graph,
     twin_graph,
 )
+from twograph import periodicity
+from twograph.graphs import GraphError
 
 
 def test_double_counts_and_encoding():
@@ -160,6 +164,93 @@ def _random_graphs(draw):
 @example(twin_graph(3))
 def test_the_double_factorizes_on_random_graphs(graph):
     _check_the_double_factorizes(graph)
+
+
+# -- the crossed product against the direct doubled decision ----------------------
+#
+# The report decides the source graph.  Its oracle is the direct decision on
+# double(graph), with the witness pairs decoded from the doubled ids.
+
+
+def _direct_report(graph, kmax, cap):
+    minimal_exponents(graph.n_blue, graph.n_red)
+    verdict = decide_periodicity(double(graph), kmax=kmax, cap=cap)
+    simple, pi = {
+        "aperiodic": (True, True),
+        "no_candidate_pairs": (True, True),
+        PERIODIC: (False, None),
+        "unknown": (None, None),
+    }[verdict.kind]
+    out = {
+        "n1": graph.n_blue,
+        "n2": graph.n_red,
+        "simple": simple,
+        "purely_infinite": pi,
+        "doubled_periodicity": verdict.to_json(),
+    }
+    if verdict.witness is not None:
+
+        def decoded(color, n, ids):
+            return " ".join(f"{color}{x}{color}{y}" for x, y in (divmod(i, n) for i in ids))
+
+        rows = sorted(
+            (decoded("b", graph.n_blue, mu.blues), decoded("r", graph.n_red, nu.reds))
+            for mu, nu in verdict.witness.pairing.items()
+        )
+        out["witness_pairs"] = [list(row) for row in rows]
+    return out
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except GraphError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _check_against_the_direct_decision(graph, kmax, cap):
+    expected = _outcome(lambda: _direct_report(graph, kmax, cap))
+    passes = []
+    real = periodicity._pairing_codes
+
+    def spy(searched, a, b, heads_only=False):
+        passes.append(searched)
+        return real(searched, a, b, heads_only)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(periodicity, "_pairing_codes", spy)
+        got = _outcome(lambda: crossed_product_report(graph, kmax, cap).to_json())
+    assert got == expected
+    # every pass searches the source graph, never its double
+    assert all(searched is graph for searched in passes)
+    return got
+
+
+@pytest.mark.parametrize("cap", [1, 15, 16, 255, DEFAULT_PATH_CAP])
+@pytest.mark.parametrize("kmax", [1, 2, 3])
+def test_report_matches_the_direct_decision_on_every_2x2_table(kmax, cap):
+    tables = itertools.permutations(_red_blue_pairs(2, 2))
+    for images in tables:
+        _check_against_the_direct_decision(_graph(2, 2, images), kmax, cap)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_random_graphs())
+@example(twin_graph(3))
+def test_report_matches_the_direct_decision_on_random_graphs(graph):
+    _check_against_the_direct_decision(graph, 2, DEFAULT_PATH_CAP)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [TwoGraph(1, 2, {(0, 0): (0, 0), (0, 1): (1, 0)}), twin_graph(2), flip_graph(2, 3)],
+)
+@pytest.mark.parametrize("kmax, cap", [(0, 0), (0, 5), (2, 0), (2, -1)])
+def test_report_errors_come_in_the_direct_order(graph, kmax, cap):
+    # a degenerate count is named before a bad kmax, and a bad kmax before
+    # a bad cap
+    got = _check_against_the_direct_decision(graph, kmax, cap)
+    assert isinstance(got, str)
 
 
 # -- the crossed-product verdict -------------------------------------------------
