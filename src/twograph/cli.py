@@ -63,9 +63,10 @@ def _layout(obj, newline: str) -> str:
             return "[]"
         inner = newline + "  "
         first = type(obj[0])
-        if first is int and all(type(item) is int for item in obj):
+        # exact types: a bool in an int list takes the general branch
+        if first is int and set(map(type, obj)) == {int}:
             body = ("," + inner).join(map(int.__repr__, obj))
-        elif first is str and all(type(item) is str for item in obj):
+        elif first is str and set(map(type, obj)) == {str}:
             body = ("," + inner).join(map(_encode_str, obj))
         else:
             body = ("," + inner).join([_layout(item, inner) for item in obj])

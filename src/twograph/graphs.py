@@ -248,11 +248,11 @@ class TwoGraph:
     def check_path_cap(self, degree, cap: int) -> None:
         """Raise SizeLimitError if the paths of ``degree`` outnumber ``cap``.
 
-        A cap below 1 is an input error (BadRangeError), not a cap hit:
-        it would turn every bounded search into ``unknown``.
+        A cap that is not an integer, or is below 1, is an input error
+        (BadRangeError), not a cap hit: it would turn every bounded
+        search into ``unknown``.
         """
-        if cap < 1:
-            raise BadRangeError(f"path cap must be at least 1, got {cap}")
+        _check_bound("path cap", cap)
         count = self.path_count(degree)
         if count > cap:
             raise SizeLimitError(
@@ -340,6 +340,14 @@ def _check_id(color: int, x, n: int) -> None:
         raise IdOutOfRangeError(f"{name} id {x!r} is not an integer")
     if not 0 <= x < n:
         raise IdOutOfRangeError(f"{name} id {x} out of range")
+
+
+def _check_bound(name: str, value) -> None:
+    """Reject a bound that is not an int (a bool is not one) or is below 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise BadRangeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise BadRangeError(f"{name} must be at least 1, got {value}")
 
 
 def _parse_pattern(pattern) -> list:

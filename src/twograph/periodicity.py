@@ -20,15 +20,26 @@ Paths in that pass are the integer codes of ``graphs.py``: a blue path
 of degree (a,0) is its blue code and a red path of degree (0,b) its red
 code, so code i is ``enumerate_paths(...)[i]``.  The red-first
 factorization of mu*nu moves each red letter of nu leftward through the
-current blue word with the shared move routine ``graphs._move``.  The
-pass walks one row mu at a time, one red letter per level: the words
-reached after j letters are shared by every nu with the same j-letter
-prefix, and condition 1 holds exactly when, at every level, every word
-reached puts out one common letter for every red letter moved in.  So a
-row's head is built digit by digit and a row fails at the first level
-whose letters differ, with no per-product list of heads.  Each word's
-moves are memoized for the length of one call.  Path objects are built
-only for the pairing a caller gets back.
+current blue word with the shared move routine ``graphs._move``.  Once
+j letters have moved, the rest of the factorization depends only on the
+blue word w left behind and the d = b - j letters still to come: call
+that the subtree (w, d).  Its products share one head exactly when every
+move through w puts out one letter and the subtrees below share their
+heads; its tails are the blue words left at its leaves.  A depth holds
+at most N1^a words, so the pass walks each subtree once per call and
+reuses it wherever w reappears at depth d, in any row.  A subtree
+records its head digits and an integer tails id, interned from its
+children's ids, so two subtrees at one depth have the same tails exactly
+when they have the same id.
+
+Row 0 is walked one level at a time, so a row 0 whose heads differ
+fails at the first level whose letters differ, with no per-product list
+of heads.  Each later row is compared with row 0's ids from the top
+down, so the first tail that differs ends the pass, and condition 3
+reads row 0's tails, the last level of its walk.  A full pass takes
+O(b * N1^a * N2) steps and holds O(b * N1^a * N2) integers, all freed
+when it returns.  Path objects are built only for the pairing a caller
+gets back.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from .graphs import (
     GraphError,
     SizeLimitError,
     TwoGraph,
+    _check_bound,
     _move,
 )
 
@@ -87,66 +99,136 @@ def minimal_exponents(n_blue: int, n_red: int) -> Optional[tuple]:
     return (ratio.numerator, ratio.denominator)
 
 
+def _word_moves(fwd: tuple, n_blue: int, n_red: int, a: int, word: int) -> tuple:
+    """The moves of every red letter through the blue word ``word``.
+
+    Returns the one red letter they all put out and the tuple of the
+    blue words they leave behind, in the order of the letters moved in;
+    or (None, ()) as soon as two of them put out different letters.
+    """
+    letter, blues = None, []
+    for f in range(n_red):
+        f, blue = _move(fwd, n_blue, n_red, a, word, f)
+        if f != letter and blues:
+            return None, ()
+        letter = f
+        blues.append(blue)
+    return letter, tuple(blues)
+
+
 def _pairing_codes(
     graph: TwoGraph, a: int, b: int, heads_only: bool = False
 ) -> Optional[list]:
     """The red code paired with each blue code at (a, b), or None.
 
-    Walks each blue row mu one level at a time.  Level j holds, in the
-    order of the red prefixes of nu, the blue words left behind once j
-    red letters have moved through mu.  A word's moves are memoized as
-    the pair (the red letter that every move puts out, or None if they
-    differ; the blue words left behind), so a level passes exactly when
-    all its words carry one common letter, which is the next digit of
-    the row's head.  After b levels the list holds the row's tails.
+    Walks row 0 one level at a time.  Level j holds, in the order of the
+    red prefixes of nu, the blue words left behind once j red letters
+    have moved through blue word 0, so a level passes exactly when all
+    its words put out one common letter, the next digit of the row's
+    head.  After b levels the list holds the row's tails.  The other
+    rows are left to ``_later_rows``.
 
-    Returns None at the first failure, each kind at its own site: two
-    products of a row with different heads; a tail that differs from
-    row 0's; a tail map that does not send the head back to mu; two
-    rows with the same head.  With ``heads_only``, only the first and
-    the last are checked, which gives the canonical candidate; otherwise
-    the result is a verified period.
+    Returns None at the first failure of any kind: two products of a
+    row with different heads; a tail that differs from row 0's; a tail
+    map that does not send the head back to mu; two rows with the same
+    head.  With ``heads_only``, only the first and the last are checked,
+    which gives the canonical candidate; otherwise the result is a
+    verified period.
     """
     fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
     moves: dict = {}
-    heads_of: list = []
-    tails_of = None
-    for mu in range(n_blue**a):
-        head, words = 0, [mu]
-        for _ in range(b):
-            # letter stays -1 until the level's first word sets it
-            letter, level = -1, []
-            for word in words:
-                move = moves.get(word)
-                if move is None:
-                    letters, blues = set(), []
-                    for f in range(n_red):
-                        f, blue = _move(fwd, n_blue, n_red, a, word, f)
-                        letters.add(f)
-                        blues.append(blue)
-                    move = moves[word] = (
-                        letters.pop() if len(letters) == 1 else None,
-                        blues,
-                    )
-                f, blues = move
-                if f != letter:
-                    if f is None or letter >= 0:
-                        # two products mu*nu of this row have different heads
-                        return None
-                    letter = f
-                level += blues
-            head, words = head * n_red + letter, level
-        heads_of.append(head)
-        if heads_only:
-            continue
-        if tails_of is None:
-            tails_of = words
-        elif words != tails_of:
-            # the tail of some mu*nu depends on mu
+    head, words = 0, [0]
+    for _ in range(b):
+        # letter stays -1 until the level's first word sets it
+        letter, level = -1, []
+        for word in words:
+            move = moves.get(word)
+            if move is None:
+                move = moves[word] = _word_moves(fwd, n_blue, n_red, a, word)
+            f, blues = move
+            if f != letter:
+                if f is None or letter >= 0:
+                    # two products mu*nu of row 0 have different heads
+                    return None
+                letter = f
+            level += blues
+        head, words = head * n_red + letter, level
+    if not heads_only and words[head] != 0:
+        # the tail map does not invert the head map at row 0
+        return None
+    # a separate function: the closure there would turn the names this
+    # loop reads into cells, and most passes end in this loop
+    return _later_rows(graph, a, b, heads_only, moves, words)
+
+
+def _later_rows(
+    graph: TwoGraph, a: int, b: int, heads_only: bool, moves: dict, tails_of: list
+) -> Optional[list]:
+    """Finish ``_pairing_codes`` once row 0, with tails ``tails_of``, passed.
+
+    ``walk(word, d, r)`` gives the subtree at ``word`` with ``d`` red
+    letters still to move as the pair (its d head digits, its tails id),
+    or None if its heads differ.  ``memo[d]`` keeps each pair for the
+    rest of the call, and ``walk`` runs only where it has none yet.  A
+    tails id indexes ``kids``, which holds the subtree's blue words at
+    depth 1 and its children's ids deeper down; ids are compared only
+    at one depth, so one table serves every depth.  With ``r`` None the
+    walk interns a new tuple as the next id: so it walks row 0, and
+    every row if ``heads_only``, where ids are not needed and stay None.
+    Otherwise ``r`` is row 0's id at the same place, and the walk
+    returns None at the first tail that differs.
+    """
+    fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
+    memo = [{} for _ in range(b + 1)]
+    ids: dict = {}
+    kids: list = []
+    nones = (None,) * n_red
+
+    def walk(word: int, d: int, r: Optional[int]) -> Optional[tuple]:
+        move = moves.get(word)
+        if move is None:
+            move = moves[word] = _word_moves(fwd, n_blue, n_red, a, word)
+        f, blues = move
+        if f is None:
             return None
-        if tails_of[head] != mu:
+        if d == 1:
+            digits, tails = f, blues
+        else:
+            below, digits, tails = memo[d - 1], None, []
+            for c, rc in zip(blues, nones if r is None else kids[r]):
+                node = below.get(c) or walk(c, d - 1, rc)
+                if node is None or rc is not None and node[1] != rc:
+                    return None
+                if digits is None:
+                    digits = node[0]
+                elif node[0] != digits:
+                    return None
+                tails.append(node[1])
+            digits += f * n_red ** (d - 1)
+        if r is not None:
+            if d == 1 and blues != kids[r]:
+                return None
+        elif not heads_only:
+            tails = tuple(tails)
+            r = ids.get(tails)
+            if r is None:
+                r = ids[tails] = len(kids)
+                kids.append(tails)
+        node = memo[d][word] = (digits, r)
+        return node
+
+    digits, root = walk(0, b, None)
+    heads_of = [digits]
+    for mu in range(1, n_blue**a):
+        node = walk(mu, b, root)
+        if node is None:
+            # two products of this row have different heads, or the tail
+            # of some mu*nu depends on mu
+            return None
+        if not heads_only and tails_of[node[0]] != mu:
             # the tail map does not invert the head map at mu
             return None
+        heads_of.append(node[0])
     if len(set(heads_of)) != len(heads_of):
         # two rows share a head, so the head map is not a bijection
         return None
@@ -155,7 +237,9 @@ def _pairing_codes(
 
 def _check_exponents(a: int, b: int) -> None:
     # (0, 0) would pair the empty paths vacuously; negative ones have no paths
-    if not (isinstance(a, int) and isinstance(b, int) and a >= 1 and b >= 1):
+    if not all(
+        isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (a, b)
+    ):
         raise BadRangeError(
             f"exponents must be integers of at least 1, got (a, b) = {(a, b)}"
         )
@@ -263,12 +347,11 @@ def decide_periodicity(
     k = 1..kmax, one verified pass each.  A verified pairing gives
     ``periodic``; its uniqueness means no other bijection needs to be
     searched.  ``kmax`` below 1 is rejected: an empty search would read
-    as ``aperiodic``.  So is ``cap`` below 1, on every input.
+    as ``aperiodic``.  So is ``cap`` below 1, on every input, and a
+    ``kmax`` or ``cap`` that is not an int (a bool is not one).
     """
-    if kmax < 1:
-        raise GraphError(f"kmax must be at least 1, got {kmax}")
-    if cap < 1:
-        raise BadRangeError(f"path cap must be at least 1, got {cap}")
+    _check_bound("kmax", kmax)
+    _check_bound("path cap", cap)
     minimal = minimal_exponents(graph.n_blue, graph.n_red)
     if minimal is None:
         return PeriodicityVerdict(

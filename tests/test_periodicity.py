@@ -20,6 +20,7 @@ from twograph import (
     Path,
     TwoGraph,
     candidate_pairing,
+    crossed_product_report,
     decide_periodicity,
     double,
     flip_graph,
@@ -162,6 +163,41 @@ def test_decide_unknown_on_tiny_cap():
 def test_decide_rejects_kmax_below_one(kmax):
     with pytest.raises(GraphError, match="kmax must be at least 1"):
         decide_periodicity(twin_graph(2), kmax=kmax)
+
+
+@pytest.mark.parametrize("kmax", [True, False, 2.5, 2.0, "3", None])
+def test_decide_rejects_a_kmax_that_is_not_an_int(kmax):
+    # True would run as kmax 1 and print "kmax": true
+    with pytest.raises(BadRangeError, match=re.escape(f"kmax must be an integer, got {kmax!r}")):
+        decide_periodicity(twin_graph(2), kmax=kmax)
+    with pytest.raises(BadRangeError, match="kmax must be an integer"):
+        crossed_product_report(twin_graph(2), kmax=kmax)
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, 10.0, "10"])
+def test_a_path_cap_that_is_not_an_int_is_rejected(cap):
+    graph = twin_graph(2)
+    message = re.escape(f"path cap must be an integer, got {cap!r}")
+    with pytest.raises(BadRangeError, match=message):
+        graph.check_path_cap(Degree(1, 0), cap)
+    with pytest.raises(BadRangeError, match=message):
+        decide_periodicity(graph, cap=cap)
+    with pytest.raises(BadRangeError, match=message):
+        candidate_pairing(graph, 1, 1, cap)
+    # also when there is no exponent pair, so no cap is ever consulted
+    with pytest.raises(BadRangeError, match=message):
+        decide_periodicity(flip_graph(2, 3), cap=cap)
+
+
+@pytest.mark.parametrize("a, b", [(True, True), (1, True), (1.0, 1), (1, 2.0)])
+def test_exponents_that_are_not_ints_are_rejected(a, b):
+    g = twin_graph(2)
+    message = re.escape(f"(a, b) = {(a, b)}")
+    with pytest.raises(BadRangeError, match=message):
+        candidate_pairing(g, a, b)
+    pairing = candidate_pairing(g, 1, 1)
+    with pytest.raises(BadRangeError, match=message):
+        verify_period(g, a, b, pairing)
 
 
 @pytest.mark.parametrize("cap", [0, -1])
@@ -352,6 +388,23 @@ def test_twin_three_reverifies_at_five_five():
     assert verify_period(g, 5, 5, pairing)
 
 
+@pytest.mark.parametrize("heads_only", [False, True])
+def test_twin_three_full_pass_at_seven_seven(heads_only):
+    # the twin rule pairs each blue word with the red word of the same ids,
+    # so blue code i goes to red code i: one pass over 3^14 products
+    assert _pairing_codes(twin_graph(3), 7, 7, heads_only) == list(range(3**7))
+
+
+def test_twin_three_verifies_at_seven_seven_and_rejects_a_swap():
+    g = twin_graph(3)
+    blues = g.enumerate_paths(Degree(7, 0))
+    pairing = {mu: g.red_path(*mu.blues) for mu in blues}
+    assert verify_period(g, 7, 7, pairing)
+    first, last = blues[0], blues[-1]
+    pairing[first], pairing[last] = pairing[last], pairing[first]
+    assert not verify_period(g, 7, 7, pairing)
+
+
 def test_verify_rejects_a_non_bijective_pairing():
     g = twin_graph(2)
     with pytest.raises(GraphError, match="not a bijection"):
@@ -525,6 +578,11 @@ TWISTED_TWIN = TwoGraph(2, 2, [[e, f, e, 1 - f] for e in range(2) for f in range
 # here a move's red letter depends on the red letter moved in
 HEAD_SPLITTING = TwoGraph(2, 2, [[0, 0, 1, 1], [0, 1, 0, 0], [1, 0, 0, 1], [1, 1, 1, 0]])
 
+# 3 blue rows at (1,1) but 2 red heads: the head map is not a bijection
+MORE_ROWS_THAN_HEADS = TwoGraph(
+    3, 2, [[0, 0, 0, 2], [0, 1, 0, 0], [1, 0, 1, 1], [1, 1, 1, 0], [2, 0, 0, 1], [2, 1, 1, 2]]
+)
+
 NAMED_GRAPHS = [
     TWISTED_TWIN,
     HEAD_SPLITTING,
@@ -570,6 +628,17 @@ def graphs_and_exponents(draw):
 @example((DEEP_GRAPH, 4, 4), False, random.Random(0))
 @example((shift_register_graph_4x2(), 1, 2), False, random.Random(0))
 @example((double(twin_graph(2)), 1, 1), False, random.Random(0))
+# full passes whose rows reuse one another's subtrees: a memo keyed by the
+# word alone, or one that compares rows by head digits instead of tails
+# ids, gets these wrong
+@example((TWISTED_TWIN, 4, 4), False, random.Random(0))
+@example((shift_register_graph_2x4(), 4, 2), False, random.Random(0))
+@example((double(twin_graph(2)), 2, 2), False, random.Random(0))
+# every row's heads agree, and words recur at several depths of one row
+@example((DEEP_GRAPH, 5, 3), False, random.Random(0))
+# heads bijective and inverted by row 0's tails; only a tail of row 1 differs
+@example((DEEP_GRAPH, 1, 1), False, random.Random(0))
+@example((MORE_ROWS_THAN_HEADS, 1, 1), True, random.Random(0))
 def test_level_walk_matches_the_product_reference(case, heads_only, rng):
     graph, a, b = case
     expected = reference_pairing_codes(graph, a, b, heads_only, rng)
