@@ -15,17 +15,12 @@ import json
 import os
 import sys
 
-from .algebra import identity_suite
 from .doubling import crossed_product_report, double
-from .graphs import DEFAULT_PATH_CAP, GraphError, TwoGraph
-from .groups import (
-    GroupError,
-    check_conditions,
-    classify,
-    group_from_json,
-    transfer_eval,
-)
+from .graphs import DEFAULT_PATH_CAP, GraphError, GroupError, TwoGraph
 from .periodicity import decide_periodicity
+
+# The word algebra and the group systems are imported by the handlers that
+# run them, so the other commands never load them.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,6 +116,8 @@ def _load_graph(value: str) -> TwoGraph:
 
 
 def _load_group(value: str):
+    from .groups import group_from_json
+
     return group_from_json(_load_json_arg("--group", value))
 
 
@@ -247,6 +244,8 @@ def _crossed_product(args) -> int:
 
 
 def _core_verify(args) -> int:
+    from .algebra import identity_suite
+
     graph = _load_graph(args.spec)
     checks = identity_suite(
         graph,
@@ -268,18 +267,24 @@ def _core_verify(args) -> int:
 
 
 def _group_classify(args) -> int:
+    from .groups import classify
+
     group = _load_group(args.group)
     _emit(classify(group, range(1, args.test_range + 1)).to_json())
     return 0
 
 
 def _group_g123(args) -> int:
+    from .groups import check_conditions
+
     group = _load_group(args.group)
     _emit(check_conditions(group, range(1, args.test_range + 1)).to_json())
     return 0
 
 
 def _group_transfer(args) -> int:
+    from .groups import transfer_eval
+
     group = _load_group(args.group)
     values = transfer_eval(group, args.a, _decode("--table", args.table))
     # transfer_eval returns one shared Fraction per distinct value, so each

@@ -19,8 +19,7 @@ pairing is gamma x gamma: blue letters e_i*N1 + f_i to red g_i*N2 + h_i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import DEFAULT_PATH_CAP, TwoGraph
 from .periodicity import (
@@ -87,8 +86,7 @@ def _pair_word(color: str, pairs) -> str:
     return " ".join(f"{color}{x}{color}{y}" for x, y in pairs)
 
 
-@dataclass(frozen=True)
-class CrossedProductReport:
+class CrossedProductReport(NamedTuple):
     """Machine-readable simplicity verdict for the core crossed product."""
 
     n_blue: int
@@ -139,7 +137,7 @@ def crossed_product_report(
             mu_mu2 = doubled.blue_path(*(e * graph.n_blue + f for e, f in blues))
             square[mu_mu2] = doubled.red_path(*(g * graph.n_red + h for g, h in reds))
             rows.append((_pair_word("b", blues), _pair_word("r", reds)))
-        verdict = replace(verdict, witness=replace(w, pairing=square))
+        verdict = verdict._replace(witness=w._replace(pairing=square))
         witness_pairs = tuple(sorted(rows))
     return CrossedProductReport(
         n_blue=graph.n_blue,

@@ -44,6 +44,14 @@ class GraphError(Exception):
     """Base class for errors raised by this package."""
 
 
+class GroupError(Exception):
+    """Base class for group-side errors.
+
+    Defined here, not in ``groups.py``, so the CLI can catch it without
+    loading the group systems; ``groups`` re-exports this same class.
+    """
+
+
 class NotBijectiveError(GraphError):
     """The commutation table is not a bijection.
 
@@ -386,6 +394,20 @@ def _letters(code: int, base: int, length: int) -> tuple:
     for i in range(length - 1, -1, -1):
         code, out[i] = divmod(code, base)
     return tuple(out)
+
+
+def _word_texts(letter: str, base: int, length: int, codes) -> dict:
+    """The text ``Path.pretty`` writes for each one-color word in ``codes``,
+    keyed by code: ``length`` letters, each one of ``base``.
+
+    Words are written one level at a time from their prefixes, so words
+    that share a prefix build its text once.
+    """
+    if length == 1:
+        return {code: letter + str(code) for code in codes}
+    heads = _word_texts(letter, base, length - 1, {code // base for code in codes})
+    tails = [f" {letter}{i}" for i in range(base)]
+    return {code: heads[code // base] + tails[code % base] for code in codes}
 
 
 def _move(

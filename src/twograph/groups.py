@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-
-class GroupError(Exception):
-    """Base class for group-side errors."""
+from .graphs import GroupError
 
 
 class TableSizeError(GroupError):

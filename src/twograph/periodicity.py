@@ -44,9 +44,8 @@ gets back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+import math
+from typing import NamedTuple, Optional
 
 from .graphs import (
     DEFAULT_PATH_CAP,
@@ -57,6 +56,7 @@ from .graphs import (
     TwoGraph,
     _check_bound,
     _move,
+    _word_texts,
 )
 
 
@@ -91,12 +91,15 @@ def minimal_exponents(n_blue: int, n_red: int) -> Optional[tuple]:
     red_f = _factorize(n_red)
     if set(blue_f) != set(red_f):
         return None
-    # n_blue^a = n_red^b forces a*e_p = b*f_p for every prime p
-    ratios = {Fraction(red_f[p], blue_f[p]) for p in blue_f}
+    # n_blue^a = n_red^b forces a*e_p = b*f_p for every prime p, so
+    # (a, b) is f_p : e_p in lowest terms, the same for every p
+    ratios = set()
+    for p, e in blue_f.items():
+        g = math.gcd(e, red_f[p])
+        ratios.add((red_f[p] // g, e // g))
     if len(ratios) != 1:
         return None
-    ratio = ratios.pop()
-    return (ratio.numerator, ratio.denominator)
+    return ratios.pop()
 
 
 def _word_moves(fwd: tuple, n_blue: int, n_red: int, a: int, word: int) -> tuple:
@@ -284,19 +287,30 @@ def verify_period(graph: TwoGraph, a: int, b: int, pairing: dict) -> bool:
     return _pairing_codes(graph, a, b) == [pairing[mu].code[3] for mu in blues]
 
 
-@dataclass(frozen=True)
-class PeriodWitness:
-    """A verified period: exponents plus the blue-to-red pairing."""
+class PeriodWitness(NamedTuple):
+    """A verified period: exponents plus the blue-to-red pairing.
+
+    ``pairing`` maps each blue path of degree (a, 0) to a red path of
+    degree (0, b), all on one graph.
+    """
 
     a: int
     b: int
     pairing: dict
 
     def to_json(self) -> dict:
-        rows = sorted(
-            (mu.pretty(), nu.pretty()) for mu, nu in self.pairing.items()
-        )
-        return {"a": self.a, "b": self.b, "gamma": [list(r) for r in rows]}
+        rows = []
+        if self.pairing:
+            graph = next(iter(self.pairing)).graph
+            blues = _word_texts("b", graph.n_blue, self.a, {mu.code[2] for mu in self.pairing})
+            reds = _word_texts(
+                "r", graph.n_red, self.b, {nu.code[3] for nu in self.pairing.values()}
+            )
+            # sorted by text, as written: b10 comes before b2
+            rows = sorted(
+                [blues[mu.code[2]], reds[nu.code[3]]] for mu, nu in self.pairing.items()
+            )
+        return {"a": self.a, "b": self.b, "gamma": rows}
 
 
 PERIODIC = "periodic"
@@ -305,8 +319,7 @@ NO_CANDIDATE_PAIRS = "no_candidate_pairs"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class PeriodicityVerdict:
+class PeriodicityVerdict(NamedTuple):
     """Outcome of the bounded periodicity search.
 
     ``aperiodic`` means every candidate pair up to the multiple bound

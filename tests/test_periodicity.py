@@ -18,6 +18,8 @@ from twograph import (
     DegenerateCountsError,
     GraphError,
     Path,
+    PeriodicityVerdict,
+    PeriodWitness,
     TwoGraph,
     candidate_pairing,
     crossed_product_report,
@@ -248,6 +250,37 @@ def shift_register_graph_2x4() -> TwoGraph:
             for y in range(2):
                 rows.append((a, 2 * x + y, 2 * a + x, y))
     return TwoGraph(2, 4, rows)
+
+
+@pytest.mark.parametrize(
+    "graph, a, b",
+    [(twin_graph(11), 1, 1), (twin_graph(3), 3, 3), (shift_register_graph_4x2(), 1, 2)],
+    ids=["twin11", "twin3-3-3", "shift-4x2"],
+)
+def test_witness_text_is_each_path_pretty_sorted_by_text(graph, a, b):
+    # the text is written from the codes: it must read as Path.pretty does,
+    # in the same order, where b10 sorts before b2
+    pairing = candidate_pairing(graph, a, b)
+    gamma = PeriodWitness(a, b, pairing).to_json()["gamma"]
+    assert gamma == sorted([mu.pretty(), nu.pretty()] for mu, nu in pairing.items())
+    if graph.n_blue > 10:
+        assert gamma[2:4] == [["b10", "r10"], ["b2", "r2"]]
+
+
+def test_verdict_and_witness_are_immutable_hashable_records():
+    verdict = decide_periodicity(flip_graph(2, 2), kmax=1)
+    assert repr(verdict) == (
+        "PeriodicityVerdict(kind='aperiodic', witness=None, checked=((1, 1),), "
+        "kmax=1, detail='')"
+    )
+    assert hash(verdict) == hash(decide_periodicity(flip_graph(2, 2), kmax=1))
+    assert PeriodicityVerdict(kind=UNKNOWN) == PeriodicityVerdict(UNKNOWN, None, (), 0, "")
+    with pytest.raises(AttributeError):
+        verdict.kind = PERIODIC
+    witness = decide_periodicity(twin_graph(2)).witness
+    assert PeriodWitness._fields == ("a", "b", "pairing")
+    with pytest.raises(AttributeError):
+        witness.a = 2
 
 
 def test_decide_shift_register_period_one_two():
