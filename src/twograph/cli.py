@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -59,6 +60,13 @@ def _layout(obj, newline: str) -> str:
         inner = newline + "  "
         first = type(obj[0])
         # exact types: a bool in an int list takes the general branch
+        if first is list and _is_int_table(obj):
+            # the C encoder's one line, re-indented: it holds only ints,
+            # "], [" between rows and ", " between the ints of a row
+            row = inner + "  "
+            body = json.dumps(obj)[2:-2].replace(", ", "," + row)
+            body = body.replace("]," + row + "[", inner + "]," + inner + "[" + row)
+            return "[" + inner + "[" + row + body + inner + "]" + newline + "]"
         if first is int and set(map(type, obj)) == {int}:
             body = ("," + inner).join(map(int.__repr__, obj))
         elif first is str and set(map(type, obj)) == {str}:
@@ -76,6 +84,15 @@ def _layout(obj, newline: str) -> str:
         ])
         return "{" + inner + body + newline + "}"
     return json.dumps(obj)  # bool, None, float; anything else raises TypeError
+
+
+def _is_int_table(obj) -> bool:
+    """Whether ``obj`` holds only non-empty lists of exact ints."""
+    return (
+        set(map(type, obj)) == {list}
+        and all(obj)
+        and set(map(type, itertools.chain.from_iterable(obj))) == {int}
+    )
 
 
 def _key_text(key) -> str:

@@ -68,15 +68,15 @@ def double(graph: TwoGraph) -> DoubledTwoGraph:
     followed by the blue pair of second letters of the rewritten words
     (e,g) and (f,h).
     """
-    n1, n2 = graph.n_blue, graph.n_red
+    n1, n2, fwd = graph.n_blue, graph.n_red, graph._fwd
     rows = []
     for e in range(n1):
         for f in range(n1):
             blue_id = e * n1 + f
             for g in range(n2):
                 for h in range(n2):
-                    g2, e2 = graph.commute_blue_red(e, g)
-                    h2, f2 = graph.commute_blue_red(f, h)
+                    g2, e2 = fwd[e * n2 + g]
+                    h2, f2 = fwd[f * n2 + h]
                     rows.append((blue_id, g * n2 + h, g2 * n2 + h2, e2 * n1 + f2))
     return DoubledTwoGraph(graph, rows)
 

@@ -26,20 +26,28 @@ blue word w left behind and the d = b - j letters still to come: call
 that the subtree (w, d).  Its products share one head exactly when every
 move through w puts out one letter and the subtrees below share their
 heads; its tails are the blue words left at its leaves.  A depth holds
-at most N1^a words, so the pass walks each subtree once per call and
-reuses it wherever w reappears at depth d, in any row.  A subtree
-records its head digits and an integer tails id, interned from its
-children's ids, so two subtrees at one depth have the same tails exactly
-when they have the same id.
+at most N1^a words, so a pass looks at each subtree at most once per
+call and reuses it wherever w reappears at depth d, in any row.
 
-Row 0 is walked one level at a time, so a row 0 whose heads differ
-fails at the first level whose letters differ, with no per-product list
-of heads.  Each later row is compared with row 0's ids from the top
-down, so the first tail that differs ends the pass, and condition 3
-reads row 0's tails, the last level of its walk.  A full pass takes
+Every pass walks row 0 first, one level at a time, so a row 0 whose
+heads differ fails at the first level whose letters differ, with no
+per-product list of heads.  Level j lists the words of row 0's subtrees
+at depth b - j, and entry i of it has its children at entries i*N2 to
+i*N2 + N2 - 1 of level j + 1.  A candidate pass, which checks
+conditions 1 and 4, then finds the head of every blue word at every
+depth, one depth at a time from the bottom, in lists indexed by code.
+A full pass instead gives each subtree of row 0 an integer tails id,
+bottom up from its levels: ids are interned from the children's ids,
+so two subtrees at one depth have the same tails exactly when they have
+the same id.  Each later row is then compared with row 0's ids from the
+top down, so the first tail that differs ends the pass, and condition 3
+reads row 0's tails, its last level.  Either pass takes
 O(b * N1^a * N2) steps and holds O(b * N1^a * N2) integers, all freed
-when it returns.  Path objects are built only for the pairing a caller
-gets back.
+when it returns.
+
+``verify_period`` checks that a caller's pairing is a bijection on the
+path codes and compares it with the full pass's.  Path objects are
+built only for the pairing a caller gets back.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from .graphs import (
     BadRangeError,
     Degree,
     GraphError,
+    Path,
     SizeLimitError,
     TwoGraph,
     _check_bound,
@@ -128,8 +137,11 @@ def _pairing_codes(
     red prefixes of nu, the blue words left behind once j red letters
     have moved through blue word 0, so a level passes exactly when all
     its words put out one common letter, the next digit of the row's
-    head.  After b levels the list holds the row's tails.  The other
-    rows are left to ``_later_rows``.
+    head, and entry i of level j has its children at entries i*N2 to
+    i*N2 + N2 - 1 of level j + 1.  After b levels the list holds the
+    row's tails.  A candidate pass then finds every row's head with
+    ``_candidate_heads``, a full pass compares the other rows with row
+    0 in ``_later_rows``.
 
     Returns None at the first failure of any kind: two products of a
     row with different heads; a tail that differs from row 0's; a tail
@@ -140,7 +152,7 @@ def _pairing_codes(
     """
     fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
     moves: dict = {}
-    head, words = 0, [0]
+    head, words, levels = 0, [0], []
     for _ in range(b):
         # letter stays -1 until the level's first word sets it
         letter, level = -1, []
@@ -155,39 +167,86 @@ def _pairing_codes(
                     return None
                 letter = f
             level += blues
+        levels.append(words)
         head, words = head * n_red + letter, level
-    if not heads_only and words[head] != 0:
+    if heads_only:
+        return _candidate_heads(graph, a, b, moves)
+    if words[head] != 0:
         # the tail map does not invert the head map at row 0
         return None
     # a separate function: the closure there would turn the names this
     # loop reads into cells, and most passes end in this loop
-    return _later_rows(graph, a, b, heads_only, moves, words)
+    return _later_rows(graph, a, b, moves, levels, words, head)
+
+
+def _candidate_heads(graph: TwoGraph, a: int, b: int, moves: dict) -> Optional[list]:
+    """Finish a candidate pass of ``_pairing_codes`` once row 0 passed.
+
+    Finds the head of every subtree (w, d), one depth at a time from
+    the bottom: ``heads[w]`` is the head of (w, d) as an integer of d
+    digits, or None if its products' heads differ.  A word's head at
+    depth d + 1 is its moves' common letter followed by its children's
+    common head at depth d.  Depth b gives each row's head.  A row can
+    fail at any depth, so the pass always runs all b depths over all
+    N1^a blue words.
+    """
+    fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
+    size = n_blue**a
+    letters, kids = [], []
+    for word in range(size):
+        move = moves.get(word) or _word_moves(fwd, n_blue, n_red, a, word)
+        letters.append(move[0])
+        # a word whose moves disagree has no children; word 0 stands in for
+        # them, as its head stays None whatever theirs are
+        kids += move[1] or (0,) * n_red
+    heads = letters
+    for d in range(1, b):
+        place = n_red**d
+        below = zip(*[iter(map(heads.__getitem__, kids))] * n_red)
+        heads = [
+            None if f is None or h[0] is None or h.count(h[0]) < n_red else f * place + h[0]
+            for f, h in zip(letters, below)
+        ]
+    if None in heads or len(set(heads)) != size:
+        # two products of some row have different heads, or two rows
+        # share a head, so the head map is not a bijection
+        return None
+    return heads
 
 
 def _later_rows(
-    graph: TwoGraph, a: int, b: int, heads_only: bool, moves: dict, tails_of: list
+    graph: TwoGraph, a: int, b: int, moves: dict, levels: list, tails_of: list, head: int
 ) -> Optional[list]:
-    """Finish ``_pairing_codes`` once row 0, with tails ``tails_of``, passed.
+    """Finish a full pass of ``_pairing_codes`` once row 0 passed.
 
-    ``walk(word, d, r)`` gives the subtree at ``word`` with ``d`` red
-    letters still to move as the pair (its d head digits, its tails id),
-    or None if its heads differ.  ``memo[d]`` keeps each pair for the
-    rest of the call, and ``walk`` runs only where it has none yet.  A
-    tails id indexes ``kids``, which holds the subtree's blue words at
-    depth 1 and its children's ids deeper down; ids are compared only
-    at one depth, so one table serves every depth.  With ``r`` None the
-    walk interns a new tuple as the next id: so it walks row 0, and
-    every row if ``heads_only``, where ids are not needed and stay None.
-    Otherwise ``r`` is row 0's id at the same place, and the walk
-    returns None at the first tail that differs.
+    ``levels`` are row 0's levels, ``tails_of`` its tails and ``head``
+    its head.  First row 0's subtrees get their tails ids, bottom-up
+    from its levels: the id of a subtree indexes ``kids``, which holds
+    its blue words at depth 1 and its children's ids deeper down.  Ids
+    are compared only at one depth, so one table serves every depth.
+    ``memo[d]`` maps each word w to the pair (head digits, tails id) of
+    the subtree (w, d).
+
+    ``walk(word, d, r)`` then gives that pair for a subtree of a later
+    row, where ``r`` is row 0's id at the same place, or None as soon
+    as a head differs within it or a tail differs from row 0's.  It
+    runs only where ``memo`` has no pair yet.
     """
     fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
     memo = [{} for _ in range(b + 1)]
     ids: dict = {}
-    kids: list = []
-    nones = (None,) * n_red
+    # the ids of one level of row 0; at depth 0 a tail is its own id
+    level_ids = tails_of
+    for d in range(1, b + 1):
+        digits, row = head % n_red**d, memo[d]
+        level_ids = [
+            ids.setdefault(tails, len(ids)) for tails in zip(*[iter(level_ids)] * n_red)
+        ]
+        for word, r in zip(levels[b - d], level_ids):
+            row[word] = (digits, r)
+    kids, root = list(ids), level_ids[0]
 
-    def walk(word: int, d: int, r: Optional[int]) -> Optional[tuple]:
+    def walk(word: int, d: int, r: int) -> Optional[tuple]:
         move = moves.get(word)
         if move is None:
             move = moves[word] = _word_moves(fwd, n_blue, n_red, a, word)
@@ -195,46 +254,35 @@ def _later_rows(
         if f is None:
             return None
         if d == 1:
-            digits, tails = f, blues
+            if blues != kids[r]:
+                return None
+            digits = f
         else:
-            below, digits, tails = memo[d - 1], None, []
-            for c, rc in zip(blues, nones if r is None else kids[r]):
+            below, digits = memo[d - 1], None
+            for c, rc in zip(blues, kids[r]):
                 node = below.get(c) or walk(c, d - 1, rc)
-                if node is None or rc is not None and node[1] != rc:
+                if node is None or node[1] != rc:
                     return None
                 if digits is None:
                     digits = node[0]
                 elif node[0] != digits:
                     return None
-                tails.append(node[1])
             digits += f * n_red ** (d - 1)
-        if r is not None:
-            if d == 1 and blues != kids[r]:
-                return None
-        elif not heads_only:
-            tails = tuple(tails)
-            r = ids.get(tails)
-            if r is None:
-                r = ids[tails] = len(kids)
-                kids.append(tails)
         node = memo[d][word] = (digits, r)
         return node
 
-    digits, root = walk(0, b, None)
-    heads_of = [digits]
+    heads_of = [head]
     for mu in range(1, n_blue**a):
         node = walk(mu, b, root)
         if node is None:
             # two products of this row have different heads, or the tail
             # of some mu*nu depends on mu
             return None
-        if not heads_only and tails_of[node[0]] != mu:
-            # the tail map does not invert the head map at mu
+        if tails_of[node[0]] != mu:
+            # the tail map does not invert the head map at mu; as it
+            # holds at every other row, no two rows share a head
             return None
         heads_of.append(node[0])
-    if len(set(heads_of)) != len(heads_of):
-        # two rows share a head, so the head map is not a bijection
-        return None
     return heads_of
 
 
@@ -246,6 +294,15 @@ def _check_exponents(a: int, b: int) -> None:
         raise BadRangeError(
             f"exponents must be integers of at least 1, got (a, b) = {(a, b)}"
         )
+
+
+def _check_counts(graph: TwoGraph, a: int, b: int) -> int:
+    """The number of blue paths of degree (a, 0), which must equal the red
+    paths of degree (0, b)."""
+    size = graph.n_blue**a
+    if size != graph.n_red**b:
+        raise GraphError(f"path counts differ at (a, b) = {(a, b)}")
+    return size
 
 
 def _pairing_paths(graph: TwoGraph, a: int, b: int, codes: list, cap: int) -> dict:
@@ -261,14 +318,20 @@ def candidate_pairing(
 
     For each blue path mu the red prefix of mu*beta is extracted; the
     candidate exists only if that prefix is independent of the choice of
-    the red path beta and the resulting map is a bijection.
+    the red path beta and the resulting map is a bijection.  Row 0 still
+    fails at its first level whose letters differ, but once it passes,
+    the pass finds every row's head one depth at a time and always
+    takes the full O(b * N1^a * N2) steps.
     """
     _check_exponents(a, b)
-    if graph.path_count(Degree(a, 0)) != graph.path_count(Degree(0, b)):
-        raise GraphError(f"path counts differ at (a, b) = {(a, b)}")
+    _check_counts(graph, a, b)
     graph.check_path_cap(Degree(a, 0), cap)
     codes = _pairing_codes(graph, a, b, heads_only=True)
     return None if codes is None else _pairing_paths(graph, a, b, codes, cap)
+
+
+def _is_path_on(graph: TwoGraph, path) -> bool:
+    return isinstance(path, Path) and (path.graph is graph or path.graph == graph)
 
 
 def verify_period(graph: TwoGraph, a: int, b: int, pairing: dict) -> bool:
@@ -278,13 +341,27 @@ def verify_period(graph: TwoGraph, a: int, b: int, pairing: dict) -> bool:
     mu*nu has red-first factorization pairing[mu] followed by the
     inverse pairing of nu.  A period's pairing is unique, so this holds
     exactly when the single verified pass finds this pairing.
+
+    Raises GraphError if the two path sets differ in size, or if the
+    pairing is not a bijection between them, which is checked on the
+    path codes; SizeLimitError if they hold more than
+    ``DEFAULT_PATH_CAP`` paths.
     """
     _check_exponents(a, b)
-    blues = graph.enumerate_paths(Degree(a, 0))
-    reds = graph.enumerate_paths(Degree(0, b))
-    if set(pairing.keys()) != set(blues) or set(pairing.values()) != set(reds):
+    size = _check_counts(graph, a, b)
+    graph.check_path_cap(Degree(a, 0), DEFAULT_PATH_CAP)
+    codes = sorted(
+        (mu.code, nu.code)
+        for mu, nu in pairing.items()
+        if _is_path_on(graph, mu) and _is_path_on(graph, nu)
+    )
+    if (
+        len(pairing) != size
+        or [mu for mu, _ in codes] != [(a, 0, i, 0) for i in range(size)]
+        or sorted(nu for _, nu in codes) != [(0, b, 0, j) for j in range(size)]
+    ):
         raise GraphError("pairing is not a bijection between the stated path sets")
-    return _pairing_codes(graph, a, b) == [pairing[mu].code[3] for mu in blues]
+    return _pairing_codes(graph, a, b) == [nu[3] for _, nu in codes]
 
 
 class PeriodWitness(NamedTuple):

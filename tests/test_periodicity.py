@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from twograph import (
     APERIODIC,
+    DEFAULT_PATH_CAP,
     NO_CANDIDATE_PAIRS,
     PERIODIC,
     UNKNOWN,
@@ -20,6 +21,7 @@ from twograph import (
     Path,
     PeriodicityVerdict,
     PeriodWitness,
+    SizeLimitError,
     TwoGraph,
     candidate_pairing,
     crossed_product_report,
@@ -130,6 +132,72 @@ def test_verify_rejects_exponents_below_one():
         verify_period(g, 0, 0, {empty: empty})
     with pytest.raises(BadRangeError, match=re.escape("(a, b) = (-1, -1)")):
         verify_period(g, -1, -1, {empty: empty})
+
+
+def _twin_two_pairing(graph) -> dict:
+    return {graph.blue_path(i): graph.red_path(i) for i in range(2)}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        # a blue path missing
+        lambda g, pairing: pairing.pop(g.blue_path(1)),
+        # a key that is not a Path, standing in for blue path 1
+        lambda g, pairing: pairing.update({(1, 0, 1, 0): pairing.pop(g.blue_path(1))}),
+        # a key, then a value, of the wrong degree
+        lambda g, pairing: pairing.update({g.path("b1 r0"): pairing.pop(g.blue_path(1))}),
+        lambda g, pairing: pairing.update({g.blue_path(1): g.path("b1 r1")}),
+        # a key on a graph that is not equal to this one
+        lambda g, pairing: pairing.update(
+            {flip_graph(2, 2).blue_path(1): pairing.pop(g.blue_path(1))}
+        ),
+        # not injective: both blue paths go to red path 0
+        lambda g, pairing: pairing.update({g.blue_path(1): g.red_path(0)}),
+        # every blue path paired, and one extra key that is not a Path
+        lambda g, pairing: pairing.update({"b1": g.red_path(1)}),
+    ],
+    ids=["missing-blue", "key-not-a-path", "wrong-degree-key", "wrong-degree-value",
+         "unequal-graph",
+         "not-injective", "extra-key"],
+)
+def test_verify_rejects_a_pairing_that_is_not_a_bijection(change):
+    g = twin_graph(2)
+    pairing = _twin_two_pairing(g)
+    change(g, pairing)
+    with pytest.raises(GraphError, match="not a bijection"):
+        verify_period(g, 1, 1, pairing)
+
+
+def test_verify_accepts_paths_of_an_equal_but_distinct_graph():
+    g, other = twin_graph(2), twin_graph(2)
+    assert g is not other and g == other
+    pairing = _twin_two_pairing(g)
+    # an equal key would keep the old key object, so remove it first
+    del pairing[g.blue_path(1)]
+    pairing[other.blue_path(1)] = other.red_path(1)
+    assert any(mu.graph is other for mu in pairing)
+    assert verify_period(g, 1, 1, pairing)
+
+
+def test_verify_caps_the_paths_it_checks():
+    g = twin_graph(2)
+    k = DEFAULT_PATH_CAP.bit_length()
+    assert 2**k > DEFAULT_PATH_CAP
+    with pytest.raises(SizeLimitError, match=re.escape(f"degree {(k, 0)}")):
+        verify_period(g, k, k, {})
+
+
+def test_verify_rejects_unequal_path_counts():
+    # 4 blue paths at (2, 0) but 3 red ones at (0, 1): this pairing covers
+    # every red path, so only the counts show it is not a bijection
+    g = random_two_graph(2, 3, random.Random(1))
+    blues = g.enumerate_paths(Degree(2, 0))
+    pairing = {mu: g.red_path(min(i, 2)) for i, mu in enumerate(blues)}
+    with pytest.raises(GraphError, match=re.escape("path counts differ at (a, b) = (2, 1)")):
+        candidate_pairing(g, 2, 1)
+    with pytest.raises(GraphError, match=re.escape("path counts differ at (a, b) = (2, 1)")):
+        verify_period(g, 2, 1, pairing)
 
 
 # -- the decision ----------------------------------------------------------------
@@ -611,9 +679,17 @@ TWISTED_TWIN = TwoGraph(2, 2, [[e, f, e, 1 - f] for e in range(2) for f in range
 # here a move's red letter depends on the red letter moved in
 HEAD_SPLITTING = TwoGraph(2, 2, [[0, 0, 1, 1], [0, 1, 0, 0], [1, 0, 0, 1], [1, 1, 1, 0]])
 
-# 3 blue rows at (1,1) but 2 red heads: the head map is not a bijection
+# 3 blue rows at (1,1) but 2 red heads: the head map is not a bijection.
+# Each head is the head of N1^a products, so rows with one head each come
+# N1^a / N2^b to a head; here that is no integer and row 2's heads differ.
 MORE_ROWS_THAN_HEADS = TwoGraph(
     3, 2, [[0, 0, 0, 2], [0, 1, 0, 0], [1, 0, 1, 1], [1, 1, 1, 0], [2, 0, 0, 1], [2, 1, 1, 2]]
+)
+# row 0 passes at (1, 2), but the children of rows 1 and 2 differ in their
+# heads; their first children's heads alone would give four distinct heads
+CHILD_HEADS_DIFFER = TwoGraph(
+    4, 2, [[0, 0, 0, 2], [0, 1, 0, 1], [1, 0, 1, 1], [1, 1, 1, 3], [2, 0, 1, 0],
+           [2, 1, 1, 2], [3, 0, 0, 3], [3, 1, 0, 0]]
 )
 
 NAMED_GRAPHS = [
@@ -672,6 +748,17 @@ def graphs_and_exponents(draw):
 # heads bijective and inverted by row 0's tails; only a tail of row 1 differs
 @example((DEEP_GRAPH, 1, 1), False, random.Random(0))
 @example((MORE_ROWS_THAN_HEADS, 1, 1), True, random.Random(0))
+# a candidate pass must read every child's head, not the first one's
+@example((CHILD_HEADS_DIFFER, 1, 2), True, random.Random(0))
+# every row has one head, 2 rows to each of the 2 heads (b == 1): only the
+# distinct-heads check rejects it
+@example((TWISTED_TWIN, 2, 1), True, random.Random(0))
+# 9 rows and 2 heads: 2 does not divide 9, so some row's heads differ
+@example((MORE_ROWS_THAN_HEADS, 2, 1), True, random.Random(0))
+# row 0's ids must chunk the ids of the depth below, not the words of its
+# level: a periodic pass, and a pass whose later rows' tails differ
+@example((TWISTED_TWIN, 2, 2), False, random.Random(0))
+@example((DEEP_GRAPH, 3, 3), False, random.Random(0))
 def test_level_walk_matches_the_product_reference(case, heads_only, rng):
     graph, a, b = case
     expected = reference_pairing_codes(graph, a, b, heads_only, rng)

@@ -34,6 +34,15 @@ _SCALARS = (
     | _FLOATS
     | _TEXT
 )
+_INTS = st.integers() | st.integers(max_value=-(10**40)) | st.integers(min_value=10**40)
+# Lists of non-empty int lists take the writer's own branch; a bool or a
+# tuple among the rows, or an empty row, must send them to the general one.
+_INT_TABLES = st.lists(
+    st.lists(_INTS, min_size=1, max_size=5)
+    | st.lists(_INTS | st.booleans(), max_size=5)
+    | st.lists(_INTS, max_size=5).map(tuple),
+    max_size=5,
+)
 # Keys of one dict must sort against each other, as with ``sort_keys``.
 _KEYS = (_TEXT, st.integers() | st.floats() | st.booleans(), st.none())
 _VALUES = st.recursive(
@@ -42,6 +51,7 @@ _VALUES = st.recursive(
     | st.lists(children, max_size=5).map(tuple)
     | st.lists(st.integers(), max_size=5)
     | st.lists(_TEXT, max_size=5)
+    | _INT_TABLES
     | st.one_of([st.dictionaries(keys, children, max_size=5) for keys in _KEYS]),
     max_leaves=25,
 )
@@ -69,6 +79,11 @@ def test_writer_matches_json_dumps(obj):
         {None: [None]},
         [-(10**60), 10**60],
         [-0.0, float("inf"), float("-inf"), float("nan")],
+        [[-(10**60)], [0, 1, -1]],
+        {"a": [[1, 2], [3]]},
+        [[1], [True]],
+        [[1], []],
+        [[1], (2,)],
     ],
 )
 def test_writer_edge_cases(obj):
