@@ -21,29 +21,52 @@ of degree (a,0) is its blue code and a red path of degree (0,b) its red
 code, so code i is ``enumerate_paths(...)[i]``.  The red-first
 factorization of mu*nu moves each red letter of nu leftward through the
 current blue word with the shared move routine ``graphs._move``.  Once
-j letters have moved, the rest of the factorization depends only on the
-blue word w left behind and the d = b - j letters still to come: call
-that the subtree (w, d).  Its products share one head exactly when every
-move through w puts out one letter and the subtrees below share their
-heads; its tails are the blue words left at its leaves.  A depth holds
-at most N1^a words, so a pass looks at each subtree at most once per
-call and reuses it wherever w reappears at depth d, in any row.
+a prefix p of b - d letters has moved through mu, it has put out a red
+word q and left a blue word w, and the rest of the factorization
+depends only on w and the d letters still to come: call that the
+subtree (w, d), reached from (mu, p).  Its products share one head
+exactly when every move through w puts out one letter and the N2
+subtrees (w', d - 1) below share their heads; its tails are the blue
+words left at its leaves, one for each suffix s of length d, in the
+order of s.  Two facts let a pass treat every blue word at every depth
+alike, in lists indexed by code.
 
-Every pass walks row 0 first, one level at a time, so a row 0 whose
-heads differ fails at the first level whose letters differ, with no
-per-product list of heads.  Level j lists the words of row 0's subtrees
-at depth b - j, and entry i of it has its children at entries i*N2 to
-i*N2 + N2 - 1 of level j + 1.  A candidate pass, which checks
-conditions 1 and 4, then finds the head of every blue word at every
-depth, one depth at a time from the bottom, in lists indexed by code.
-A full pass instead gives each subtree of row 0 an integer tails id,
-bottom up from its levels: ids are interned from the children's ids,
-so two subtrees at one depth have the same tails exactly when they have
-the same id.  Each later row is then compared with row 0's ids from the
-top down, so the first tail that differs ends the pass, and condition 3
-reads row 0's tails, its last level.  Either pass takes
-O(b * N1^a * N2) steps and holds O(b * N1^a * N2) integers, all freed
-when it returns.
+Fact 1: at every depth d, (mu, p) -> (q, w) is a bijection from pairs
+of a blue word of length a and a red word of length b - d to pairs of a
+red word of length b - d and a blue word of length a.  Both pairs are
+factorizations of the one path mu*p of degree (a, b - d), blue-first
+and red-first, and each path has exactly one factorization of each
+order.  So every blue word is the word of some subtree at every depth.
+A word whose heads differ at some depth therefore makes some row's
+heads differ, which is why a pass may check the heads of all words at
+every depth; and counting the distinct tails of all words at depth d
+counts those of the subtrees that occur.
+
+Fact 2: let gamma be a period at (a, b) and (w, d) be reached from
+(mu, p).  For a suffix s, mu*(p s) = gamma(mu) gamma^-1(p s), and its
+red-first factorization is q followed by that of w*s, so the tail of
+w*s is gamma^-1(p s).  The tails of (w, d) are thus gamma^-1(p s) over
+the suffixes s: they depend on p alone, and as gamma^-1 is injective
+they differ between different p.  By fact 1 every word occurs at depth
+d, and every p occurs (from mu = 0), so the N1^a words fall into
+exactly N2^(b-d) classes of equal tails.  At d = b the count is 1,
+which is condition 2 itself; any other count at any depth rules the
+period out.
+
+A full pass first walks row 0 one level at a time: level j lists the
+words of row 0's subtrees at depth b - j, so a row 0 whose heads
+differ fails at the first level whose letters differ, and after b
+levels the walk has row 0's head and tails.  The tails check then gives
+every word an id at each depth, interned from its children's ids at
+the depth below in a dict that serves one depth, so two words share an
+id exactly when their tails agree.  It stops at the first depth whose
+count of ids is not N2^(b-d), and at depth 1 it counts while the moves
+are computed, so it stops at the first id too many.  Then every word's
+head is found one depth at a time from the bottom, and condition 3 is
+read off row 0's tails for every row; it makes the heads distinct, so
+condition 4 follows.  A candidate pass finds the heads the same way and
+checks that they are distinct.  Either pass takes O(b * N1^a * N2)
+steps and holds O(N1^a * N2) integers, all freed when it returns.
 
 ``verify_period`` checks that a caller's pairing is a bijection on the
 path codes and compares it with the full pass's.  Path objects are
@@ -128,31 +151,25 @@ def _word_moves(fwd: tuple, n_blue: int, n_red: int, a: int, word: int) -> tuple
     return letter, tuple(blues)
 
 
-def _pairing_codes(
-    graph: TwoGraph, a: int, b: int, heads_only: bool = False
-) -> Optional[list]:
+def _pairing_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
     """The red code paired with each blue code at (a, b), or None.
 
     Walks row 0 one level at a time.  Level j holds, in the order of the
     red prefixes of nu, the blue words left behind once j red letters
     have moved through blue word 0, so a level passes exactly when all
     its words put out one common letter, the next digit of the row's
-    head, and entry i of level j has its children at entries i*N2 to
-    i*N2 + N2 - 1 of level j + 1.  After b levels the list holds the
-    row's tails.  A candidate pass then finds every row's head with
-    ``_candidate_heads``, a full pass compares the other rows with row
-    0 in ``_later_rows``.
+    head.  After b levels the list holds the row's tails.  The pass then
+    checks the tails of every word with ``_tails_agree``, finds every
+    row's head with ``_heads`` and reads condition 3 off row 0's tails.
 
     Returns None at the first failure of any kind: two products of a
-    row with different heads; a tail that differs from row 0's; a tail
-    map that does not send the head back to mu; two rows with the same
-    head.  With ``heads_only``, only the first and the last are checked,
-    which gives the canonical candidate; otherwise the result is a
-    verified period.
+    row with different heads; tails that differ between rows; a tail
+    map that does not send the head back to mu.  Otherwise the result
+    is a verified period.
     """
     fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
     moves: dict = {}
-    head, words, levels = 0, [0], []
+    head, words = 0, [0]
     for _ in range(b):
         # letter stays -1 until the level's first word sets it
         letter, level = -1, []
@@ -167,123 +184,95 @@ def _pairing_codes(
                     return None
                 letter = f
             level += blues
-        levels.append(words)
         head, words = head * n_red + letter, level
-    if heads_only:
-        return _candidate_heads(graph, a, b, moves)
-    if words[head] != 0:
-        # the tail map does not invert the head map at row 0
+    if words[head] != 0 or not _tails_agree(graph, a, b, moves):
+        # the tail map does not invert the head map at row 0, or the
+        # tails of mu*nu depend on mu
         return None
-    # a separate function: the closure there would turn the names this
-    # loop reads into cells, and most passes end in this loop
-    return _later_rows(graph, a, b, moves, levels, words, head)
+    heads = _heads(graph, a, b, moves)
+    if heads is None or any(words[h] != mu for mu, h in enumerate(heads)):
+        # some row's heads differ, or the tail map does not invert the
+        # head map; where it does, no two rows share a head
+        return None
+    return heads
 
 
-def _candidate_heads(graph: TwoGraph, a: int, b: int, moves: dict) -> Optional[list]:
-    """Finish a candidate pass of ``_pairing_codes`` once row 0 passed.
+def _tails_agree(graph: TwoGraph, a: int, b: int, moves: dict) -> bool:
+    """Condition 2, checked on every blue word one depth at a time.
 
-    Finds the head of every subtree (w, d), one depth at a time from
-    the bottom: ``heads[w]`` is the head of (w, d) as an integer of d
-    digits, or None if its products' heads differ.  A word's head at
-    depth d + 1 is its moves' common letter followed by its children's
-    common head at depth d.  Depth b gives each row's head.  A row can
-    fail at any depth, so the pass always runs all b depths over all
-    N1^a blue words.
+    A word's id at depth 1 is interned from the words its moves leave
+    behind, and at depth d + 1 from its children's ids at depth d, in a
+    dict that serves one depth; two words share an id exactly when their
+    subtrees have the same tails.  By fact 2 a period leaves exactly
+    N2^(b-d) ids at depth d, so the check fails at the first depth with
+    another count.  At depth 1 the count is kept while the moves are
+    computed and stored in ``moves``, so it fails at the first id past
+    N2^(b-1).  A word whose moves disagree fails it too: as a row, its
+    heads differ.
     """
     fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
-    size = n_blue**a
+    classes = n_red ** (b - 1)
+    ids: dict = {}
+    level, kids = [], []
+    for word in range(n_blue**a):
+        move = moves.get(word)
+        if move is None:
+            move = moves[word] = _word_moves(fwd, n_blue, n_red, a, word)
+        f, blues = move
+        i = ids.setdefault(blues, len(ids))
+        if f is None or i == classes:
+            return False
+        level.append(i)
+        kids += blues
+    for _ in range(1, b):
+        if len(ids) != classes:
+            return False
+        classes //= n_red
+        ids = {}
+        below = zip(*[iter(map(level.__getitem__, kids))] * n_red)
+        level = [ids.setdefault(tails, len(ids)) for tails in below]
+    return len(ids) == classes
+
+
+def _heads(graph: TwoGraph, a: int, b: int, moves: dict) -> Optional[list]:
+    """Every blue word's head at depth b, or None.
+
+    One depth at a time from the bottom, in lists indexed by code: a
+    word's head at depth d + 1 is its moves' common letter followed by
+    its children's common head at depth d, as an integer of d + 1
+    digits.  By fact 1 every word is the word of a subtree at every
+    depth, so the first word whose heads differ at any depth ends the
+    pass.  ``moves`` holds moves already computed; the rest are computed
+    here and not stored.
+    """
+    fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
     letters, kids = [], []
-    for word in range(size):
-        move = moves.get(word) or _word_moves(fwd, n_blue, n_red, a, word)
-        letters.append(move[0])
-        # a word whose moves disagree has no children; word 0 stands in for
-        # them, as its head stays None whatever theirs are
-        kids += move[1] or (0,) * n_red
+    for word in range(n_blue**a):
+        f, blues = moves.get(word) or _word_moves(fwd, n_blue, n_red, a, word)
+        if f is None:
+            return None
+        letters.append(f)
+        kids += blues
     heads = letters
     for d in range(1, b):
         place = n_red**d
         below = zip(*[iter(map(heads.__getitem__, kids))] * n_red)
         heads = [
-            None if f is None or h[0] is None or h.count(h[0]) < n_red else f * place + h[0]
+            f * place + h[0] if h.count(h[0]) == n_red else None
             for f, h in zip(letters, below)
         ]
-    if None in heads or len(set(heads)) != size:
-        # two products of some row have different heads, or two rows
-        # share a head, so the head map is not a bijection
-        return None
+        if None in heads:
+            return None
     return heads
 
 
-def _later_rows(
-    graph: TwoGraph, a: int, b: int, moves: dict, levels: list, tails_of: list, head: int
-) -> Optional[list]:
-    """Finish a full pass of ``_pairing_codes`` once row 0 passed.
-
-    ``levels`` are row 0's levels, ``tails_of`` its tails and ``head``
-    its head.  First row 0's subtrees get their tails ids, bottom-up
-    from its levels: the id of a subtree indexes ``kids``, which holds
-    its blue words at depth 1 and its children's ids deeper down.  Ids
-    are compared only at one depth, so one table serves every depth.
-    ``memo[d]`` maps each word w to the pair (head digits, tails id) of
-    the subtree (w, d).
-
-    ``walk(word, d, r)`` then gives that pair for a subtree of a later
-    row, where ``r`` is row 0's id at the same place, or None as soon
-    as a head differs within it or a tail differs from row 0's.  It
-    runs only where ``memo`` has no pair yet.
-    """
-    fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
-    memo = [{} for _ in range(b + 1)]
-    ids: dict = {}
-    # the ids of one level of row 0; at depth 0 a tail is its own id
-    level_ids = tails_of
-    for d in range(1, b + 1):
-        digits, row = head % n_red**d, memo[d]
-        level_ids = [
-            ids.setdefault(tails, len(ids)) for tails in zip(*[iter(level_ids)] * n_red)
-        ]
-        for word, r in zip(levels[b - d], level_ids):
-            row[word] = (digits, r)
-    kids, root = list(ids), level_ids[0]
-
-    def walk(word: int, d: int, r: int) -> Optional[tuple]:
-        move = moves.get(word)
-        if move is None:
-            move = moves[word] = _word_moves(fwd, n_blue, n_red, a, word)
-        f, blues = move
-        if f is None:
-            return None
-        if d == 1:
-            if blues != kids[r]:
-                return None
-            digits = f
-        else:
-            below, digits = memo[d - 1], None
-            for c, rc in zip(blues, kids[r]):
-                node = below.get(c) or walk(c, d - 1, rc)
-                if node is None or node[1] != rc:
-                    return None
-                if digits is None:
-                    digits = node[0]
-                elif node[0] != digits:
-                    return None
-            digits += f * n_red ** (d - 1)
-        node = memo[d][word] = (digits, r)
-        return node
-
-    heads_of = [head]
-    for mu in range(1, n_blue**a):
-        node = walk(mu, b, root)
-        if node is None:
-            # two products of this row have different heads, or the tail
-            # of some mu*nu depends on mu
-            return None
-        if tails_of[node[0]] != mu:
-            # the tail map does not invert the head map at mu; as it
-            # holds at every other row, no two rows share a head
-            return None
-        heads_of.append(node[0])
-    return heads_of
+def _candidate_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
+    """The red code of each blue code's head at (a, b), if every row has
+    one head and no two rows share it (conditions 1 and 4), else None."""
+    heads = _heads(graph, a, b, {})
+    if heads is None or len(set(heads)) != len(heads):
+        return None
+    return heads
 
 
 def _check_exponents(a: int, b: int) -> None:
@@ -305,10 +294,11 @@ def _check_counts(graph: TwoGraph, a: int, b: int) -> int:
     return size
 
 
-def _pairing_paths(graph: TwoGraph, a: int, b: int, codes: list, cap: int) -> dict:
-    blues = graph.enumerate_paths(Degree(a, 0), cap)
-    reds = graph.enumerate_paths(Degree(0, b), cap)
-    return {blues[mu]: reds[nu] for mu, nu in enumerate(codes)}
+def _pairing_paths(graph: TwoGraph, a: int, b: int, codes: list) -> dict:
+    return {
+        Path._of(graph, (a, 0, mu, 0)): Path._of(graph, (0, b, 0, nu))
+        for mu, nu in enumerate(codes)
+    }
 
 
 def candidate_pairing(
@@ -318,16 +308,16 @@ def candidate_pairing(
 
     For each blue path mu the red prefix of mu*beta is extracted; the
     candidate exists only if that prefix is independent of the choice of
-    the red path beta and the resulting map is a bijection.  Row 0 still
-    fails at its first level whose letters differ, but once it passes,
-    the pass finds every row's head one depth at a time and always
-    takes the full O(b * N1^a * N2) steps.
+    the red path beta and the resulting map is a bijection.  The pass
+    finds every row's head one depth at a time and stops at the first
+    word whose heads differ; a pass that finds them all takes the full
+    O(b * N1^a * N2) steps.
     """
     _check_exponents(a, b)
     _check_counts(graph, a, b)
     graph.check_path_cap(Degree(a, 0), cap)
-    codes = _pairing_codes(graph, a, b, heads_only=True)
-    return None if codes is None else _pairing_paths(graph, a, b, codes, cap)
+    codes = _candidate_codes(graph, a, b)
+    return None if codes is None else _pairing_paths(graph, a, b, codes)
 
 
 def _is_path_on(graph: TwoGraph, path) -> bool:
@@ -464,7 +454,7 @@ def decide_periodicity(
             )
         codes = _pairing_codes(graph, a, b)
         if codes is not None:
-            pairing = _pairing_paths(graph, a, b, codes, cap)
+            pairing = _pairing_paths(graph, a, b, codes)
             return PeriodicityVerdict(
                 kind=PERIODIC, witness=PeriodWitness(a, b, pairing), kmax=kmax
             )

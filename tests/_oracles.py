@@ -2,7 +2,9 @@
 
 Nothing here calls back into the decision paths it checks: the
 periodicity oracle compares raw path segments, and the reorder oracle
-performs admissible swaps in random order.  The finite-group transfer
+performs admissible swaps in random order.  The subtree oracles factor
+every product they need through that reorder oracle, never through the
+move routine of the periodicity pass.  The finite-group transfer
 oracles list every element and add Fractions, and the kernel oracle
 counts the listed elements a power map sends to zero.  The word-algebra
 oracles find common extensions by trying every pair of paths at the
@@ -12,8 +14,9 @@ join degree, and add Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
-from twograph import Degree
+from twograph import Degree, Path
 
 
 def easier_periodic_holds(graph, a, b, degree) -> bool:
@@ -72,6 +75,44 @@ def randomized_reorder(graph, path, pattern, rng) -> list:
             colors[i], ids[i] = 0, ee
             colors[i + 1], ids[i + 1] = 1, ff
     return list(zip(colors, ids))
+
+
+# -- the subtrees of a periodicity pass, by reordering -------------------------
+
+
+def red_first(graph, blues, reds, rng) -> tuple:
+    """The red head and the blue tail of the path ``blues`` then ``reds``,
+    as letter tuples, from ``randomized_reorder``."""
+    pattern = [1] * len(reds) + [0] * len(blues)
+    word = randomized_reorder(graph, Path(graph, blues, reds), pattern, rng)
+    return tuple(x for _, x in word[: len(reds)]), tuple(x for _, x in word[len(reds) :])
+
+
+def _words(n: int, length: int) -> list:
+    return list(product(range(n), repeat=length))
+
+
+def moved_prefixes(graph, a: int, j: int, rng) -> dict:
+    """``{(mu, p): (q, w)}`` over every blue word mu of length a and red
+    word p of length j: moving p through mu puts out q and leaves w."""
+    return {
+        (mu, p): red_first(graph, mu, p, rng)
+        for mu in _words(graph.n_blue, a)
+        for p in _words(graph.n_red, j)
+    }
+
+
+def tails_classes(graph, a: int, d: int, rng) -> int:
+    """How many distinct tails vectors the blue words of length a have
+    with d red letters still to come: the vector of w lists the blue
+    tail of w*s for every red word s of length d, in order."""
+    suffixes = _words(graph.n_red, d)
+    return len(
+        {
+            tuple(red_first(graph, w, s, rng)[1] for s in suffixes)
+            for w in _words(graph.n_blue, a)
+        }
+    )
 
 
 # -- finite-group transfers by listing -------------------------------------------

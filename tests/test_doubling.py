@@ -213,9 +213,9 @@ def _check_against_the_direct_decision(graph, kmax, cap):
     passes = []
     real = periodicity._pairing_codes
 
-    def spy(searched, a, b, heads_only=False):
+    def spy(searched, a, b):
         passes.append(searched)
-        return real(searched, a, b, heads_only)
+        return real(searched, a, b)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(periodicity, "_pairing_codes", spy)

@@ -1,5 +1,6 @@
 """Periodicity decision against the brute-force segment oracle."""
 
+import contextlib
 import itertools
 import random
 import re
@@ -34,9 +35,15 @@ from twograph import (
     verify_period,
 )
 
-from twograph.periodicity import _pairing_codes
+from twograph import graphs, periodicity
+from twograph.periodicity import _candidate_codes, _pairing_codes
 
-from _oracles import easier_periodic_holds, randomized_reorder
+from _oracles import (
+    easier_periodic_holds,
+    moved_prefixes,
+    randomized_reorder,
+    tails_classes,
+)
 
 
 # -- minimal exponents -----------------------------------------------------------
@@ -489,11 +496,12 @@ def test_twin_three_reverifies_at_five_five():
     assert verify_period(g, 5, 5, pairing)
 
 
-@pytest.mark.parametrize("heads_only", [False, True])
-def test_twin_three_full_pass_at_seven_seven(heads_only):
+@pytest.mark.parametrize("candidate", [False, True])
+def test_twin_three_full_pass_at_seven_seven(candidate):
     # the twin rule pairs each blue word with the red word of the same ids,
     # so blue code i goes to red code i: one pass over 3^14 products
-    assert _pairing_codes(twin_graph(3), 7, 7, heads_only) == list(range(3**7))
+    codes = (_candidate_codes if candidate else _pairing_codes)(twin_graph(3), 7, 7)
+    assert codes == list(range(3**7))
 
 
 def test_twin_three_verifies_at_seven_seven_and_rejects_a_swap():
@@ -614,6 +622,79 @@ def test_witness_reverifies_and_satisfies_inverse_pairing():
     assert seen_periodic >= 2
 
 
+def test_a_periodic_decision_leaves_no_path_lists_on_the_graph():
+    # the witness is built from the pass's codes, not from enumerate_paths
+    graph = twin_graph(3)
+    verdict = decide_periodicity(graph, kmax=2)
+    assert verdict.kind == PERIODIC
+    assert candidate_pairing(graph, 2, 2) is not None
+    assert graph._paths_cache == {}
+    assert verdict.witness.pairing == {
+        mu: graph.red_path(*mu.blues) for mu in graph.enumerate_paths(Degree(1, 0))
+    }
+
+
+# -- the two facts of the module docstring, on reordered products ---------------
+
+
+@contextlib.contextmanager
+def _refusing_moves():
+    """The move routine of the pass raises inside, so the subtree oracles
+    are seen to factor their products without it."""
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached _move")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_move", refuse)
+        patch.setattr(periodicity, "_move", refuse)
+        yield
+
+
+def _all_words(n, length):
+    return list(itertools.product(range(n), repeat=length))
+
+
+def test_moving_a_red_prefix_leaves_every_blue_word():
+    # fact 1: moving j red letters through mu is a bijection
+    # (mu, p) -> (q, w), so every blue word w is left at every depth
+    rng = random.Random(5)
+    shapes = [((2, 2), 3), ((3, 3), 2), ((4, 2), 2), ((2, 4), 2), ((3, 2), 2)]
+    with _refusing_moves():
+        for (n_blue, n_red), a in shapes:
+            for _ in range(3):
+                graph = random_two_graph(n_blue, n_red, rng)
+                for j in range(4):
+                    moved = moved_prefixes(graph, a, j, rng)
+                    assert sorted(moved.values()) == [
+                        (q, w) for q in _all_words(n_red, j) for w in _all_words(n_blue, a)
+                    ]
+
+
+def test_a_period_leaves_n2_to_the_b_minus_d_tails_classes_at_depth_d():
+    # fact 2: under a period the words at depth d fall into exactly
+    # N2^(b-d) classes of equal tails
+    rng = random.Random(6)
+    cases = [(twin_graph(3), 2, 2)]
+    with _refusing_moves():
+        tables = itertools.permutations([(f, e) for f in range(2) for e in range(2)])
+        for images in tables:
+            graph = TwoGraph(2, 2, dict(zip([(e, f) for e in range(2) for f in range(2)], images)))
+            for k in (1, 2, 3):
+                if reference_pairing_codes(graph, k, k, False, rng) is not None:
+                    cases.append((graph, k, k))
+        assert len({graph for graph, _, _ in cases}) == 1 + 4
+        for graph, a, b in cases:
+            counts = [tails_classes(graph, a, d, rng) for d in range(b + 1)]
+            assert counts == [graph.n_red ** (b - d) for d in range(b + 1)]
+
+
+def test_the_deep_graph_breaks_the_class_count_at_depth_one():
+    with _refusing_moves():
+        assert tails_classes(DEEP_GRAPH, 3, 1, random.Random(0)) != 2 ** (3 - 1)
+    assert _pairing_codes(DEEP_GRAPH, 3, 3) is None
+
+
 # -- candidate uniqueness -----------------------------------------------------------
 
 
@@ -637,10 +718,11 @@ def test_any_verifying_bijection_equals_candidate():
 # -- the level walk against a product-by-product reference -----------------------
 
 
-def reference_pairing_codes(graph, a, b, heads_only, rng):
-    """``_pairing_codes`` from every product mu*nu, factored red-first by
-    random admissible swaps, then the four conditions of the module
-    docstring, checked one after another."""
+def reference_pairing_codes(graph, a, b, candidate, rng):
+    """``_pairing_codes``, or ``_candidate_codes`` if ``candidate``, from
+    every product mu*nu, factored red-first by random admissible swaps,
+    then the four conditions of the module docstring, checked one after
+    another."""
     blues = graph.enumerate_paths(Degree(a, 0))
     reds = graph.enumerate_paths(Degree(0, b))
     blue_code = {mu.blues: i for i, mu in enumerate(blues)}
@@ -662,7 +744,7 @@ def reference_pairing_codes(graph, a, b, heads_only, rng):
     # 4. no two blue paths share a head
     if len(set(head_of)) != len(head_of):
         return None
-    if heads_only:
+    if candidate:
         return head_of
     # 2. the tail of mu*nu does not depend on mu
     if any(row != tails[0] for row in tails):
@@ -690,6 +772,11 @@ MORE_ROWS_THAN_HEADS = TwoGraph(
 CHILD_HEADS_DIFFER = TwoGraph(
     4, 2, [[0, 0, 0, 2], [0, 1, 0, 1], [1, 0, 1, 1], [1, 1, 1, 3], [2, 0, 1, 0],
            [2, 1, 1, 2], [3, 0, 0, 3], [3, 1, 0, 0]]
+)
+# a 3x3 graph periodic at (2, 2), hence at (4, 4), but not at (1, 1) or (3, 3)
+PERIODIC_AT_TWO = TwoGraph(
+    3, 3, [[0, 0, 2, 2], [0, 1, 1, 0], [0, 2, 1, 1], [1, 0, 1, 2], [1, 1, 2, 0], [1, 2, 2, 1],
+           [2, 0, 0, 2], [2, 1, 0, 0], [2, 2, 0, 1]]
 )
 
 NAMED_GRAPHS = [
@@ -737,9 +824,9 @@ def graphs_and_exponents(draw):
 @example((DEEP_GRAPH, 4, 4), False, random.Random(0))
 @example((shift_register_graph_4x2(), 1, 2), False, random.Random(0))
 @example((double(twin_graph(2)), 1, 1), False, random.Random(0))
-# full passes whose rows reuse one another's subtrees: a memo keyed by the
-# word alone, or one that compares rows by head digits instead of tails
-# ids, gets these wrong
+# full passes whose rows share subtrees: a pass that keys a subtree by its
+# word alone across depths, or compares words by head digits instead of
+# tails, gets these wrong
 @example((TWISTED_TWIN, 4, 4), False, random.Random(0))
 @example((shift_register_graph_2x4(), 4, 2), False, random.Random(0))
 @example((double(twin_graph(2)), 2, 2), False, random.Random(0))
@@ -755,11 +842,17 @@ def graphs_and_exponents(draw):
 @example((TWISTED_TWIN, 2, 1), True, random.Random(0))
 # 9 rows and 2 heads: 2 does not divide 9, so some row's heads differ
 @example((MORE_ROWS_THAN_HEADS, 2, 1), True, random.Random(0))
-# row 0's ids must chunk the ids of the depth below, not the words of its
-# level: a periodic pass, and a pass whose later rows' tails differ
+# a word's tails id must chunk its children's ids at the depth below, not
+# their words: a periodic pass, and a pass whose later rows' tails differ
 @example((TWISTED_TWIN, 2, 2), False, random.Random(0))
 @example((DEEP_GRAPH, 3, 3), False, random.Random(0))
-def test_level_walk_matches_the_product_reference(case, heads_only, rng):
+# periodic full passes: at each depth d the words fall into exactly N2^(b-d)
+# tails classes, so a class count that is too strict, or counted in powers
+# of N1, rejects a period
+@example((twin_graph(3), 3, 3), False, random.Random(0))
+@example((PERIODIC_AT_TWO, 4, 4), False, random.Random(0))
+@example((shift_register_graph_4x2(), 2, 4), False, random.Random(0))
+def test_level_walk_matches_the_product_reference(case, candidate, rng):
     graph, a, b = case
-    expected = reference_pairing_codes(graph, a, b, heads_only, rng)
-    assert _pairing_codes(graph, a, b, heads_only) == expected
+    expected = reference_pairing_codes(graph, a, b, candidate, rng)
+    assert (_candidate_codes if candidate else _pairing_codes)(graph, a, b) == expected
