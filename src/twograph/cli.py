@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 
 from .doubling import crossed_product_report, double
@@ -140,10 +141,10 @@ def _load_group(value: str):
 
 def _parse_degree(value: str) -> tuple:
     parts = value.replace("(", " ").replace(")", " ").replace(",", " ").split()
-    try:
-        n1, n2 = (int(part) for part in parts)
-    except ValueError:
-        raise GraphError(f"bad degree {value!r}, expected like '2,2'") from None
+    # int() would also read "+1", "1_0" or "١"
+    if len(parts) != 2 or not all(re.fullmatch("-?[0-9]+", part) for part in parts):
+        raise GraphError(f"bad degree {value!r}, expected like '2,2'")
+    n1, n2 = map(int, parts)
     return (n1, n2)
 
 

@@ -9,11 +9,15 @@ automatically purely infinite.
 
 The report decides the double on the source graph.  A doubled path of
 degree (a, b) is a pair of source paths and the doubled rule is the
-source rule on each coordinate, so the red-first factorization of
-(mu, mu')(nu, nu') pairs those of mu*nu and mu'*nu'.  Each of the four
-conditions of ``periodicity.py`` thus holds on pairs exactly when it
-holds on each coordinate, that is on the source, and the double's
-pairing is gamma x gamma: blue letters e_i*N1 + f_i to red g_i*N2 + h_i.
+source rule on each coordinate, so moving a red pair (f, f') through a
+blue pair (w, w') moves f through w and f' through w', and the double's
+row-0 tails are the pairs (words[nu], words[nu']) of the source's.  The
+one-step check of ``periodicity.py`` thus holds on pairs exactly when
+it holds on each coordinate, that is on the source; (N1^2)^a = (N2^2)^b
+exactly when N1^a = N2^b; and the double's pairing is gamma x gamma:
+blue letters e_i*N1 + f_i to red g_i*N2 + h_i.  The double itself is
+built only to write a periodic witness: the cap counts doubled paths,
+(N1^2)^a of them, from the source's N1.
 """
 
 from __future__ import annotations
@@ -118,11 +122,11 @@ def crossed_product_report(
     cap counts doubled paths, as a periodic report lists N1^(2a) rows.
     Aperiodic or no-candidate outcomes give a simple, purely infinite
     crossed product; a periodic doubled graph gives a non-simple one.
+    The doubled graph is built only for a periodic witness.
     """
     # checked on the source, so a degenerate-count error names its counts
     minimal_exponents(graph.n_blue, graph.n_red)
-    doubled = double(graph)
-    verdict = decide_periodicity(graph, kmax=kmax, cap=cap, _counted=doubled)
+    verdict = decide_periodicity(graph, kmax=kmax, cap=cap, _counted=graph.n_blue**2)
     if verdict.kind in (APERIODIC, NO_CANDIDATE_PAIRS):
         simple, pi = True, True
     elif verdict.kind == PERIODIC:
@@ -131,7 +135,7 @@ def crossed_product_report(
         simple, pi = None, None
     witness_pairs = ()
     if verdict.witness is not None:
-        w, square, rows = verdict.witness, {}, []
+        doubled, w, square, rows = double(graph), verdict.witness, {}, []
         for (mu, nu), (mu2, nu2) in itertools.product(w.pairing.items(), repeat=2):
             blues, reds = tuple(zip(mu.blues, mu2.blues)), tuple(zip(nu.reds, nu2.reds))
             mu_mu2 = doubled.blue_path(*(e * graph.n_blue + f for e, f in blues))

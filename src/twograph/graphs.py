@@ -328,10 +328,11 @@ def _parse_word(word, sizes: tuple) -> list:
     if isinstance(word, str):
         letters = []
         for token in word.replace(",", " ").replace(".", " ").split():
-            try:
-                letters.append((_COLOR_OF_CHAR[token[0]], int(token[1:])))
-            except (KeyError, ValueError):
-                raise PatternMismatchError(f"bad letter {token!r}") from None
+            # ASCII digits only: int() would also read "+1", "1_0" or "١"
+            color, digits = _COLOR_OF_CHAR.get(token[0]), token[1:]
+            if color is None or not (digits.isascii() and digits.isdigit()):
+                raise PatternMismatchError(f"bad letter {token!r}")
+            letters.append((color, int(digits)))
     else:
         word = list(word)
         colors = _parse_pattern(c for c, _ in word)  # rejects a color that is not 0 or 1

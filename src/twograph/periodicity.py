@@ -4,7 +4,7 @@ Periodicity is equivalent to the existence of a degree pair (a, b) and
 a bijection gamma between the blue paths of degree (a,0) and the red
 paths of degree (0,b) under which every product mu*nu refactors
 red-first as gamma(mu) followed by gamma^-1(nu).  Instead of searching
-the (N1^a)! bijections, one pass over the products decides it.  A
+the (N1^a)! bijections, one pass over the blue words decides it.  A
 pairing exists exactly when four conditions hold:
 
 1. the red head of mu*nu does not depend on nu;
@@ -18,18 +18,16 @@ under conditions 1 and 4 alone.
 
 Paths in that pass are the integer codes of ``graphs.py``: a blue path
 of degree (a,0) is its blue code and a red path of degree (0,b) its red
-code, so code i is ``enumerate_paths(...)[i]``.  The red-first
-factorization of mu*nu moves each red letter of nu leftward through the
-current blue word with the shared move routine ``graphs._move``.  Once
-a prefix p of b - d letters has moved through mu, it has put out a red
-word q and left a blue word w, and the rest of the factorization
-depends only on w and the d letters still to come: call that the
-subtree (w, d), reached from (mu, p).  Its products share one head
-exactly when every move through w puts out one letter and the N2
-subtrees (w', d - 1) below share their heads; its tails are the blue
-words left at its leaves, one for each suffix s of length d, in the
-order of s.  Two facts let a pass treat every blue word at every depth
-alike, in lists indexed by code.
+code, so code i is ``enumerate_paths(...)[i]``, and a red word's first
+letter is its leading digit.  The red-first factorization of mu*nu
+moves each red letter of nu leftward through the current blue word
+with the shared move routine ``graphs._move``.  Once a prefix p of
+b - d letters has moved through mu, it has put out a red word q and
+left a blue word w, and the rest of the factorization depends only on
+w and the d letters still to come: call that the subtree (w, d),
+reached from (mu, p).  Its products share one head exactly when every
+move through w puts out one letter and the N2 subtrees (w', d - 1)
+below share their heads.
 
 Fact 1: at every depth d, (mu, p) -> (q, w) is a bijection from pairs
 of a blue word of length a and a red word of length b - d to pairs of a
@@ -38,35 +36,48 @@ factorizations of the one path mu*p of degree (a, b - d), blue-first
 and red-first, and each path has exactly one factorization of each
 order.  So every blue word is the word of some subtree at every depth.
 A word whose heads differ at some depth therefore makes some row's
-heads differ, which is why a pass may check the heads of all words at
-every depth; and counting the distinct tails of all words at depth d
-counts those of the subtrees that occur.
+heads differ, which is why a candidate pass may check the heads of all
+words at every depth.
 
-Fact 2: let gamma be a period at (a, b) and (w, d) be reached from
-(mu, p).  For a suffix s, mu*(p s) = gamma(mu) gamma^-1(p s), and its
-red-first factorization is q followed by that of w*s, so the tail of
-w*s is gamma^-1(p s).  The tails of (w, d) are thus gamma^-1(p s) over
-the suffixes s: they depend on p alone, and as gamma^-1 is injective
-they differ between different p.  By fact 1 every word occurs at depth
-d, and every p occurs (from mu = 0), so the N1^a words fall into
-exactly N2^(b-d) classes of equal tails.  At d = b the count is 1,
-which is condition 2 itself; any other count at any depth rules the
-period out.
+Lemma: let N1^a = N2^b, and let words[nu] be the blue word left behind
+when the red word nu of length b moves through blue word 0, so that
+words lists row 0's tails.  A period exists at (a, b) exactly when the
+one-step check holds for every nu: moving any red letter f through
+w = words[nu] puts out nu[0] and leaves words[nu[1:] f].  The pairing
+is then the inverse of words.
+
+(<=) By induction on j, moving f1...fj through words[nu] puts out
+nu[:j] and leaves words[nu[j:] f1...fj]: at j = 0 nothing moves, and
+the check on words[nu[j:] f1...fj] and f(j+1) puts out nu[j] and leaves
+words[nu[j+1:] f1...f(j+1)].  At j = b, every product words[nu]*rho
+has head nu and tail words[rho].  The check also makes words
+injective: if words[nu] = words[nu'], moving any f through that word
+puts out nu[0] = nu'[0] and leaves words[nu[1:] f] = words[nu'[1:] f],
+so the same step on those words gives nu[1] = nu'[1], and b steps give
+nu = nu'.  As words maps the N2^b red words into the N1^a = N2^b blue
+words, it is a bijection.  Its inverse gamma sends each blue word mu to
+the nu with words[nu] = mu, so mu*rho = gamma(mu) gamma^-1(rho) for
+every red word rho: gamma is a period.
+
+(=>) Let gamma be a period.  Then 0*nu = gamma(0) gamma^-1(nu), so
+words = gamma^-1 and w = words[nu] has gamma(w) = nu.  Let f put out g
+and leave c when it moves through w.  For a red word s of length b - 1,
+the head of w*(f s) is gamma(w) = nu, and its first letter is g, so
+g = nu[0].  The path 0*nu*f of degree (a, b + 1) factors red-first by
+moving nu and then f, which leaves c; or by moving nu[0], which leaves
+some u, and then nu[1:] f through u, which leaves gamma^-1(nu[1:] f).
+Red-first factorizations are unique, so c = words[nu[1:] f].
 
 A full pass first walks row 0 one level at a time: level j lists the
 words of row 0's subtrees at depth b - j, so a row 0 whose heads
 differ fails at the first level whose letters differ, and after b
-levels the walk has row 0's head and tails.  The tails check then gives
-every word an id at each depth, interned from its children's ids at
-the depth below in a dict that serves one depth, so two words share an
-id exactly when their tails agree.  It stops at the first depth whose
-count of ids is not N2^(b-d), and at depth 1 it counts while the moves
-are computed, so it stops at the first id too many.  Then every word's
-head is found one depth at a time from the bottom, and condition 3 is
-read off row 0's tails for every row; it makes the heads distinct, so
-condition 4 follows.  A candidate pass finds the heads the same way and
-checks that they are distinct.  Either pass takes O(b * N1^a * N2)
-steps and holds O(N1^a * N2) integers, all freed when it returns.
+levels the walk has words.  It then runs the check on each nu in
+order, reusing the moves the walk stored, and stops at the first
+mismatch; words is inverted only once the check has passed.  A
+candidate pass finds every word's head one depth at a time from the
+bottom and checks that they are distinct.  Either pass moves the N2 red
+letters through each blue word once, takes O(b * N1^a * N2) steps and
+holds O(N1^a * N2) integers, all freed when it returns.
 
 ``verify_period`` checks that a caller's pairing is a bijection on the
 path codes and compares it with the full pass's.  Path objects are
@@ -84,7 +95,6 @@ from .graphs import (
     Degree,
     GraphError,
     Path,
-    SizeLimitError,
     TwoGraph,
     _check_bound,
     _move,
@@ -158,18 +168,19 @@ def _pairing_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
     red prefixes of nu, the blue words left behind once j red letters
     have moved through blue word 0, so a level passes exactly when all
     its words put out one common letter, the next digit of the row's
-    head.  After b levels the list holds the row's tails.  The pass then
-    checks the tails of every word with ``_tails_agree``, finds every
-    row's head with ``_heads`` and reads condition 3 off row 0's tails.
+    head.  After b levels the list holds ``words``, row 0's tails.  The
+    pass then runs the lemma's one-step check on each nu in order: the
+    moves of every red letter f through words[nu] must put out nu's
+    first letter and leave words[nu[1:] f], that is row nu % N2^(b-1)
+    of ``words`` cut into rows of N2.
 
-    Returns None at the first failure of any kind: two products of a
-    row with different heads; tails that differ between rows; a tail
-    map that does not send the head back to mu.  Otherwise the result
-    is a verified period.
+    Returns None if two products of row 0 have different heads, if
+    N1^a != N2^b, or at the first nu that fails the check.  Otherwise
+    the result, the inverse of ``words``, is a verified period.
     """
     fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
     moves: dict = {}
-    head, words = 0, [0]
+    words = [0]
     for _ in range(b):
         # letter stays -1 until the level's first word sets it
         letter, level = -1, []
@@ -184,57 +195,22 @@ def _pairing_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
                     return None
                 letter = f
             level += blues
-        head, words = head * n_red + letter, level
-    if words[head] != 0 or not _tails_agree(graph, a, b, moves):
-        # the tail map does not invert the head map at row 0, or the
-        # tails of mu*nu depend on mu
+        words = level
+    if len(words) != n_blue**a:
         return None
-    heads = _heads(graph, a, b, moves)
-    if heads is None or any(words[h] != mu for mu, h in enumerate(heads)):
-        # some row's heads differ, or the tail map does not invert the
-        # head map; where it does, no two rows share a head
-        return None
+    rows = list(zip(*[iter(words)] * n_red))
+    for nu, word in enumerate(words):
+        move = moves.get(word) or _word_moves(fwd, n_blue, n_red, a, word)
+        if move != (nu // len(rows), rows[nu % len(rows)]):
+            return None
+    # the check makes words a bijection, so every blue word gets a head
+    heads = [0] * len(words)
+    for nu, word in enumerate(words):
+        heads[word] = nu
     return heads
 
 
-def _tails_agree(graph: TwoGraph, a: int, b: int, moves: dict) -> bool:
-    """Condition 2, checked on every blue word one depth at a time.
-
-    A word's id at depth 1 is interned from the words its moves leave
-    behind, and at depth d + 1 from its children's ids at depth d, in a
-    dict that serves one depth; two words share an id exactly when their
-    subtrees have the same tails.  By fact 2 a period leaves exactly
-    N2^(b-d) ids at depth d, so the check fails at the first depth with
-    another count.  At depth 1 the count is kept while the moves are
-    computed and stored in ``moves``, so it fails at the first id past
-    N2^(b-1).  A word whose moves disagree fails it too: as a row, its
-    heads differ.
-    """
-    fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
-    classes = n_red ** (b - 1)
-    ids: dict = {}
-    level, kids = [], []
-    for word in range(n_blue**a):
-        move = moves.get(word)
-        if move is None:
-            move = moves[word] = _word_moves(fwd, n_blue, n_red, a, word)
-        f, blues = move
-        i = ids.setdefault(blues, len(ids))
-        if f is None or i == classes:
-            return False
-        level.append(i)
-        kids += blues
-    for _ in range(1, b):
-        if len(ids) != classes:
-            return False
-        classes //= n_red
-        ids = {}
-        below = zip(*[iter(map(level.__getitem__, kids))] * n_red)
-        level = [ids.setdefault(tails, len(ids)) for tails in below]
-    return len(ids) == classes
-
-
-def _heads(graph: TwoGraph, a: int, b: int, moves: dict) -> Optional[list]:
+def _heads(graph: TwoGraph, a: int, b: int) -> Optional[list]:
     """Every blue word's head at depth b, or None.
 
     One depth at a time from the bottom, in lists indexed by code: a
@@ -242,13 +218,12 @@ def _heads(graph: TwoGraph, a: int, b: int, moves: dict) -> Optional[list]:
     its children's common head at depth d, as an integer of d + 1
     digits.  By fact 1 every word is the word of a subtree at every
     depth, so the first word whose heads differ at any depth ends the
-    pass.  ``moves`` holds moves already computed; the rest are computed
-    here and not stored.
+    pass.
     """
     fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
     letters, kids = [], []
     for word in range(n_blue**a):
-        f, blues = moves.get(word) or _word_moves(fwd, n_blue, n_red, a, word)
+        f, blues = _word_moves(fwd, n_blue, n_red, a, word)
         if f is None:
             return None
         letters.append(f)
@@ -269,7 +244,7 @@ def _heads(graph: TwoGraph, a: int, b: int, moves: dict) -> Optional[list]:
 def _candidate_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
     """The red code of each blue code's head at (a, b), if every row has
     one head and no two rows share it (conditions 1 and 4), else None."""
-    heads = _heads(graph, a, b, {})
+    heads = _heads(graph, a, b)
     if heads is None or len(set(heads)) != len(heads):
         return None
     return heads
@@ -429,6 +404,8 @@ def decide_periodicity(
     searched.  ``kmax`` below 1 is rejected: an empty search would read
     as ``aperiodic``.  So is ``cap`` below 1, on every input, and a
     ``kmax`` or ``cap`` that is not an int (a bool is not one).
+    ``_counted``, if given, stands for N1 in the blue path count N1^a
+    that the cap bounds.
     """
     _check_bound("kmax", kmax)
     _check_bound("path cap", cap)
@@ -442,15 +419,16 @@ def decide_periodicity(
     checked = []
     for k in range(1, kmax + 1):
         a, b = k * a0, k * b0
-        try:
-            # caps the paths of _counted, if given; N1^a == N2^b caps the red too
-            (_counted or graph).check_path_cap(Degree(a, 0), cap)
-        except SizeLimitError as exc:
+        # caps the blue paths, counted with _counted blue edges if given;
+        # N1^a == N2^b caps the red too
+        count = (_counted or graph.n_blue) ** a
+        if count > cap:
             return PeriodicityVerdict(
                 kind=UNKNOWN,
                 checked=tuple(checked),
                 kmax=kmax,
-                detail=f"path cap hit at (a, b) = {(a, b)}: {exc}",
+                detail=f"path cap hit at (a, b) = {(a, b)}: "
+                f"{count} paths of degree {(a, 0)} exceed cap {cap}",
             )
         codes = _pairing_codes(graph, a, b)
         if codes is not None:

@@ -2,13 +2,13 @@
 
 Nothing here calls back into the decision paths it checks: the
 periodicity oracle compares raw path segments, and the reorder oracle
-performs admissible swaps in random order.  The subtree oracles factor
-every product they need through that reorder oracle, never through the
-move routine of the periodicity pass.  The finite-group transfer
-oracles list every element and add Fractions, and the kernel oracle
-counts the listed elements a power map sends to zero.  The word-algebra
-oracles find common extensions by trying every pair of paths at the
-join degree, and add Fractions.
+performs admissible swaps in random order.  The subtree oracles and
+the one-step check factor every product they need through that reorder
+oracle, never through the move routine of the periodicity pass.  The
+finite-group transfer oracles list every element and add Fractions,
+and the kernel oracle counts the listed elements a power map sends to
+zero.  The word-algebra oracles find common extensions by trying every
+pair of paths at the join degree, and add Fractions.
 """
 
 from __future__ import annotations
@@ -100,6 +100,23 @@ def moved_prefixes(graph, a: int, j: int, rng) -> dict:
         for mu in _words(graph.n_blue, a)
         for p in _words(graph.n_red, j)
     }
+
+
+def one_step_holds(graph, a: int, b: int, rng) -> bool:
+    """The one-step check of the periodicity lemma: with words[nu] the
+    blue tail of blue word 0 followed by the red word nu of length b,
+    moving any red letter f through words[nu] puts out nu's first letter
+    and leaves words[nu[1:] f].  False unless N1^a == N2^b, which the
+    lemma assumes."""
+    if graph.n_blue**a != graph.n_red**b:
+        return False
+    zero = (0,) * a
+    words = {nu: red_first(graph, zero, nu, rng)[1] for nu in _words(graph.n_red, b)}
+    return all(
+        red_first(graph, w, (f,), rng) == (nu[:1], words[nu[1:] + (f,)])
+        for nu, w in words.items()
+        for f in range(graph.n_red)
+    )
 
 
 def tails_classes(graph, a: int, d: int, rng) -> int:

@@ -147,6 +147,19 @@ def test_negative_max_degree_is_input_error(capsys, flip_spec):
             ("core", "verify", "--max-degree", "a,1"),
             "error: bad degree 'a,1', expected like '2,2'\n",
         ),
+        # int() reads each of these, but a letter id is ASCII digits, and a
+        # degree part ASCII digits after at most one "-"
+        *[
+            (("theta", "normal-form", "--word", word), f"error: bad letter {word!r}\n")
+            for word in ("b+1", "b-0", "b١", "b1_0", "r²")
+        ],
+        *[
+            (
+                ("core", "verify", f"--max-degree={degree}"),
+                f"error: bad degree {degree!r}, expected like '2,2'\n",
+            )
+            for degree in ("+1,2", "1,+2", "1_0,1", "١,1", "--1,2", "1,2,3")
+        ],
     ],
 )
 def test_malformed_number_names_the_field(capsys, flip_spec, argv, err):

@@ -1,6 +1,8 @@
 """The doubled graph and the crossed-product verdict."""
 
+import contextlib
 import itertools
+import json
 import random
 
 import pytest
@@ -22,7 +24,7 @@ from twograph import (
     random_two_graph,
     twin_graph,
 )
-from twograph import periodicity
+from twograph import doubling, periodicity
 from twograph.graphs import GraphError
 
 
@@ -251,6 +253,47 @@ def test_report_errors_come_in_the_direct_order(graph, kmax, cap):
     # a bad cap
     got = _check_against_the_direct_decision(graph, kmax, cap)
     assert isinstance(got, str)
+
+
+@contextlib.contextmanager
+def _refusing_double():
+    def refuse(graph):
+        raise AssertionError("the report built the doubled graph")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(doubling, "double", refuse)
+        yield
+
+
+@pytest.mark.parametrize(
+    "graph, kmax, cap, kind",
+    [
+        (flip_graph(3, 3), 2, DEFAULT_PATH_CAP, "aperiodic"),
+        (flip_graph(2, 2), 4, 10, "unknown"),
+        (flip_graph(2, 3), 4, DEFAULT_PATH_CAP, "no_candidate_pairs"),
+    ],
+)
+def test_a_report_without_a_witness_builds_no_double(graph, kmax, cap, kind):
+    # the cap counts doubled paths from the source's blue edge count, so only
+    # a periodic witness needs the doubled graph
+    expected = json.dumps(_direct_report(graph, kmax, cap))
+    with _refusing_double():
+        report = crossed_product_report(graph, kmax, cap)
+    assert report.verdict.kind == kind
+    assert json.dumps(report.to_json()) == expected
+
+
+def test_a_large_aperiodic_source_is_decided_without_its_double():
+    # the 1,600 x 1,600 double of this graph would hold 2,560,000 rows
+    with _refusing_double():
+        report = crossed_product_report(flip_graph(40, 40), kmax=1)
+    assert report.to_json() == {
+        "n1": 40,
+        "n2": 40,
+        "simple": True,
+        "purely_infinite": True,
+        "doubled_periodicity": {"kind": "aperiodic", "checked": [[1, 1]], "kmax": 1},
+    }
 
 
 # -- the crossed-product verdict -------------------------------------------------

@@ -41,6 +41,7 @@ from twograph.periodicity import _candidate_codes, _pairing_codes
 from _oracles import (
     easier_periodic_holds,
     moved_prefixes,
+    one_step_holds,
     randomized_reorder,
     tails_classes,
 )
@@ -634,7 +635,7 @@ def test_a_periodic_decision_leaves_no_path_lists_on_the_graph():
     }
 
 
-# -- the two facts of the module docstring, on reordered products ---------------
+# -- fact 1, the tails classes and the lemma, on reordered products --------------
 
 
 @contextlib.contextmanager
@@ -672,8 +673,9 @@ def test_moving_a_red_prefix_leaves_every_blue_word():
 
 
 def test_a_period_leaves_n2_to_the_b_minus_d_tails_classes_at_depth_d():
-    # fact 2: under a period the words at depth d fall into exactly
-    # N2^(b-d) classes of equal tails
+    # under a period gamma the tails of the subtree (w, d) reached from
+    # (mu, p) are gamma^-1(p s) over the suffixes s, so the words at
+    # depth d fall into exactly N2^(b-d) classes of equal tails
     rng = random.Random(6)
     cases = [(twin_graph(3), 2, 2)]
     with _refusing_moves():
@@ -690,9 +692,49 @@ def test_a_period_leaves_n2_to_the_b_minus_d_tails_classes_at_depth_d():
 
 
 def test_the_deep_graph_breaks_the_class_count_at_depth_one():
+    # so the deep graph, which has another count, has no period at (3, 3)
     with _refusing_moves():
         assert tails_classes(DEEP_GRAPH, 3, 1, random.Random(0)) != 2 ** (3 - 1)
     assert _pairing_codes(DEEP_GRAPH, 3, 3) is None
+
+
+# a move through blue e puts out sigma(e) = (0, 2, 1)[e] and leaves the red
+# letter moved in: every row has one head and every tail is nu, but the
+# heads are not inverted by row 0's tails.  Only the letter of a move fails
+# the one-step check, so a check of the words left behind alone accepts it.
+LETTER_ONLY_FAILS = TwoGraph(
+    3, 3, [[0, 0, 0, 0], [0, 1, 0, 1], [0, 2, 0, 2], [1, 0, 2, 0], [1, 1, 2, 1],
+           [1, 2, 2, 2], [2, 0, 1, 0], [2, 1, 1, 1], [2, 2, 1, 2]]
+)
+# at (1, 1) the 2 words of row 0 pass the one-step check, but 4 blue rows
+# cannot pair with 2 red heads: only the count N1^a == N2^b rejects it
+CHECK_HOLDS_ON_TWO_ROWS = TwoGraph(
+    4, 2, [[0, 0, 0, 0], [0, 1, 0, 2], [1, 0, 0, 1], [1, 1, 1, 3], [2, 0, 1, 0],
+           [2, 1, 1, 2], [3, 0, 1, 1], [3, 1, 0, 3]]
+)
+
+
+def _lemma_cases():
+    """(graph, a, b) cases for the lemma: all 24 2x2 tables at k <= 3, the
+    (2, 2) pass of twin_graph(3), and the two tables above at (1, 1)."""
+    cases = [(twin_graph(3), 2, 2), (LETTER_ONLY_FAILS, 1, 1), (CHECK_HOLDS_ON_TWO_ROWS, 1, 1)]
+    for images in itertools.permutations([(f, e) for f in range(2) for e in range(2)]):
+        graph = TwoGraph(2, 2, dict(zip([(e, f) for e in range(2) for f in range(2)], images)))
+        cases += [(graph, k, k) for k in (1, 2, 3)]
+    return cases
+
+
+def test_the_one_step_check_holds_exactly_when_a_period_exists():
+    # the lemma of the module docstring, with every move made by reordering
+    rng = random.Random(8)
+    with _refusing_moves():
+        verdicts = []
+        for graph, a, b in _lemma_cases():
+            expected = reference_pairing_codes(graph, a, b, False, rng)
+            verdicts.append(expected is not None)
+            assert one_step_holds(graph, a, b, rng) == (expected is not None)
+    # twin_graph(3) and 8 of the 2x2 passes are periodic
+    assert verdicts.count(True) == 1 + 8 and len(verdicts) == 3 + 72
 
 
 # -- candidate uniqueness -----------------------------------------------------------
@@ -842,16 +884,17 @@ def graphs_and_exponents(draw):
 @example((TWISTED_TWIN, 2, 1), True, random.Random(0))
 # 9 rows and 2 heads: 2 does not divide 9, so some row's heads differ
 @example((MORE_ROWS_THAN_HEADS, 2, 1), True, random.Random(0))
-# a word's tails id must chunk its children's ids at the depth below, not
-# their words: a periodic pass, and a pass whose later rows' tails differ
+# a periodic pass, and a pass whose later rows' tails differ
 @example((TWISTED_TWIN, 2, 2), False, random.Random(0))
 @example((DEEP_GRAPH, 3, 3), False, random.Random(0))
-# periodic full passes: at each depth d the words fall into exactly N2^(b-d)
-# tails classes, so a class count that is too strict, or counted in powers
-# of N1, rejects a period
+# periodic full passes at several depths and shapes
 @example((twin_graph(3), 3, 3), False, random.Random(0))
 @example((PERIODIC_AT_TWO, 4, 4), False, random.Random(0))
 @example((shift_register_graph_4x2(), 2, 4), False, random.Random(0))
+# the one-step check must compare each move's letter as well as the words
+# it leaves, and must not pass on the image of row 0's tails alone
+@example((LETTER_ONLY_FAILS, 1, 1), False, random.Random(0))
+@example((CHECK_HOLDS_ON_TWO_ROWS, 1, 1), False, random.Random(0))
 def test_level_walk_matches_the_product_reference(case, candidate, rng):
     graph, a, b = case
     expected = reference_pairing_codes(graph, a, b, candidate, rng)
