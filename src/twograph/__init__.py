@@ -59,7 +59,6 @@ _LAZY = {
             "LevelMismatchError",
             "ModuleVector",
             "SuiteCheck",
-            "check_covariance",
             "identity_suite",
             "shift",
             "transfer",

@@ -49,8 +49,7 @@ the transfer kernel ``_transfer`` and the other checks :func:`transfer`.
 - covariance keeps the elements shift(n, <(nu, lam), (alpha, beta)>) it
   multiplies back; they do not depend on the word's first path, so they
   are keyed by (nu, lam, alpha, beta), each computed once through
-  ``ModuleVector.inner`` and :func:`shift`.  :func:`check_covariance`
-  builds the same table for its one call.
+  ``ModuleVector.inner`` and :func:`shift`.
 
 Equality is decided modulo the summation relation
 s_mu s_nu^* == sum over d(lambda)=n of s_{mu lambda} s_{nu lambda}^*:
@@ -406,29 +405,20 @@ class ModuleVector:
         return f"ModuleVector(level={tuple(self.level)}, payload={self.payload!r})"
 
 
-def check_covariance(mu: Path, nu: Path) -> bool:
-    """Left multiplication by s_mu s_nu^* equals its rank-one expansion.
-
-    For every basis vector v at the common level n, compare the left
-    action of the word with the sum over lambda of the rank-one
-    operators built from the vectors with words (mu, lambda) and
-    (nu, lambda): each applies v to the inner product and multiplies
-    back.  True exactly when all basis vectors agree.
-    """
-    if not (mu.graph is nu.graph or mu.graph == nu.graph):
-        raise SpecMismatchError("paths live on different graphs")
-    if mu.degree != nu.degree:
-        raise LevelMismatchError("covariance check needs equal degrees")
-    return _covariant(mu.graph, mu.code, nu.code, {})
-
-
 def _word(graph: TwoGraph, mu: tuple, nu: tuple) -> GradedElement:
     """The word s_mu s_nu^* of two path codes."""
     return GradedElement._of(graph, {(mu, nu): 1}, 1)
 
 
 def _covariant(graph: TwoGraph, mu: tuple, nu: tuple, table: dict) -> bool:
-    """:func:`check_covariance` on path codes of equal degree.
+    """Left multiplication by s_mu s_nu^* equals its rank-one expansion.
+
+    ``mu`` and ``nu`` are path codes of one degree n.  For every basis
+    vector v at level n, compare the left action of the word with the
+    sum over lambda of the rank-one operators built from the vectors
+    with words (mu, lambda) and (nu, lambda): each applies v to the
+    inner product and multiplies back.  True exactly when all basis
+    vectors agree.
 
     The right side applies the basis vector v = (alpha, beta) to the
     vector (nu, lam) and multiplies back: the element
@@ -436,8 +426,7 @@ def _covariant(graph: TwoGraph, mu: tuple, nu: tuple, table: dict) -> bool:
     ``table`` under the key (nu, lam, alpha, beta), filled on first use
     through :meth:`ModuleVector.inner` and the module-level
     :func:`shift` (and so :func:`transfer`).  The caller owns the table:
-    :func:`check_covariance` passes a fresh one, and ``identity_suite``
-    one per call.  Both sides are numerator dicts over the lcm of the
+    ``identity_suite`` passes one per call.  Both sides are numerator dicts over the lcm of the
     looked-up elements' denominators, and their difference goes to
     ``_vanishes``.  With the true shift and transfer every inner product
     is 0 or 1, so that lcm is 1.

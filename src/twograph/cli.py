@@ -143,7 +143,7 @@ def _parse_degree(value: str) -> tuple:
     parts = value.replace("(", " ").replace(")", " ").replace(",", " ").split()
     # int() would also read "+1", "1_0" or "١"
     if len(parts) != 2 or not all(re.fullmatch("-?[0-9]+", part) for part in parts):
-        raise GraphError(f"bad degree {value!r}, expected like '2,2'")
+        raise GraphError(f"bad --max-degree {value!r}, expected like '2,2'")
     n1, n2 = map(int, parts)
     return (n1, n2)
 

@@ -14,37 +14,58 @@ pairing exists exactly when four conditions hold:
 
 A pairing that satisfies the refactorization condition is therefore
 the one read off the heads.  The candidate pairing is the head map
-under conditions 1 and 4 alone.
+under conditions 1 and 4 alone, and when N1^a = N2^b condition 4
+follows from condition 1 (the corollary below).
 
 Paths in that pass are the integer codes of ``graphs.py``: a blue path
 of degree (a,0) is its blue code and a red path of degree (0,b) its red
 code, so code i is ``enumerate_paths(...)[i]``, and a red word's first
 letter is its leading digit.  The red-first factorization of mu*nu
 moves each red letter of nu leftward through the current blue word
-with the shared move routine ``graphs._move``.  Once a prefix p of
-b - d letters has moved through mu, it has put out a red word q and
-left a blue word w, and the rest of the factorization depends only on
-w and the d letters still to come: call that the subtree (w, d),
-reached from (mu, p).  Its products share one head exactly when every
-move through w puts out one letter and the N2 subtrees (w', d - 1)
-below share their heads.
+with the shared move routine ``graphs._move``.  Moving the red letter f
+through the blue word w puts out a red letter g_f(w) and leaves a blue
+word c_f(w): these are the moves of w.  The letters of a red word move
+one at a time, so the head of w*(f s) is g_f(w) followed by the head of
+c_f(w)*s, and the head of w*rho extends the head of w*p for every
+prefix p of rho.
 
-Fact 1: at every depth d, (mu, p) -> (q, w) is a bijection from pairs
-of a blue word of length a and a red word of length b - d to pairs of a
-red word of length b - d and a blue word of length a.  Both pairs are
-factorizations of the one path mu*p of degree (a, b - d), blue-first
-and red-first, and each path has exactly one factorization of each
-order.  So every blue word is the word of some subtree at every depth.
-A word whose heads differ at some depth therefore makes some row's
-heads differ, which is why a candidate pass may check the heads of all
-words at every depth.
+Lemma (candidates): let N1^a = N2^b, and let Z[w] be the head of
+w*0^b, so that Z_1[w] = g_0(w), Z_(d+1)[w] = g_0(w) Z_d[c_0(w)] and
+Z = Z_b.  Every row has one head (condition 1) exactly when, for every
+blue word w and red letter f, g_f(w) = Z[w][0] and Z[c_f(w)] starts
+with Z[w][1:].  The heads are then Z.
 
-Lemma: let N1^a = N2^b, and let words[nu] be the blue word left behind
-when the red word nu of length b moves through blue word 0, so that
-words lists row 0's tails.  A period exists at (a, b) exactly when the
-one-step check holds for every nu: moving any red letter f through
-w = words[nu] puts out nu[0] and leaves words[nu[1:] f].  The pairing
-is then the inverse of words.
+(<=) By induction on d <= b, the head of w*rho is Z[w][:d] for every
+blue word w and red word rho of length d.  At d = 0 both are empty.
+For rho = f s of length d + 1 <= b, the head of w*rho is g_f(w)
+followed by the head of c_f(w)*s, that is Z[w][0] followed by
+Z[c_f(w)][:d] = Z[w][1:d+1], as d <= b - 1.  At d = b the head of
+every w*rho is Z[w].
+
+(=>) Take s = 0^(b-1).  The head of w*(f s) is g_f(w) followed by the
+head of c_f(w)*s, which is Z[c_f(w)][:b-1].  If row w has one head, it
+is the head Z[w] of w*0^b, so g_f(w) = Z[w][0] and Z[c_f(w)] starts
+with Z[w][1:].
+
+Corollary: under N1^a = N2^b, condition 1 implies condition 4.
+Red-first factorization is a bijection from the pairs (mu, nu) of a
+blue word of length a and a red word of length b onto the pairs
+(nu', mu') of a red word of length b and a blue word of length a: both
+are factorizations of the one path mu*nu of degree (a, b), and each
+path has exactly one factorization of each order.  So every red word
+is the head of some product.  Under condition 1 that product's head is
+its row's, so the head map sends the N1^a blue words onto the N2^b red
+words; as the two sets have one size, it is one-to-one.  Unequal counts
+leave no candidate: with N1^a > N2^b the heads cannot be distinct, and
+with N1^a < N2^b the N1^a row heads cannot cover the N2^b red words, so
+condition 1 fails.
+
+Lemma (periods): let N1^a = N2^b, and let words[nu] be the blue word
+left behind when the red word nu of length b moves through blue word
+0, so that words lists row 0's tails.  A period exists at (a, b)
+exactly when the one-step check holds for every nu: moving any red
+letter f through w = words[nu] puts out nu[0] and leaves
+words[nu[1:] f].  The pairing is then the inverse of words.
 
 (<=) By induction on j, moving f1...fj through words[nu] puts out
 nu[:j] and leaves words[nu[j:] f1...fj]: at j = 0 nothing moves, and
@@ -68,16 +89,20 @@ moving nu and then f, which leaves c; or by moving nu[0], which leaves
 some u, and then nu[1:] f through u, which leaves gamma^-1(nu[1:] f).
 Red-first factorizations are unique, so c = words[nu[1:] f].
 
-A full pass first walks row 0 one level at a time: level j lists the
-words of row 0's subtrees at depth b - j, so a row 0 whose heads
-differ fails at the first level whose letters differ, and after b
-levels the walk has words.  It then runs the check on each nu in
-order, reusing the moves the walk stored, and stops at the first
-mismatch; words is inverted only once the check has passed.  A
-candidate pass finds every word's head one depth at a time from the
-bottom and checks that they are distinct.  Either pass moves the N2 red
-letters through each blue word once, takes O(b * N1^a * N2) steps and
-holds O(N1^a * N2) integers, all freed when it returns.
+A candidate pass returns None on unequal counts, finds the moves of
+each blue word in code order and stops at the first word whose moves
+put out two letters, builds Z along red letter 0 in b - 1 steps, and
+makes the candidate lemma's check once per word and letter.  It takes
+O(N1^a * (a * N2 + b)) steps.  A full pass first walks row 0 one level
+at a time: level j lists, in the order of the red words p of length j,
+the blue words left when p moves through blue word 0, so a row 0 whose
+heads differ fails at the first level whose letters differ, and after
+b levels the walk has words.  It then runs the period lemma's check on
+each nu in order, reusing the moves the walk stored, and stops at the
+first mismatch; words is inverted only once the check has passed.  It
+takes O(a * N1^a * N2) steps.  Either pass moves the N2 red letters
+through each blue word at most once and holds O(N1^a * N2) integers,
+all freed when it returns.
 
 ``verify_period`` checks that a caller's pairing is a bijection on the
 path codes and compares it with the full pass's.  Path objects are
@@ -86,7 +111,6 @@ built only for the pairing a caller gets back.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional
 
 from .graphs import (
@@ -106,19 +130,6 @@ class DegenerateCountsError(GraphError):
     """Fewer than two edges of some color; the decision needs both >= 2."""
 
 
-def _factorize(n: int) -> dict:
-    factors: dict = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def minimal_exponents(n_blue: int, n_red: int) -> Optional[tuple]:
     """Least positive (a, b) with n_blue**a == n_red**b, if any.
 
@@ -129,19 +140,21 @@ def minimal_exponents(n_blue: int, n_red: int) -> Optional[tuple]:
         raise DegenerateCountsError(
             f"need at least two edges of each color, got {(n_blue, n_red)}"
         )
-    blue_f = _factorize(n_blue)
-    red_f = _factorize(n_red)
-    if set(blue_f) != set(red_f):
-        return None
-    # n_blue^a = n_red^b forces a*e_p = b*f_p for every prime p, so
-    # (a, b) is f_p : e_p in lowest terms, the same for every p
-    ratios = set()
-    for p, e in blue_f.items():
-        g = math.gcd(e, red_f[p])
-        ratios.add((red_f[p] // g, e // g))
-    if len(ratios) != 1:
-        return None
-    return ratios.pop()
+    # Euclid on the exponents: dividing the larger count by the smaller
+    # ends at their largest common root, or meets a remainder when the
+    # counts are not powers of one number
+    x, y = n_blue, n_red
+    while x != y:
+        x, y = max(x, y), min(x, y)
+        if x % y:
+            return None
+        x //= y
+    # x is the largest common root: n_blue = x^b and n_red = x^a, with a
+    # and b coprime
+    return tuple(
+        next(k for k in range(1, n.bit_length() + 1) if x**k == n)
+        for n in (n_red, n_blue)
+    )
 
 
 def _word_moves(fwd: tuple, n_blue: int, n_red: int, a: int, word: int) -> tuple:
@@ -210,42 +223,37 @@ def _pairing_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
     return heads
 
 
-def _heads(graph: TwoGraph, a: int, b: int) -> Optional[list]:
-    """Every blue word's head at depth b, or None.
+def _candidate_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
+    """The red code of each blue code's head at (a, b) if every row has
+    one head (condition 1), else None.
 
-    One depth at a time from the bottom, in lists indexed by code: a
-    word's head at depth d + 1 is its moves' common letter followed by
-    its children's common head at depth d, as an integer of d + 1
-    digits.  By fact 1 every word is the word of a subtree at every
-    depth, so the first word whose heads differ at any depth ends the
-    pass.
+    Runs the candidate lemma: ``letters[w]`` is the one letter all moves
+    of w put out and ``kids[w]`` the words they leave, in code order;
+    the heads Z are built along red letter 0 as integers of b digits;
+    and each child of w must have a head whose first b - 1 digits are
+    the last b - 1 of w's.  By the corollary the heads are then distinct,
+    and unequal counts return None first.
     """
     fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
+    if n_blue**a != n_red**b:
+        return None
     letters, kids = [], []
     for word in range(n_blue**a):
         f, blues = _word_moves(fwd, n_blue, n_red, a, word)
         if f is None:
             return None
         letters.append(f)
-        kids += blues
+        kids.append(blues)
     heads = letters
     for d in range(1, b):
         place = n_red**d
-        below = zip(*[iter(map(heads.__getitem__, kids))] * n_red)
-        heads = [
-            f * place + h[0] if h.count(h[0]) == n_red else None
-            for f, h in zip(letters, below)
-        ]
-        if None in heads:
-            return None
-    return heads
-
-
-def _candidate_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
-    """The red code of each blue code's head at (a, b), if every row has
-    one head and no two rows share it (conditions 1 and 4), else None."""
-    heads = _heads(graph, a, b)
-    if heads is None or len(set(heads)) != len(heads):
+        heads = [f * place + heads[blues[0]] for f, blues in zip(letters, kids)]
+    low = n_red ** (b - 1)
+    if any(
+        heads[kid] // n_red != head % low
+        for head, blues in zip(heads, kids)
+        for kid in blues
+    ):
         return None
     return heads
 
@@ -283,10 +291,11 @@ def candidate_pairing(
 
     For each blue path mu the red prefix of mu*beta is extracted; the
     candidate exists only if that prefix is independent of the choice of
-    the red path beta and the resulting map is a bijection.  The pass
-    finds every row's head one depth at a time and stops at the first
-    word whose heads differ; a pass that finds them all takes the full
-    O(b * N1^a * N2) steps.
+    the red path beta, and the resulting map is then a bijection (the
+    corollary of the module docstring).  The pass stops at the first
+    blue word whose moves put out two letters; otherwise it makes the
+    candidate lemma's check once per blue word and red letter, in
+    O(N1^a * (a * N2 + b)) steps.
     """
     _check_exponents(a, b)
     _check_counts(graph, a, b)

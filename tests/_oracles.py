@@ -2,9 +2,10 @@
 
 Nothing here calls back into the decision paths it checks: the
 periodicity oracle compares raw path segments, and the reorder oracle
-performs admissible swaps in random order.  The subtree oracles and
-the one-step check factor every product they need through that reorder
-oracle, never through the move routine of the periodicity pass.  The
+performs admissible swaps in random order.  The prefix and tails
+oracles and the checks of the two periodicity lemmas factor every
+product they need through that reorder oracle, never through the move
+routine of the periodicity pass.  The
 finite-group transfer oracles list every element and add Fractions,
 and the kernel oracle counts the listed elements a power map sends to
 zero.  The word-algebra oracles find common extensions by trying every
@@ -77,7 +78,7 @@ def randomized_reorder(graph, path, pattern, rng) -> list:
     return list(zip(colors, ids))
 
 
-# -- the subtrees of a periodicity pass, by reordering -------------------------
+# -- the moves of a periodicity pass, by reordering ----------------------------
 
 
 def red_first(graph, blues, reds, rng) -> tuple:
@@ -117,6 +118,25 @@ def one_step_holds(graph, a: int, b: int, rng) -> bool:
         for nu, w in words.items()
         for f in range(graph.n_red)
     )
+
+
+def candidate_heads(graph, a: int, b: int, rng):
+    """The heads Z of the candidate lemma, if its check holds, else None.
+
+    Z[w] is the red head of w followed by b red letters 0.  The check:
+    moving any red letter f through w puts out Z[w][0] and leaves a
+    word c whose Z[c] starts with Z[w][1:].  Returns ``{w: Z[w]}`` over
+    the blue words w of length a as letter tuples, or None when the
+    check fails or N1^a != N2^b, which the lemma assumes."""
+    if graph.n_blue**a != graph.n_red**b:
+        return None
+    heads = {w: red_first(graph, w, (0,) * b, rng)[0] for w in _words(graph.n_blue, a)}
+    for w, head in heads.items():
+        for f in range(graph.n_red):
+            g, c = red_first(graph, w, (f,), rng)
+            if g != head[:1] or heads[c][: b - 1] != head[1:]:
+                return None
+    return heads
 
 
 def tails_classes(graph, a: int, d: int, rng) -> int:

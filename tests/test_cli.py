@@ -145,7 +145,7 @@ def test_negative_max_degree_is_input_error(capsys, flip_spec):
         (("theta", "normal-form", "--word", "b"), "error: bad letter 'b'\n"),
         (
             ("core", "verify", "--max-degree", "a,1"),
-            "error: bad degree 'a,1', expected like '2,2'\n",
+            "error: bad --max-degree 'a,1', expected like '2,2'\n",
         ),
         # int() reads each of these, but a letter id is ASCII digits, and a
         # degree part ASCII digits after at most one "-"
@@ -156,7 +156,7 @@ def test_negative_max_degree_is_input_error(capsys, flip_spec):
         *[
             (
                 ("core", "verify", f"--max-degree={degree}"),
-                f"error: bad degree {degree!r}, expected like '2,2'\n",
+                f"error: bad --max-degree {degree!r}, expected like '2,2'\n",
             )
             for degree in ("+1,2", "1,+2", "1_0,1", "١,1", "--1,2", "1,2,3")
         ],

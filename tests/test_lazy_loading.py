@@ -36,7 +36,7 @@ EXPORTS = {
     doubling: ("CrossedProductReport", "DoubledTwoGraph", "crossed_product_report", "double"),
     algebra: (
         "GradedElement", "LevelMismatchError", "ModuleVector", "SuiteCheck",
-        "check_covariance", "identity_suite", "shift", "transfer",
+        "identity_suite", "shift", "transfer",
     ),
     groups: (
         "ConditionReport", "ConditionVerdict", "FiniteAbelian", "GroupError", "Padic",
@@ -104,7 +104,7 @@ def test_group_g123_loads_the_groups():
         ),
         (
             ["core", "verify", "--spec", _FLIP, "--max-degree", "a,1"],
-            "error: bad degree 'a,1', expected like '2,2'\n",
+            "error: bad --max-degree 'a,1', expected like '2,2'\n",
         ),
         (
             ["core", "verify", "--spec", _FLIP, "--max-degree=-1,2"],

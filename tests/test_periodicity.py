@@ -39,10 +39,12 @@ from twograph import graphs, periodicity
 from twograph.periodicity import _candidate_codes, _pairing_codes
 
 from _oracles import (
+    candidate_heads,
     easier_periodic_holds,
     moved_prefixes,
     one_step_holds,
     randomized_reorder,
+    red_first,
     tails_classes,
 )
 
@@ -75,6 +77,37 @@ def test_minimal_exponents_same_support_not_proportional():
 def test_minimal_exponents_rejects_degenerate():
     with pytest.raises(DegenerateCountsError):
         minimal_exponents(1, 2)
+
+
+def _least_exponents(n_blue, n_red):
+    """The least (a, b) with a, b <= 9 and n_blue**a == n_red**b, by trying
+    every power; for counts up to 300 every related pair has one."""
+    powers = {n_red**b: b for b in range(1, 10)}
+    return next(
+        ((a, powers[n_blue**a]) for a in range(1, 10) if n_blue**a in powers), None
+    )
+
+
+def test_minimal_exponents_match_the_least_powers_up_to_300():
+    related = 0
+    for n_blue in range(2, 301):
+        for n_red in range(2, 301):
+            expected = _least_exponents(n_blue, n_red)
+            assert minimal_exponents(n_blue, n_red) == expected, (n_blue, n_red)
+            related += expected is not None
+    # 299 equal pairs and 104 others, such as (8, 32) and (216, 36)
+    assert related == 403
+
+
+def test_minimal_exponents_on_huge_counts():
+    # a prime near 2^61 and its cube: no factoring by trial division
+    p = 2**61 - 1
+    assert minimal_exponents(p, p**3) == (3, 1)
+    assert minimal_exponents(p**3, p) == (1, 3)
+    assert minimal_exponents(10**12 + 39, 2) is None
+    assert minimal_exponents(2**40, 2**64) == (8, 5)
+    assert minimal_exponents(3**20 * 5**20, 15**7) == (7, 20)
+    assert minimal_exponents(6**9, 36**4) == (8, 9)
 
 
 def test_minimal_exponents_all_solutions_are_multiples():
@@ -635,13 +668,13 @@ def test_a_periodic_decision_leaves_no_path_lists_on_the_graph():
     }
 
 
-# -- fact 1, the tails classes and the lemma, on reordered products --------------
+# -- prefix moves, tails classes and the two lemmas, on reordered products -----
 
 
 @contextlib.contextmanager
 def _refusing_moves():
-    """The move routine of the pass raises inside, so the subtree oracles
-    are seen to factor their products without it."""
+    """The move routine of the pass raises inside, so the reordering
+    oracles are seen to factor their products without it."""
 
     def refuse(*args):
         raise AssertionError("the oracle reached _move")
@@ -657,8 +690,9 @@ def _all_words(n, length):
 
 
 def test_moving_a_red_prefix_leaves_every_blue_word():
-    # fact 1: moving j red letters through mu is a bijection
-    # (mu, p) -> (q, w), so every blue word w is left at every depth
+    # moving j red letters through mu is a bijection (mu, p) -> (q, w):
+    # both pairs factor the one path mu*p, blue-first and red-first, so
+    # every blue word w is left behind at every depth
     rng = random.Random(5)
     shapes = [((2, 2), 3), ((3, 3), 2), ((4, 2), 2), ((2, 4), 2), ((3, 2), 2)]
     with _refusing_moves():
@@ -673,9 +707,10 @@ def test_moving_a_red_prefix_leaves_every_blue_word():
 
 
 def test_a_period_leaves_n2_to_the_b_minus_d_tails_classes_at_depth_d():
-    # under a period gamma the tails of the subtree (w, d) reached from
-    # (mu, p) are gamma^-1(p s) over the suffixes s, so the words at
-    # depth d fall into exactly N2^(b-d) classes of equal tails
+    # under a period gamma, once the red word p of length b - d has moved
+    # through mu and left w, the tails of w*s are gamma^-1(p s) over the
+    # suffixes s, so the words at depth d fall into exactly N2^(b-d)
+    # classes of equal tails
     rng = random.Random(6)
     cases = [(twin_graph(3), 2, 2)]
     with _refusing_moves():
@@ -735,6 +770,80 @@ def test_the_one_step_check_holds_exactly_when_a_period_exists():
             assert one_step_holds(graph, a, b, rng) == (expected is not None)
     # twin_graph(3) and 8 of the 2x2 passes are periodic
     assert verdicts.count(True) == 1 + 8 and len(verdicts) == 3 + 72
+
+
+def _candidate_cases():
+    """(graph, a, b) cases for the candidate lemma: all 24 2x2 tables at
+    k <= 3, the (2, 2) pass of twin_graph(3), the deep graph at k <= 3 and
+    CHILD_HEADS_DIFFER at (1, 2)."""
+    cases = [(twin_graph(3), 2, 2), (CHILD_HEADS_DIFFER, 1, 2)]
+    cases += [(DEEP_GRAPH, k, k) for k in (1, 2, 3)]
+    cases += [(graph, k, k) for graph in all_2x2_graphs() for k in (1, 2, 3)]
+    return cases
+
+
+def test_the_candidate_check_holds_exactly_when_every_row_has_one_head():
+    # the candidate lemma of the module docstring, with every move made
+    # by reordering; its heads Z are then the candidate's
+    rng = random.Random(9)
+    with _refusing_moves():
+        found = 0
+        for graph, a, b in _candidate_cases():
+            expected = reference_pairing_codes(graph, a, b, True, rng)
+            heads = candidate_heads(graph, a, b, rng)
+            assert (heads is None) == (expected is None), (graph, a, b)
+            if heads is not None:
+                found += 1
+                codes = [graph.red_path(*heads[w]).code[3] for w in sorted(heads)]
+                assert codes == expected
+    # 28 of the 77 passes have a candidate, among them twin_graph(3)'s and
+    # the deep graph's; CHILD_HEADS_DIFFER's has none
+    assert found == 28
+
+
+def test_rows_with_one_head_have_distinct_heads():
+    # the corollary: with N1^a == N2^b, condition 1 implies condition 4
+    rng = random.Random(10)
+    with _refusing_moves():
+        one_head = 0
+        for graph, a, b in _candidate_cases():
+            rows = [
+                {red_first(graph, mu, nu, rng)[0] for nu in _all_words(graph.n_red, b)}
+                for mu in _all_words(graph.n_blue, a)
+            ]
+            if all(len(row) == 1 for row in rows):
+                one_head += 1
+                assert len({row.pop() for row in rows}) == len(rows)
+    assert one_head == 28
+
+
+@contextlib.contextmanager
+def _counting_word_moves():
+    """Lists the calls of the pass's ``_word_moves`` inside the block."""
+    calls = []
+    word_moves = periodicity._word_moves
+
+    def counted(*args):
+        calls.append(args)
+        return word_moves(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(periodicity, "_word_moves", counted)
+        yield calls
+
+
+def test_a_candidate_pass_stops_at_the_first_word_with_two_letters():
+    # blue word 0 of the flip graph puts out every red letter moved in
+    with _counting_word_moves() as calls:
+        assert candidate_pairing(flip_graph(2, 2), 19, 19) is None
+    assert len(calls) == 1
+
+
+def test_a_full_pass_stops_at_row_zeros_first_level():
+    with _counting_word_moves() as calls:
+        verdict = decide_periodicity(flip_graph(2, 2), kmax=19)
+    assert verdict.kind == APERIODIC
+    assert len(calls) == 19
 
 
 # -- candidate uniqueness -----------------------------------------------------------
@@ -815,6 +924,13 @@ CHILD_HEADS_DIFFER = TwoGraph(
     4, 2, [[0, 0, 0, 2], [0, 1, 0, 1], [1, 0, 1, 1], [1, 1, 1, 3], [2, 0, 1, 0],
            [2, 1, 1, 2], [3, 0, 0, 3], [3, 1, 0, 0]]
 )
+# at (1, 2) all moves of each blue word put out one letter, but the head
+# of a child of blue word 2 does not continue that word's head: a check of
+# the letters alone accepts it
+LETTERS_AGREE_HEADS_DIFFER = TwoGraph(
+    4, 2, [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 0, 2], [1, 1, 0, 3], [2, 0, 1, 0],
+           [2, 1, 1, 2], [3, 0, 1, 3], [3, 1, 1, 1]]
+)
 # a 3x3 graph periodic at (2, 2), hence at (4, 4), but not at (1, 1) or (3, 3)
 PERIODIC_AT_TWO = TwoGraph(
     3, 3, [[0, 0, 2, 2], [0, 1, 1, 0], [0, 2, 1, 1], [1, 0, 1, 2], [1, 1, 2, 0], [1, 2, 2, 1],
@@ -880,10 +996,12 @@ def graphs_and_exponents(draw):
 # a candidate pass must read every child's head, not the first one's
 @example((CHILD_HEADS_DIFFER, 1, 2), True, random.Random(0))
 # every row has one head, 2 rows to each of the 2 heads (b == 1): only the
-# distinct-heads check rejects it
+# count N1^a == N2^b rejects it
 @example((TWISTED_TWIN, 2, 1), True, random.Random(0))
 # 9 rows and 2 heads: 2 does not divide 9, so some row's heads differ
 @example((MORE_ROWS_THAN_HEADS, 2, 1), True, random.Random(0))
+# a candidate pass must check the children's heads as well as the letters
+@example((LETTERS_AGREE_HEADS_DIFFER, 1, 2), True, random.Random(0))
 # a periodic pass, and a pass whose later rows' tails differ
 @example((TWISTED_TWIN, 2, 2), False, random.Random(0))
 @example((DEEP_GRAPH, 3, 3), False, random.Random(0))
