@@ -31,18 +31,22 @@ through :func:`shift`, names the tests patch; the transfer identity runs
 the transfer kernel ``_transfer`` and the other checks :func:`transfer`.
 
 - The transfer identity transfer(n, shift(n, a) b) == a transfer(n, b)
-  computes shift(n, a) and the kernel transfer of b once per word, and
-  the kernel transfer T(w) of each word w once per n.  A case whose two
+  computes shift(n, a) once per word, and the kernel transfer T(w) of
+  each word w once per n, the group's own words first.  A case whose two
   sides are both empty is counted and nothing else is done: its
   difference is the empty dict, which vanishes, so skipping it is exact.
-  The left side is empty when no term of shift(n, a) has a minimal
-  common extension with the first path of b, and the right side when
-  the second path of a has none with any first path of transfer(n, b);
-  both are read from the graph's ``_extensions`` table.  Every other
-  case still makes its two ``_product`` calls, takes the left side as
-  the sum of c T(w) over the terms c w of shift(n, a) b (exact because
-  the transfer is linear) and passes the difference of the two sides
-  to ``_vanishes``, so it builds no element.
+  The left side is empty exactly when no second path of shift(n, a) has
+  a minimal common extension with the first path of b, and the right
+  side exactly when the second path of a has none with any first path
+  of T(b); both are read from the graph's ``_extensions`` table.  So
+  whether a case is skipped depends on a only through the pair (the set
+  of second paths of shift(n, a), the second path of a), read from the
+  actual shift: one memo per n maps each such pair to the ascending
+  indices of the b with a non-empty side.  Every other case still makes
+  its two ``_product`` calls, takes the left side as the sum of c T(w)
+  over the terms c w of shift(n, a) b (exact because the transfer is
+  linear) and passes the difference of the two sides to ``_vanishes``,
+  so it builds no element.
 - transfer-action computes transfer(n, w) once per degree n and word w.
 - module-orthonormal calls ``_product`` on the numerator dicts of the
   two basis words and transfers each distinct product once per level.
@@ -571,69 +575,54 @@ def identity_suite(
     def transfer_identity(name, groups):
         # transfer(n, shift(n, a) * b) == a * transfer(n, b) for all word
         # pairs (a, b) of each group, in order, on numerator dicts.  The
-        # tables below live for one degree n of one call.  shift(n, a) and
-        # transfer(n, b) are computed once per word; the left side is over
-        # sa.den * len(lams) and the right side over len(lams), so the
+        # tables below live for one degree n of one call.  The left side is
+        # over sa.den * len(lams) and the right side over len(lams), so the
         # right side is scaled by sa.den.
         cases = 0
         for n, group in groups:
             lams = graph._paths(tuple(n))
-            elems = [{word: 1} for word in group]
-            shifted = [shift(n, _word(graph, *word)) for word in group]
-            transferred = [_transfer(graph, lams, b) for b in elems]
+            # T(w) = _transfer of the one word w at this n, seeded with the
+            # group's words (the right sides).  A left side is the sum of
+            # c * T(w) over the terms c*w of _product(shift(n, a), b), exact
+            # because _transfer is linear.
+            word_transfers = {w: _transfer(graph, lams, {w: 1}) for w in group}
+            heads = [{x for x, _ in word_transfers[w]} for w in group]
             # A case whose two sides are both empty has diff {}, which
-            # vanishes, so it is counted and nothing else is done.  The
-            # left side _product(shift(n, a), b) is empty exactly when no
-            # term (mu, nu) of shift(n, a) has a common extension with the
-            # first path alpha of b, and the right side _product(a, tb)
-            # exactly when a's second path has none with any head (first
-            # path) of tb = transfer(n, b).  So b enters the test only
-            # through alpha and the head set of tb: the indices of the b
-            # with each are listed once per n, and each a tests every
-            # alpha and head set once.
-            by_alpha: dict = {}
-            by_heads: dict = {}
-            for j, ((alpha, _), tb) in enumerate(zip(group, transferred)):
-                by_alpha.setdefault(alpha, []).append(j)
-                by_heads.setdefault(frozenset(x for x, _ in tb), []).append(j)
-            right_live: dict = {}  # a's second path -> b with a non-empty right side
-            # T(w) = _transfer of the one word w at this n.  A case that is
-            # not skipped takes its left side as the sum of c * T(w) over
-            # the terms c*w of _product(shift(n, a), b), exact because
-            # _transfer is linear, subtracts its right side and passes the
-            # difference to _vanishes.
-            word_transfers: dict = {}
-            for (_, a_nu), a, sa in zip(group, elems, shifted):
-                nus = {nu for _, nu in sa.nums}
-                live = {
-                    j
-                    for alpha, js in by_alpha.items()
-                    if any(_extensions(graph, nu, alpha) for nu in nus)
-                    for j in js
-                }
-                right = right_live.get(a_nu)
-                if right is None:
-                    right = right_live[a_nu] = [
+            # vanishes, so it is counted and nothing else is done.  The left
+            # side is empty exactly when no second path of shift(n, a) has a
+            # common extension with b's first path, and the right side
+            # exactly when a's second path has none with any first path of
+            # T(b).  So both depend on a only through the key of ``lives``,
+            # read from the actual shift (so this holds for any shift the
+            # tests patch in); its value lists the indices j, ascending, of
+            # the b = group[j] with a non-empty side.
+            lives: dict = {}
+            for a in group:
+                word = _word(graph, *a)
+                sa = shift(n, word)
+                key = (frozenset(nu for _, nu in sa.nums), a[1])
+                live = lives.get(key)
+                if live is None:
+                    live = lives[key] = [
                         j
-                        for heads, js in by_heads.items()
-                        if any(_extensions(graph, a_nu, x) for x in heads)
-                        for j in js
+                        for j, ((alpha, _), hs) in enumerate(zip(group, heads))
+                        if any(_extensions(graph, nu, alpha) for nu in key[0])
+                        or any(_extensions(graph, a[1], x) for x in hs)
                     ]
-                live.update(right)
-                for j in sorted(live):
-                    b = elems[j]
+                for j in live:
+                    b = group[j]
                     diff: dict = {}
-                    for key, c in _product(graph, sa.nums, b).items():
-                        tw = word_transfers.get(key)
+                    for w, c in _product(graph, sa.nums, {b: 1}).items():
+                        tw = word_transfers.get(w)
                         if tw is None:
-                            tw = word_transfers[key] = _transfer(graph, lams, {key: 1})
+                            tw = word_transfers[w] = _transfer(graph, lams, {w: 1})
                         for k, t in tw.items():
                             diff[k] = diff.get(k, 0) + c * t
-                    for key, c in _product(graph, a, transferred[j]).items():
-                        diff[key] = diff.get(key, 0) - c * sa.den
+                    for k, c in _product(graph, word.nums, word_transfers[b]).items():
+                        diff[k] = diff.get(k, 0) - c * sa.den
                     if not _vanishes(graph, diff):
-                        a, b = (GradedElement._of(graph, x, 1) for x in (a, b))
-                        detail = f"counterexample: n={tuple(n)}, a={a!r}, b={b!r}"
+                        b = _word(graph, *b)
+                        detail = f"counterexample: n={tuple(n)}, a={word!r}, b={b!r}"
                         checks.append(SuiteCheck(name, cases + j + 1, False, detail))
                         return
                 cases += len(group)

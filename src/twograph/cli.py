@@ -144,7 +144,10 @@ def _parse_degree(value: str) -> tuple:
     # int() would also read "+1", "1_0" or "١"
     if len(parts) != 2 or not all(re.fullmatch("-?[0-9]+", part) for part in parts):
         raise GraphError(f"bad --max-degree {value!r}, expected like '2,2'")
-    n1, n2 = map(int, parts)
+    try:
+        n1, n2 = map(int, parts)
+    except ValueError as exc:  # past the interpreter's int-to-str digit limit
+        raise GraphError(f"--max-degree has a part too long to read: {exc}") from None
     return (n1, n2)
 
 
@@ -232,7 +235,7 @@ def _theta_normal_form(args) -> int:
         "degree": list(path.degree),
         "normal_form": path.pretty(),
     }
-    if args.pattern:
+    if args.pattern is not None:
         letters = path.reorder(args.pattern)
         out["reordered"] = " ".join(
             ("b" if c == 0 else "r") + str(x) for c, x in letters

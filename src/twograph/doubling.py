@@ -32,7 +32,6 @@ from .periodicity import (
     PERIODIC,
     PeriodicityVerdict,
     decide_periodicity,
-    minimal_exponents,
 )
 
 
@@ -124,8 +123,6 @@ def crossed_product_report(
     crossed product; a periodic doubled graph gives a non-simple one.
     The doubled graph is built only for a periodic witness.
     """
-    # checked on the source, so a degenerate-count error names its counts
-    minimal_exponents(graph.n_blue, graph.n_red)
     verdict = decide_periodicity(graph, kmax=kmax, cap=cap, _counted=graph.n_blue**2)
     if verdict.kind in (APERIODIC, NO_CANDIDATE_PAIRS):
         simple, pi = True, True

@@ -332,7 +332,13 @@ def _parse_word(word, sizes: tuple) -> list:
             color, digits = _COLOR_OF_CHAR.get(token[0]), token[1:]
             if color is None or not (digits.isascii() and digits.isdigit()):
                 raise PatternMismatchError(f"bad letter {token!r}")
-            letters.append((color, int(digits)))
+            try:
+                letters.append((color, int(digits)))
+            except ValueError as exc:  # past the interpreter's int-to-str digit limit
+                name = "red" if color else "blue"
+                raise PatternMismatchError(
+                    f"{name} letter {len(letters)} has an id too long to read: {exc}"
+                ) from None
     else:
         word = list(word)
         colors = _parse_pattern(c for c, _ in word)  # rejects a color that is not 0 or 1

@@ -42,6 +42,18 @@ def run(capsys, *argv):
     return code, out.out
 
 
+def _int_error(text: str) -> str:
+    """The interpreter's own message on converting ``text`` to an int."""
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text[:20]}... converts")
+
+
+_TOO_LONG = "9" * 5000
+
+
 def test_validate_good_spec(capsys, twin_spec):
     code, out = run(capsys, "theta", "validate", "--spec", twin_spec)
     assert code == 0
@@ -94,6 +106,14 @@ def test_normal_form_with_pattern(capsys, twin_spec):
     )
     data = json.loads(out)
     assert data["reordered"] == "r0 b1"
+
+
+def test_empty_pattern_reorders_only_the_empty_word(capsys, twin_spec):
+    argv = ["theta", "normal-form", "--spec", twin_spec, "--pattern", ""]
+    code, out = run(capsys, *argv, "--word", "")
+    assert (code, json.loads(out)["reordered"]) == (0, "")
+    assert main([*argv, "--word", "b0"]) == 1
+    assert capsys.readouterr().err == "error: pattern does not match degree (1, 0)\n"
 
 
 def test_periodicity_twin_exit_zero(capsys, twin_spec):
@@ -160,6 +180,15 @@ def test_negative_max_degree_is_input_error(capsys, flip_spec):
             )
             for degree in ("+1,2", "1,+2", "1_0,1", "١,1", "--1,2", "1,2,3")
         ],
+        # digits past the interpreter's int-to-str limit
+        (
+            ("theta", "normal-form", "--word", "r0 b" + _TOO_LONG),
+            f"error: blue letter 1 has an id too long to read: {_int_error(_TOO_LONG)}\n",
+        ),
+        (
+            ("core", "verify", f"--max-degree=1,{_TOO_LONG}"),
+            f"error: --max-degree has a part too long to read: {_int_error(_TOO_LONG)}\n",
+        ),
     ],
 )
 def test_malformed_number_names_the_field(capsys, flip_spec, argv, err):
@@ -652,18 +681,6 @@ def test_path_cap_below_one_is_rejected_without_exponent_pair(capsys, mixed_spec
 _FINITE_2 = '{"kind": "finite", "factors": [2]}'
 
 
-def _int_error(text: str) -> str:
-    """The interpreter's own message on converting ``text`` to an int."""
-    try:
-        int(text)
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError(f"{text[:20]}... converts")
-
-
-_TOO_LONG = "9" * 5000
-
-
 @pytest.mark.parametrize(
     "argv, err",
     [
@@ -735,6 +752,8 @@ _TOO_LONG = "9" * 5000
         (("group", "classify", "--group",
           '{"kind": "solenoid", "finite": {"3": 1, "03": 2}}'),
          "finite names the prime 3 twice: '3' and '03'"),
+        (("group", "transfer", "--group", _FINITE_2, "--a", "0", "--table", "[1, 2]"),
+         "exponent a must be at least 1, got 0"),
     ],
 )
 def test_malformed_spec_names_the_field(capsys, argv, err):

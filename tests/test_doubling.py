@@ -175,8 +175,11 @@ def test_the_double_factorizes_on_random_graphs(graph):
 
 
 def _direct_report(graph, kmax, cap):
-    minimal_exponents(graph.n_blue, graph.n_red)
-    verdict = decide_periodicity(double(graph), kmax=kmax, cap=cap)
+    try:
+        verdict = decide_periodicity(double(graph), kmax=kmax, cap=cap)
+    except DegenerateCountsError:
+        minimal_exponents(graph.n_blue, graph.n_red)  # named by the source's counts
+        raise
     simple, pi = {
         "aperiodic": (True, True),
         "no_candidate_pairs": (True, True),
@@ -249,8 +252,8 @@ def test_report_matches_the_direct_decision_on_random_graphs(graph):
 )
 @pytest.mark.parametrize("kmax, cap", [(0, 0), (0, 5), (2, 0), (2, -1)])
 def test_report_errors_come_in_the_direct_order(graph, kmax, cap):
-    # a degenerate count is named before a bad kmax, and a bad kmax before
-    # a bad cap
+    # a bad kmax is named before a bad cap, and both before a degenerate
+    # count, as the direct decision checks them
     got = _check_against_the_direct_decision(graph, kmax, cap)
     assert isinstance(got, str)
 

@@ -170,15 +170,32 @@ def _g3_by_listing(factors, exponents, kernels):
 
 @pytest.mark.parametrize("factors", _finite_groups(32), ids=str)
 def test_g3_verdict_matches_a_scan_of_listed_kernels(factors):
-    # each range 1..R, and one unsorted list with repeats, so that the
-    # kernel sizes check_conditions keeps for one call cannot change the
-    # order of the scan or its first witness
+    # each range 1..R, as a list and as a range, stepped and reversed
+    # ranges, and one unsorted list with repeats, so that neither the
+    # kernel sizes check_conditions keeps for one call nor its bounded scan
+    # of a range can change the order of the scan or its first witness
     group = FiniteAbelian(factors)
     kernels = {}
     ranges = [list(range(1, r + 1)) for r in range(1, 21)] + [[3, 1, 3, 2]]
+    ranges += [range(1, r + 1) for r in range(1, 41)]
+    ranges += [range(1, 40, 3), range(2, 37, 4), range(5, 40, 6), range(3, 38, 8)]
+    ranges += [range(20, 0, -1), range(37, 1, -5), range(40, 2, -6)]
     for exponents in ranges:
         g3 = check_conditions(group, exponents).multiplicative_kernels
         assert g3 == _g3_by_listing(factors, exponents, kernels), exponents
+
+
+def test_g3_scan_of_a_range_is_bounded_by_the_group():
+    # a kernel size depends only on the exponent mod the largest invariant
+    # factor, so a range of 10^9 exponents is decided from its first few
+    exponents = range(1, 10**9 + 1)
+    g3 = check_conditions(FiniteAbelian([4]), exponents).multiplicative_kernels
+    assert (g3.status, g3.witness) == ("fails", (2, 4))
+    g3 = check_conditions(FiniteAbelian([1]), exponents).multiplicative_kernels
+    assert (g3.status, g3.detail) == (
+        "holds-on-tested-range",
+        "all pairs with a, b in 1..1000000000",
+    )
 
 
 @pytest.mark.parametrize("report", [check_conditions, classify])
