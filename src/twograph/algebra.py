@@ -775,16 +775,11 @@ def identity_suite(
     run("cuntz-family", ["blue", "red"], cuntz_family)
 
     # covariance of the left action at small levels
-    cov_levels = list(degrees_upto(bound.meet(Degree(1, 1))))
-    cov_cases = []
-    for n in cov_levels:
-        paths = graph._paths(n)
-        cov_cases.extend((mu, nu) for mu in paths for nu in paths)
+    small_words = _balanced_words(graph, bound.meet(Degree(1, 1)))
     cov_table: dict = {}
-    run("covariance", cov_cases, lambda case: _covariant(graph, *case, cov_table))
+    run("covariance", small_words, lambda case: _covariant(graph, *case, cov_table))
 
     # *-algebra axioms on random word triples
-    small_words = _balanced_words(graph, bound.meet(Degree(1, 1)))
     triples = [
         tuple(rng.choice(small_words) for _ in range(3)) for _ in range(25)
     ]

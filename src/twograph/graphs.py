@@ -143,10 +143,12 @@ class TwoGraph:
     )
 
     def __init__(self, n_blue: int, n_red: int, theta) -> None:
+        _check_count("n1", n_blue)
+        _check_count("n2", n_red)
         if n_blue < 1 or n_red < 1:
             raise GraphError("edge counts must be at least 1")
-        self.n_blue = int(n_blue)
-        self.n_red = int(n_red)
+        self.n_blue = n_blue
+        self.n_red = n_red
 
         if isinstance(theta, Mapping):
             rows = [(e, f, ff, ee) for (e, f), (ff, ee) in theta.items()]
@@ -267,15 +269,16 @@ class TwoGraph:
                 f"{count} paths of degree {tuple(degree)} exceed cap {cap}"
             )
 
-    def _paths(self, degree, cap: int = DEFAULT_PATH_CAP) -> tuple:
-        """The codes of all paths of ``degree`` (a pair), in order."""
+    def _paths(self, degree) -> tuple:
+        """The codes of all paths of ``degree`` (a pair), in order, at most
+        ``DEFAULT_PATH_CAP`` of them: a larger degree raises SizeLimitError."""
         cached = self._paths_cache.get(degree)
         if cached is not None:
             return cached
         m, n = degree
         if m < 0 or n < 0:
             raise BadRangeError(f"negative degree {_as_degree(degree)}")
-        self.check_path_cap(degree, cap)
+        self.check_path_cap(degree, DEFAULT_PATH_CAP)
         reds = range(self.n_red**n)
         codes = tuple(
             (m, n, blue, red) for blue in range(self.n_blue**m) for red in reds
@@ -283,13 +286,9 @@ class TwoGraph:
         self._paths_cache[degree] = codes
         return codes
 
-    def enumerate_paths(self, degree, cap: int = DEFAULT_PATH_CAP) -> list:
-        """All paths of the given degree in lexicographic word order."""
-        degree = _as_degree(degree)
-        codes = self._paths(degree, cap)
-        # _paths skips the cap on a memo hit, so check it here
-        self.check_path_cap(degree, cap)
-        return [Path._of(self, code) for code in codes]
+    def enumerate_paths(self, degree) -> list:
+        """All paths of the given degree in lexicographic word order (see :meth:`_paths`)."""
+        return [Path._of(self, code) for code in self._paths(_as_degree(degree))]
 
     # -- serialization -----------------------------------------------------
 
@@ -305,9 +304,9 @@ class TwoGraph:
             n1, n2, rows = obj["n1"], obj["n2"], obj["theta"]
         except KeyError as exc:
             raise GraphError(f"missing key {exc} in graph JSON") from exc
-        for name, value in (("n1", n1), ("n2", n2)):
-            if type(value) is not int:
-                raise GraphError(f"{name} must be an integer, got {value!r}")
+        # the counts before the table, in the constructor's order
+        _check_count("n1", n1)
+        _check_count("n2", n2)
         if not isinstance(rows, list):
             raise GraphError(f"theta must be a list of rows, got {type(rows).__name__}")
         for i, row in enumerate(rows):
@@ -355,6 +354,12 @@ def _check_id(color: int, x, n: int) -> None:
         raise IdOutOfRangeError(f"{name} id {x!r} is not an integer")
     if not 0 <= x < n:
         raise IdOutOfRangeError(f"{name} id {x} out of range")
+
+
+def _check_count(name: str, value) -> None:
+    """Reject an edge count that is not an int (a bool is not one)."""
+    if type(value) is not int:
+        raise GraphError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_bound(name: str, value) -> None:

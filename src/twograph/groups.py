@@ -64,6 +64,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _int(key: str, value) -> int:
+    if type(value) is not int:
+        raise GroupError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(key: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)) or any(type(v) is not int for v in value):
+        raise GroupError(f"{key} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class FiniteAbelian:
     """Finite abelian group as a product of invariant factors d1 | d2 | ..."""
@@ -71,7 +83,7 @@ class FiniteAbelian:
     factors: tuple
 
     def __init__(self, factors: Sequence[int]):
-        factors = tuple(int(d) for d in factors)
+        factors = _ints("factors", factors)
         for d in factors:
             if d < 1:
                 raise GroupError(f"invariant factor {d} < 1")
@@ -92,7 +104,7 @@ class Torus:
     rank: int
 
     def __post_init__(self):
-        if self.rank < 1:
+        if _int("rank", self.rank) < 1:
             raise GroupError("torus rank must be positive")
 
 
@@ -110,8 +122,18 @@ class Solenoid:
     infinite: tuple
 
     def __init__(self, finite=(), infinite=()):
-        finite = tuple(sorted((int(p), int(m)) for p, m in dict(finite).items()))
-        infinite = tuple(sorted(int(p) for p in infinite))
+        try:
+            counts = dict(finite)
+        except (TypeError, ValueError):
+            counts = None
+        if counts is None or any(
+            type(p) is not int or type(m) is not int for p, m in counts.items()
+        ):
+            raise GroupError(
+                f"finite must map primes to integer multiplicities, got {finite!r}"
+            )
+        finite = tuple(sorted(counts.items()))
+        infinite = tuple(sorted(_ints("infinite", infinite)))
         for p, m in finite:
             if not _is_prime(p):
                 raise GroupError(f"{p} is not prime")
@@ -133,7 +155,7 @@ class Padic:
     prime: int
 
     def __post_init__(self):
-        if not _is_prime(self.prime):
+        if not _is_prime(_int("p", self.prime)):
             raise GroupError(f"{self.prime} is not prime")
 
 
@@ -255,24 +277,22 @@ def _closed_form(group) -> tuple:
         raise GroupError(f"unsupported group {group!r}") from None
 
 
-def check_conditions(group: GroupSpec, test_range=range(1, 13)) -> ConditionReport:
+def check_conditions(group: GroupSpec, bound: int = 12) -> ConditionReport:
     """Evaluate the three system conditions.
 
     Tori, solenoids and p-adic groups get exact closed-form verdicts
     valid for every exponent.  Finite groups always have finite index
-    and kernels; multiplicativity is checked over all pairs from the
-    range, in lexicographic order, and reported with the first failing
-    pair as witness.  A ``range`` of positive exponents is scanned over
-    its first d_k exponents only, d_k the largest invariant factor: the
-    kernel size of n depends only on n mod d_k, and the range meets every
-    residue it has within its first d_k exponents, so the first failing
-    pair lies there.  Each kernel size, of an exponent or of a product,
-    is computed once per call, when the scan first needs it.  An empty
-    range is rejected: it would read as a multiplicativity result.
+    and kernels; multiplicativity is checked over all pairs a, b in
+    1..``bound``, in lexicographic order, and reported with the first
+    failing pair as witness.  Only 1..min(bound, d_k) is scanned, d_k the
+    largest invariant factor: the kernel size of n depends only on n mod
+    d_k, so the first failing pair lies there.  Each kernel size, of an
+    exponent or of a product, is computed once per call, when the scan
+    first needs it.  ``bound`` must be an int (not a bool) of at least 1:
+    an empty range would read as a multiplicativity result.
     """
-    exponents = test_range if isinstance(test_range, range) else list(test_range)
-    if not exponents:
-        raise GroupError(f"test range {test_range!r} has no exponents")
+    if _int("bound", bound) < 1:
+        raise GroupError(f"test range {range(1, bound + 1)!r} has no exponents")
     if isinstance(group, FiniteAbelian):
         g1 = ConditionVerdict(HOLDS, detail="finite group: every index is finite")
         g2 = ConditionVerdict(HOLDS, detail="finite group: every kernel is finite")
@@ -283,18 +303,14 @@ def check_conditions(group: GroupSpec, test_range=range(1, 13)) -> ConditionRepo
                 sizes[n] = ker_size(group, n)
             return sizes[n]
 
-        scan = exponents
-        # a range through 0 is scanned whole, so ker_size rejects its first
-        # non-positive exponent where a full scan would meet it
-        if isinstance(scan, range) and min(scan[0], scan[-1]) >= 1:
-            scan = scan[: max(group.factors, default=1)]
+        scan = range(1, min(bound, max(group.factors, default=1)) + 1)
         for a in scan:
             ker_a = size(a)
             for b in scan:
                 if size(a * b) != ker_a * size(b):
                     g3 = ConditionVerdict(FAILS, witness=(a, b))
                     return ConditionReport(g1, g2, g3)
-        span = f"all pairs with a, b in {exponents[0]}..{exponents[-1]}"
+        span = f"all pairs with a, b in 1..{bound}"
         return ConditionReport(g1, g2, ConditionVerdict(HOLDS_ON_RANGE, detail=span))
     details, _ = _closed_form(group)
     return ConditionReport(*(ConditionVerdict(HOLDS, detail=d) for d in details))
@@ -460,16 +476,17 @@ class SystemReport:
         }
 
 
-def classify(group: GroupSpec, test_range=range(1, 13)) -> SystemReport:
+def classify(group: GroupSpec, bound: int = 12) -> SystemReport:
     """Classification verdict for the crossed product over the group.
 
     Connected groups with finite kernels and sparse torsion give purely
     infinite simple crossed products.  Finite groups are all torsion,
     so the density criterion fails and no simplicity claim is made.
     The p-adic verdict records the known ideal structure as a
-    literature fact rather than a computation.
+    literature fact rather than a computation.  ``bound`` is passed to
+    :func:`check_conditions`.
     """
-    conditions = check_conditions(group, test_range)
+    conditions = check_conditions(group, bound)
     if isinstance(group, FiniteAbelian):
         return SystemReport(
             group=group,
@@ -513,18 +530,6 @@ def _field(obj: dict, key: str):
         raise GroupError(f"missing key {key!r} in group JSON") from None
 
 
-def _int(key: str, value) -> int:
-    if type(value) is not int:
-        raise GroupError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def _ints(key: str, value) -> list:
-    if not isinstance(value, list) or any(type(v) is not int for v in value):
-        raise GroupError(f"{key} must be a list of integers, got {value!r}")
-    return value
-
-
 _DECIMAL = re.compile(r"[0-9]+")
 
 
@@ -558,12 +563,11 @@ def group_from_json(obj: dict) -> GroupSpec:
         raise GroupError(f"group JSON must be an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "finite":
-        return FiniteAbelian(_ints("factors", _field(obj, "factors")))
+        return FiniteAbelian(_field(obj, "factors"))
     if kind == "torus":
-        return Torus(_int("rank", _field(obj, "rank")))
+        return Torus(_field(obj, "rank"))
     if kind == "solenoid":
-        finite = _prime_counts(obj.get("finite", {}))
-        return Solenoid(finite, _ints("infinite", obj.get("infinite", [])))
+        return Solenoid(_prime_counts(obj.get("finite", {})), obj.get("infinite", []))
     if kind == "padic":
-        return Padic(_int("p", _field(obj, "p")))
+        return Padic(_field(obj, "p"))
     raise GroupError(f"unknown group kind {kind!r}")

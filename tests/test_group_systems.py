@@ -150,48 +150,43 @@ def test_g3_verdict_matches_transfer_composition(factors):
         assert (g3.status, g3.witness) == ("fails", witness)
 
 
-def _g3_by_listing(factors, exponents, kernels):
-    """G3's verdict from a scan of every pair in lexicographic order, with
-    kernel sizes counted by listing the elements (``kernels`` memoizes
-    them across calls)."""
+def _g3_by_listing(factors, bound, kernels):
+    """G3's verdict from a scan of every pair a, b in 1..``bound`` in
+    lexicographic order, with kernel sizes counted by listing the elements
+    (``kernels`` memoizes them across calls)."""
 
     def size(n):
         if n not in kernels:
             kernels[n] = kernel_by_listing(factors, n)
         return kernels[n]
 
+    exponents = range(1, bound + 1)
     for a in exponents:
         for b in exponents:
             if size(a * b) != size(a) * size(b):
                 return groups.ConditionVerdict("fails", witness=(a, b))
-    span = f"all pairs with a, b in {exponents[0]}..{exponents[-1]}"
+    span = f"all pairs with a, b in 1..{bound}"
     return groups.ConditionVerdict("holds-on-tested-range", detail=span)
 
 
 @pytest.mark.parametrize("factors", _finite_groups(32), ids=str)
 def test_g3_verdict_matches_a_scan_of_listed_kernels(factors):
-    # each range 1..R, as a list and as a range, stepped and reversed
-    # ranges, and one unsorted list with repeats, so that neither the
-    # kernel sizes check_conditions keeps for one call nor its bounded scan
-    # of a range can change the order of the scan or its first witness
+    # every bound 1..40, below and above the largest invariant factor, so
+    # that neither the kernel sizes check_conditions keeps for one call nor
+    # its scan bounded by the group can change the first witness
     group = FiniteAbelian(factors)
     kernels = {}
-    ranges = [list(range(1, r + 1)) for r in range(1, 21)] + [[3, 1, 3, 2]]
-    ranges += [range(1, r + 1) for r in range(1, 41)]
-    ranges += [range(1, 40, 3), range(2, 37, 4), range(5, 40, 6), range(3, 38, 8)]
-    ranges += [range(20, 0, -1), range(37, 1, -5), range(40, 2, -6)]
-    for exponents in ranges:
-        g3 = check_conditions(group, exponents).multiplicative_kernels
-        assert g3 == _g3_by_listing(factors, exponents, kernels), exponents
+    for bound in range(1, 41):
+        g3 = check_conditions(group, bound).multiplicative_kernels
+        assert g3 == _g3_by_listing(factors, bound, kernels), bound
 
 
 def test_g3_scan_of_a_range_is_bounded_by_the_group():
     # a kernel size depends only on the exponent mod the largest invariant
-    # factor, so a range of 10^9 exponents is decided from its first few
-    exponents = range(1, 10**9 + 1)
-    g3 = check_conditions(FiniteAbelian([4]), exponents).multiplicative_kernels
+    # factor, so a bound of 10^9 exponents is decided from the first few
+    g3 = check_conditions(FiniteAbelian([4]), 10**9).multiplicative_kernels
     assert (g3.status, g3.witness) == ("fails", (2, 4))
-    g3 = check_conditions(FiniteAbelian([1]), exponents).multiplicative_kernels
+    g3 = check_conditions(FiniteAbelian([1]), 10**9).multiplicative_kernels
     assert (g3.status, g3.detail) == (
         "holds-on-tested-range",
         "all pairs with a, b in 1..1000000000",
@@ -202,7 +197,17 @@ def test_g3_scan_of_a_range_is_bounded_by_the_group():
 @pytest.mark.parametrize("group", [FiniteAbelian([4]), Torus(1)])
 def test_empty_test_range_raises(report, group):
     with pytest.raises(GroupError, match=r"test range range\(1, 1\) has no exponents"):
-        report(group, range(1, 1))
+        report(group, 0)
+
+
+@pytest.mark.parametrize("report", [check_conditions, classify])
+@pytest.mark.parametrize("group", [FiniteAbelian([4]), Torus(1)])
+@pytest.mark.parametrize("bound", [[2, 4, 0], [3, 0], True, 2.5, range(1, 5)])
+def test_bound_that_is_not_an_int_is_named(report, group, bound):
+    # the bound is one int, 1..bound; a list, a range, a bool or a float
+    # is refused alike, whatever exponents it holds
+    with pytest.raises(GroupError, match=f"^bound must be an integer, got {re.escape(repr(bound))}$"):
+        report(group, bound)
 
 
 # -- transfer averages ------------------------------------------------------------------
@@ -468,6 +473,38 @@ def test_group_json_round_trip():
     ]
     for spec in specs:
         assert group_from_json(group_to_json(spec)) == spec
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # a float or a string is not read as an int, nor a bool as 0 or 1
+        (lambda: FiniteAbelian([2.9]), "factors must be a list of integers, got [2.9]"),
+        (lambda: FiniteAbelian(["4"]), "factors must be a list of integers, got ['4']"),
+        (lambda: FiniteAbelian([True]), "factors must be a list of integers, got [True]"),
+        (lambda: FiniteAbelian(4), "factors must be a list of integers, got 4"),
+        (lambda: Torus(2.5), "rank must be an integer, got 2.5"),
+        (lambda: Torus(True), "rank must be an integer, got True"),
+        (lambda: Padic(2.0), "p must be an integer, got 2.0"),
+        (lambda: Padic(True), "p must be an integer, got True"),
+        (lambda: Solenoid(finite={3: 1.0}),
+         "finite must map primes to integer multiplicities, got {3: 1.0}"),
+        (lambda: Solenoid(finite={True: 1}),
+         "finite must map primes to integer multiplicities, got {True: 1}"),
+        (lambda: Solenoid(finite=5), "finite must map primes to integer multiplicities, got 5"),
+        (lambda: Solenoid(infinite=(2.0,)), "infinite must be a list of integers, got (2.0,)"),
+        (lambda: Solenoid(infinite=[False]), "infinite must be a list of integers, got [False]"),
+    ],
+)
+def test_group_fields_are_not_coerced(build, message):
+    with pytest.raises(GroupError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_group_fields_take_lists_or_tuples_of_ints():
+    assert FiniteAbelian((2, 4)) == FiniteAbelian([2, 4])
+    assert FiniteAbelian((2, 4)).factors == (2, 4)
+    assert Solenoid([(3, 1)], [5, 2]) == Solenoid({3: 1}, (2, 5))
 
 
 def test_group_validation():

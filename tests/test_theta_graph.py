@@ -1,6 +1,7 @@
 """Normal forms, refactorization and enumeration on small graphs."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 
 from twograph import (
     BLUE,
+    DEFAULT_PATH_CAP,
     RED,
     BadRangeError,
     Degree,
+    GraphError,
     IdOutOfRangeError,
     NotBijectiveError,
     Path,
@@ -73,6 +76,29 @@ def test_validate_rejects_missing_pair():
 def test_validate_rejects_out_of_range_ids():
     with pytest.raises(IdOutOfRangeError):
         TwoGraph(2, 2, {(0, 0): (0, 5), (0, 1): (0, 0), (1, 0): (1, 1), (1, 1): (1, 0)})
+
+
+_FLIP_ROWS = [[0, 0, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 1]]
+
+
+@pytest.mark.parametrize(
+    "n1, n2, message",
+    [
+        # int() would truncate 2.5 to 2, and a bool would count as one edge
+        (2.5, 2, "n1 must be an integer, got 2.5"),
+        (True, 2, "n1 must be an integer, got True"),
+        (2, 2.0, "n2 must be an integer, got 2.0"),
+        (2, "2", "n2 must be an integer, got '2'"),
+    ],
+)
+def test_validate_rejects_edge_counts_that_are_not_ints(n1, n2, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        TwoGraph(n1, n2, _FLIP_ROWS)
+
+
+def test_json_names_a_bad_edge_count_before_a_bad_table():
+    with pytest.raises(GraphError, match="^n1 must be an integer, got 'x'$"):
+        TwoGraph.from_json({"n1": "x", "n2": 1, "theta": 5})
 
 
 # -- the commutation rule ------------------------------------------------------
@@ -241,14 +267,14 @@ def test_enumerate_is_lexicographic():
 
 
 def test_enumerate_cap():
+    # 3^13 paths are just past DEFAULT_PATH_CAP, and 3^60 could never be
+    # listed: both raise before anything is enumerated or memoized
     g = flip_graph(3, 3)
-    with pytest.raises(SizeLimitError):
-        g.enumerate_paths((4, 4), cap=10)
-    # a memoized enumeration must not get past a smaller cap
-    g = flip_graph(2, 2)
-    g.enumerate_paths((2, 0))
-    with pytest.raises(SizeLimitError):
-        g.enumerate_paths((2, 0), cap=1)
+    assert 3**12 <= DEFAULT_PATH_CAP < 3**13
+    for degree in [(13, 0), (60, 0)]:
+        with pytest.raises(SizeLimitError, match=f"^{3**degree[0]} paths of degree"):
+            g.enumerate_paths(degree)
+    assert g._paths_cache == {}
 
 
 def test_cardinality_random():
