@@ -536,7 +536,7 @@ def identity_suite(
     exhaustive at their stated ranges.  Randomized checks
     (associativity, adjoint anti-multiplicativity) draw from ``seed``.
     """
-    bound = Degree(*max_degree)
+    bound = _as_degree(max_degree)
     if not bound.is_valid():
         raise BadRangeError(f"max_degree must be non-negative, got {tuple(bound)}")
     for level in degrees_upto(bound):

@@ -10,14 +10,18 @@ automatically purely infinite.
 The report decides the double on the source graph.  A doubled path of
 degree (a, b) is a pair of source paths and the doubled rule is the
 source rule on each coordinate, so moving a red pair (f, f') through a
-blue pair (w, w') moves f through w and f' through w', and the double's
-row-0 tails are the pairs (words[nu], words[nu']) of the source's.  The
-one-step check of ``periodicity.py`` thus holds on pairs exactly when
-it holds on each coordinate, that is on the source; (N1^2)^a = (N2^2)^b
-exactly when N1^a = N2^b; and the double's pairing is gamma x gamma:
-blue letters e_i*N1 + f_i to red g_i*N2 + h_i.  The double itself is
-built only to write a periodic witness: the cap counts doubled paths,
-(N1^2)^a of them, from the source's N1.
+blue pair (w, w') moves f through w and f' through w'.  A doubled row
+(w, w') thus has one head exactly when rows w and w' do, and its head
+is the pair (Z[w], Z[w']); the word the pair (f, f') leaves behind is
+(c_f(w), c_f'(w')), whose head is (Z[w][1:] f, Z[w'][1:] f') exactly
+when each coordinate's is.  So the period check of ``periodicity.py``
+holds on pairs exactly when it holds on each coordinate, that is on
+the source, and the source's pair certificate rules out a period of
+the double at every k; (N1^2)^a = (N2^2)^b exactly when N1^a = N2^b;
+and the double's pairing is gamma x gamma: blue letters e_i*N1 + f_i
+to red g_i*N2 + h_i.  The double itself is built only to write a
+periodic witness: the cap counts doubled paths, (N1^2)^a of them, from
+the source's N1.
 """
 
 from __future__ import annotations

@@ -115,10 +115,16 @@ class Degree(NamedTuple):
 
 
 def _as_degree(value) -> Degree:
+    """``value`` as a Degree: a pair of ints (a bool is not one)."""
     if isinstance(value, Degree):
         return value
-    n1, n2 = value
-    return Degree(int(n1), int(n2))
+    try:
+        n1, n2 = value
+    except (TypeError, ValueError):
+        n1 = n2 = None
+    if type(n1) is not int or type(n2) is not int:
+        raise BadRangeError(f"a degree must be a pair of integers, got {value!r}")
+    return Degree(n1, n2)
 
 
 class TwoGraph:

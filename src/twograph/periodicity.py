@@ -60,52 +60,65 @@ leave no candidate: with N1^a > N2^b the heads cannot be distinct, and
 with N1^a < N2^b the N1^a row heads cannot cover the N2^b red words, so
 condition 1 fails.
 
-Lemma (periods): let N1^a = N2^b, and let words[nu] be the blue word
-left behind when the red word nu of length b moves through blue word
-0, so that words lists row 0's tails.  A period exists at (a, b)
-exactly when the one-step check holds for every nu: moving any red
-letter f through w = words[nu] puts out nu[0] and leaves
-words[nu[1:] f].  The pairing is then the inverse of words.
+Lemma (periods): let N1^a = N2^b.  A period exists at (a, b) exactly
+when every row has one head Z and, for every blue word w and red
+letter f, the word c_f(w) that f leaves behind has the head Z[w][1:] f.
+The period is then Z.
 
-(<=) By induction on j, moving f1...fj through words[nu] puts out
-nu[:j] and leaves words[nu[j:] f1...fj]: at j = 0 nothing moves, and
-the check on words[nu[j:] f1...fj] and f(j+1) puts out nu[j] and leaves
+(<=) Z is a bijection by the corollary; let words be its inverse.  For
+nu = Z[w], moving f through w = words[nu] puts out Z[w][0] = nu[0], by
+the candidate lemma, and leaves c_f(w) = words[nu[1:] f].  By induction
+on j, moving f1...fj through words[nu] puts out nu[:j] and leaves
+words[nu[j:] f1...fj]: at j = 0 nothing moves, and the step on
+words[nu[j:] f1...fj] and f(j+1) puts out nu[j] and leaves
 words[nu[j+1:] f1...f(j+1)].  At j = b, every product words[nu]*rho
-has head nu and tail words[rho].  The check also makes words
-injective: if words[nu] = words[nu'], moving any f through that word
-puts out nu[0] = nu'[0] and leaves words[nu[1:] f] = words[nu'[1:] f],
-so the same step on those words gives nu[1] = nu'[1], and b steps give
-nu = nu'.  As words maps the N2^b red words into the N1^a = N2^b blue
-words, it is a bijection.  Its inverse gamma sends each blue word mu to
-the nu with words[nu] = mu, so mu*rho = gamma(mu) gamma^-1(rho) for
-every red word rho: gamma is a period.
+has head nu and tail words[rho], so mu*rho = Z(mu) Z^-1(rho) for every
+blue word mu and red word rho: Z is a period.
 
-(=>) Let gamma be a period.  Then 0*nu = gamma(0) gamma^-1(nu), so
-words = gamma^-1 and w = words[nu] has gamma(w) = nu.  Let f put out g
-and leave c when it moves through w.  For a red word s of length b - 1,
-the head of w*(f s) is gamma(w) = nu, and its first letter is g, so
-g = nu[0].  The path 0*nu*f of degree (a, b + 1) factors red-first by
-moving nu and then f, which leaves c; or by moving nu[0], which leaves
-some u, and then nu[1:] f through u, which leaves gamma^-1(nu[1:] f).
-Red-first factorizations are unique, so c = words[nu[1:] f].
+(=>) Let gamma be a period.  Every row mu has the one head gamma(mu),
+so Z = gamma.  Let w be a blue word, nu = gamma(w), and let f leave c
+when it moves through w.  As 0*nu = gamma(0) gamma^-1(nu), moving nu
+through blue word 0 leaves w.  The path 0*nu*f of degree (a, b + 1)
+factors red-first by moving nu and then f, which leaves c; or by
+moving nu[0], which leaves some u, and then nu[1:] f through u, which
+leaves gamma^-1(nu[1:] f).  Red-first factorizations are unique, so
+c = gamma^-1(nu[1:] f) and Z[c] = nu[1:] f = Z[w][1:] f.
 
-A candidate pass returns None on unequal counts, finds the moves of
-each blue word in code order and stops at the first word whose moves
-put out two letters, builds Z along red letter 0 in b - 1 steps, and
-makes the candidate lemma's check once per word and letter.  It takes
-O(N1^a * (a * N2 + b)) steps.  A full pass first walks row 0 one level
-at a time: level j lists, in the order of the red words p of length j,
-the blue words left when p moves through blue word 0, so a row 0 whose
-heads differ fails at the first level whose letters differ, and after
-b levels the walk has words.  It then runs the period lemma's check on
-each nu in order, reusing the moves the walk stored, and stops at the
-first mismatch; words is inverted only once the check has passed.  It
-takes O(a * N1^a * N2) steps.  Either pass moves the N2 red letters
-through each blue word at most once and holds O(N1^a * N2) integers,
-all freed when it returns.
+Certificate (every k): let Phi_e be the map f -> f' and Psi_f the map
+e -> e' of the rule (b_e)(r_f) = (r_f')(b_e').  A red letter f meets
+the letters of the blue word e1...ea last to first, so it comes out as
+Phi_e1(...(Phi_ea(f))).  The last blue letter ea is rewritten once by
+each letter of a red word f1...fb moved through it, f1 first, so the
+last letter of the tail is Psi_fb(...(Psi_f1(ea))).  On the head side,
+take the pairs (x, y) of distinct red letters, and remove every pair
+that no Phi_e takes to a remaining pair of distinct letters, until
+nothing changes.  If a pair (x, y) is left, then for every a there are
+letters ea, ..., e1, chosen in that order, that keep the images of x
+and y a remaining pair; so row e1...ea has two heads, and condition 1
+fails at every (a, b).  On the tail side, the same pruning on pairs of
+distinct blue letters under the Psi_f gives, for every b, a red word
+rho = f1...fb with Psi_fb(...(Psi_f1(x))) != Psi_fb(...(Psi_f1(y))).
+Blue words ending in x and in y then give products with rho whose
+tails differ, and condition 2, which every period has (the tail of
+mu*nu is gamma^-1(nu)), fails at every (a, b).  Either way no k has a
+period.  A round of the pruning takes O(N^3) steps, N the letter
+count of its side, and removes at least one pair.  The first round
+keeps exactly the pairs whose lists of images differ, so it is one
+list comparison per pair.
+
+A pass returns None on unequal counts, finds the moves of each blue
+word in code order, stops at the first word whose moves put out two
+letters, and builds Z along red letter 0 in b - 1 steps.  A candidate
+pass then makes the candidate lemma's check once per word and letter,
+and a verifying pass the period lemma's, which contains it: all moves
+of w put out Z[w][0], and a head Z[w][1:] f starts with Z[w][1:], so
+every row has one head once the check holds.  Each takes
+O(N1^a * (a * N2 + b)) steps and holds O(N1^a * N2) integers, all
+freed when it returns.  ``decide_periodicity`` asks for the
+certificate once and, when it holds, runs no pass.
 
 ``verify_period`` checks that a caller's pairing is a bijection on the
-path codes and compares it with the full pass's.  Path objects are
+path codes and compares it with the verifying pass's.  Path objects are
 built only for the pairing a caller gets back.
 """
 
@@ -174,88 +187,98 @@ def _word_moves(fwd: tuple, n_blue: int, n_red: int, a: int, word: int) -> tuple
     return letter, tuple(blues)
 
 
-def _pairing_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
-    """The red code paired with each blue code at (a, b), or None.
+def _heads(graph: TwoGraph, a: int, b: int) -> tuple:
+    """The heads Z and the moves' words at (a, b), or (None, ()).
 
-    Walks row 0 one level at a time.  Level j holds, in the order of the
-    red prefixes of nu, the blue words left behind once j red letters
-    have moved through blue word 0, so a level passes exactly when all
-    its words put out one common letter, the next digit of the row's
-    head.  After b levels the list holds ``words``, row 0's tails.  The
-    pass then runs the lemma's one-step check on each nu in order: the
-    moves of every red letter f through words[nu] must put out nu's
-    first letter and leave words[nu[1:] f], that is row nu % N2^(b-1)
-    of ``words`` cut into rows of N2.
-
-    Returns None if two products of row 0 have different heads, if
-    N1^a != N2^b, or at the first nu that fails the check.  Otherwise
-    the result, the inverse of ``words``, is a verified period.
-    """
-    fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
-    moves: dict = {}
-    words = [0]
-    for _ in range(b):
-        # letter stays -1 until the level's first word sets it
-        letter, level = -1, []
-        for word in words:
-            move = moves.get(word)
-            if move is None:
-                move = moves[word] = _word_moves(fwd, n_blue, n_red, a, word)
-            f, blues = move
-            if f != letter:
-                if f is None or letter >= 0:
-                    # two products mu*nu of row 0 have different heads
-                    return None
-                letter = f
-            level += blues
-        words = level
-    if len(words) != n_blue**a:
-        return None
-    rows = list(zip(*[iter(words)] * n_red))
-    for nu, word in enumerate(words):
-        move = moves.get(word) or _word_moves(fwd, n_blue, n_red, a, word)
-        if move != (nu // len(rows), rows[nu % len(rows)]):
-            return None
-    # the check makes words a bijection, so every blue word gets a head
-    heads = [0] * len(words)
-    for nu, word in enumerate(words):
-        heads[word] = nu
-    return heads
-
-
-def _candidate_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
-    """The red code of each blue code's head at (a, b) if every row has
-    one head (condition 1), else None.
-
-    Runs the candidate lemma: ``letters[w]`` is the one letter all moves
-    of w put out and ``kids[w]`` the words they leave, in code order;
-    the heads Z are built along red letter 0 as integers of b digits;
-    and each child of w must have a head whose first b - 1 digits are
-    the last b - 1 of w's.  By the corollary the heads are then distinct,
-    and unequal counts return None first.
+    ``kids[w]`` lists the words the moves of w leave, in the order of
+    the letters moved in, and ``heads[w]`` is Z[w] as an integer of b
+    digits, built along red letter 0.  Returns (None, ()) if N1^a !=
+    N2^b, or at the first blue word whose moves put out two letters.
     """
     fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
     if n_blue**a != n_red**b:
-        return None
+        return None, ()
     letters, kids = [], []
     for word in range(n_blue**a):
         f, blues = _word_moves(fwd, n_blue, n_red, a, word)
         if f is None:
-            return None
+            return None, ()
         letters.append(f)
         kids.append(blues)
     heads = letters
     for d in range(1, b):
         place = n_red**d
         heads = [f * place + heads[blues[0]] for f, blues in zip(letters, kids)]
-    low = n_red ** (b - 1)
-    if any(
-        heads[kid] // n_red != head % low
-        for head, blues in zip(heads, kids)
-        for kid in blues
+    return heads, kids
+
+
+def _candidate_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
+    """The red code of each blue code's head at (a, b) if every row has
+    one head (condition 1), else None.
+
+    Runs the candidate lemma: each child of w must have a head whose
+    first b - 1 digits are the last b - 1 of w's.  By the corollary the
+    heads are then distinct.
+    """
+    heads, kids = _heads(graph, a, b)
+    n_red, low = graph.n_red, graph.n_red ** (b - 1)
+    if heads is None or any(
+        heads[kid] // n_red != head % low for head, blues in zip(heads, kids) for kid in blues
     ):
         return None
     return heads
+
+
+def _pairing_codes(graph: TwoGraph, a: int, b: int) -> Optional[list]:
+    """The red code paired with each blue code at (a, b), or None.
+
+    Runs the period lemma: the word the red letter f leaves behind in w
+    must have the head Z[w][1:] f.  Returns None if N1^a != N2^b, at the
+    first blue word whose moves put out two letters, or if the check
+    fails anywhere.  Otherwise the result, the heads Z, is a verified
+    period.
+    """
+    heads, kids = _heads(graph, a, b)
+    if heads is None:
+        return None
+    n_red, low = graph.n_red, graph.n_red ** (b - 1)
+    # the word f leaves in w needs the head Z[w][1:] f, the f-th code from
+    # head % low * N2 on; a loop, as any() over a generator is twice as slow
+    for head, blues in zip(heads, kids):
+        want = head % low * n_red
+        for kid in blues:
+            if heads[kid] != want:
+                return None
+            want += 1
+    return heads
+
+
+def _aperiodic(graph: TwoGraph) -> bool:
+    """True if the pair certificate rules out a period at every k.
+
+    On the head side ``phi[f]`` lists Phi_e(f) over the blue letters e,
+    and on the tail side ``psi[e]`` lists Psi_f(e) over the red letters
+    f, both read from ``_fwd[e*N2 + f] = (f', e')``.  Each side
+    starts from the pairs of letters that some letter maps apart, which
+    is the first round of the pruning, and removes every pair that no
+    letter takes to a remaining pair, until nothing changes; a pair
+    left over fails condition 1 (heads) or condition 2 (tails) at every
+    k.
+    """
+    fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
+    phi = [[fwd[e * n_red + f][0] for e in range(n_blue)] for f in range(n_red)]
+    psi = [[fwd[e * n_red + f][1] for f in range(n_red)] for e in range(n_blue)]
+    for images in (phi, psi):
+        letters = range(len(images))
+        pairs = {(x, y) for x in letters for y in letters if images[x] != images[y]}
+        while True:
+            kept = {(x, y) for x, y in pairs if not pairs.isdisjoint(zip(images[x], images[y]))}
+            if kept == pairs:
+                break
+            pairs = kept
+        if pairs:
+            return True
+    return False
 
 
 def _check_exponents(a: int, b: int) -> None:
@@ -284,9 +307,7 @@ def _pairing_paths(graph: TwoGraph, a: int, b: int, codes: list) -> dict:
     }
 
 
-def candidate_pairing(
-    graph: TwoGraph, a: int, b: int, cap: int = DEFAULT_PATH_CAP
-) -> Optional[dict]:
+def candidate_pairing(graph: TwoGraph, a: int, b: int) -> Optional[dict]:
     """The canonical candidate bijection blue^(a,0) -> red^(0,b), or None.
 
     For each blue path mu the red prefix of mu*beta is extracted; the
@@ -299,7 +320,7 @@ def candidate_pairing(
     """
     _check_exponents(a, b)
     _check_counts(graph, a, b)
-    graph.check_path_cap(Degree(a, 0), cap)
+    graph.check_path_cap(Degree(a, 0), DEFAULT_PATH_CAP)
     codes = _candidate_codes(graph, a, b)
     return None if codes is None else _pairing_paths(graph, a, b, codes)
 
@@ -374,7 +395,9 @@ class PeriodicityVerdict(NamedTuple):
     """Outcome of the bounded periodicity search.
 
     ``aperiodic`` means every candidate pair up to the multiple bound
-    failed; ``checked`` lists the pairs examined.  ``no_candidate_pairs``
+    failed; ``checked`` lists the pairs examined.  On a graph with the
+    pair certificate it lists the same pairs, and no pair at any multiple
+    has a period.  ``no_candidate_pairs``
     means the edge counts admit no exponent pair at all, which rules out
     periodicity outright.  ``unknown`` is reserved for searches cut off
     by the path cap before the bound was exhausted.
@@ -410,9 +433,12 @@ def decide_periodicity(
     Tries the multiples k*(a0, b0) of the minimal exponent pair for
     k = 1..kmax, one verified pass each.  A verified pairing gives
     ``periodic``; its uniqueness means no other bijection needs to be
-    searched.  ``kmax`` below 1 is rejected: an empty search would read
-    as ``aperiodic``.  So is ``cap`` below 1, on every input, and a
-    ``kmax`` or ``cap`` that is not an int (a bool is not one).
+    searched.  A graph with the pair certificate of the module docstring
+    runs no pass: each k is still checked against the cap and then fails,
+    so the verdict is the one the passes would give.  ``kmax`` below 1
+    is rejected: an empty search would read as ``aperiodic``.  So is
+    ``cap`` below 1, on every input, and a ``kmax`` or ``cap`` that is
+    not an int (a bool is not one).
     ``_counted``, if given, stands for N1 in the blue path count N1^a
     that the cap bounds.
     """
@@ -425,6 +451,7 @@ def decide_periodicity(
             detail="edge counts are not rationally related",
         )
     a0, b0 = minimal
+    aperiodic = _aperiodic(graph)
     checked = []
     for k in range(1, kmax + 1):
         a, b = k * a0, k * b0
@@ -439,7 +466,7 @@ def decide_periodicity(
                 detail=f"path cap hit at (a, b) = {(a, b)}: "
                 f"{count} paths of degree {(a, 0)} exceed cap {cap}",
             )
-        codes = _pairing_codes(graph, a, b)
+        codes = None if aperiodic else _pairing_codes(graph, a, b)
         if codes is not None:
             pairing = _pairing_paths(graph, a, b, codes)
             return PeriodicityVerdict(

@@ -3,12 +3,12 @@
 Nothing here calls back into the decision paths it checks: the
 periodicity oracle compares raw path segments, and the reorder oracle
 performs admissible swaps in random order.  The prefix and tails
-oracles and the checks of the two periodicity lemmas factor every
-product they need through that reorder oracle, never through the move
-routine of the periodicity pass.  The
-finite-group transfer oracles list every element and add Fractions,
-and the kernel oracle counts the listed elements a power map sends to
-zero.  The word-algebra oracles find common extensions by trying every
+oracles, the checks of the periodicity lemmas and the witness that a
+row or a column splits factor every product they need through that
+reorder oracle, never through the move routine of the periodicity
+pass.  The finite-group transfer oracles list every element and add
+Fractions, and the kernel oracle counts the listed elements a power
+map sends to zero.  The word-algebra oracles find common extensions by trying every
 pair of paths at the join degree, and add Fractions.
 """
 
@@ -137,6 +137,41 @@ def candidate_heads(graph, a: int, b: int, rng):
             if g != head[:1] or heads[c][: b - 1] != head[1:]:
                 return None
     return heads
+
+
+def period_heads(graph, a: int, b: int, rng):
+    """The heads Z of the period lemma, if its criterion holds, else None.
+
+    The criterion: every row has one head, Z[w] for the blue word w, and
+    moving any red letter f through w leaves a word c with Z[c] equal
+    to Z[w][1:] followed by f.  Returns ``{w: Z[w]}`` over the blue
+    words w of length a as letter tuples, or None when the criterion
+    fails or N1^a != N2^b, which the lemma assumes."""
+    if graph.n_blue**a != graph.n_red**b:
+        return None
+    heads = {}
+    for w in _words(graph.n_blue, a):
+        row = {red_first(graph, w, nu, rng)[0] for nu in _words(graph.n_red, b)}
+        if len(row) != 1:
+            return None
+        heads[w] = row.pop()
+    for w, head in heads.items():
+        for f in range(graph.n_red):
+            if heads[red_first(graph, w, (f,), rng)[1]] != head[1:] + (f,):
+                return None
+    return heads
+
+
+def row_or_column_splits(graph, a: int, b: int, rng) -> bool:
+    """Whether some blue word of length a has two heads over the red
+    words of length b (a row with two heads), or some red word of
+    length b two tails over the blue words (a column with two tails).
+    Either rules out a period at (a, b)."""
+    blues, reds = _words(graph.n_blue, a), _words(graph.n_red, b)
+    products = {(mu, nu): red_first(graph, mu, nu, rng) for mu in blues for nu in reds}
+    return any(len({products[mu, nu][0] for nu in reds}) > 1 for mu in blues) or any(
+        len({products[mu, nu][1] for mu in blues}) > 1 for nu in reds
+    )
 
 
 def tails_classes(graph, a: int, d: int, rng) -> int:

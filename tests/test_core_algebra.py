@@ -344,6 +344,32 @@ def test_negative_degree_is_rejected():
             call((-1, 0))
 
 
+@pytest.mark.parametrize(
+    "degree", [(2.9, 0), (1.7, 0), (True, 1), (1, False), (1.5, 1), ("1", 1), (1,), (1, 1, 1), 2]
+)
+def test_a_degree_that_is_not_a_pair_of_ints_is_rejected(degree):
+    # int() used to read (2.9, 0) as (2, 0) and (True, 1) as (1, 1)
+    g = flip_graph(2, 2)
+    one = GradedElement.one(g)
+    calls = (
+        g.enumerate_paths,
+        g.path_count,
+        lambda n: ModuleVector(n, one),
+        lambda n: identity_suite(g, n),
+    )
+    message = re.escape(f"a degree must be a pair of integers, got {degree!r}")
+    for call in calls:
+        with pytest.raises(BadRangeError, match=message):
+            call(degree)
+
+
+def test_a_degree_may_be_a_degree_or_any_pair_of_ints():
+    g = flip_graph(2, 2)
+    assert ModuleVector(Degree(1, 0), GradedElement.one(g)).level == (1, 0)
+    assert ModuleVector([1, 0], GradedElement.one(g)).level == Degree(1, 0)
+    assert len(g.enumerate_paths([2, 0])) == 4
+
+
 # -- equality modulo expansion ----------------------------------------------------------
 
 

@@ -36,15 +36,17 @@ from twograph import (
 )
 
 from twograph import graphs, periodicity
-from twograph.periodicity import _candidate_codes, _pairing_codes
+from twograph.periodicity import _aperiodic, _candidate_codes, _pairing_codes
 
 from _oracles import (
     candidate_heads,
     easier_periodic_holds,
     moved_prefixes,
     one_step_holds,
+    period_heads,
     randomized_reorder,
     red_first,
+    row_or_column_splits,
     tails_classes,
 )
 
@@ -293,8 +295,6 @@ def test_a_path_cap_that_is_not_an_int_is_rejected(cap):
         graph.check_path_cap(Degree(1, 0), cap)
     with pytest.raises(BadRangeError, match=message):
         decide_periodicity(graph, cap=cap)
-    with pytest.raises(BadRangeError, match=message):
-        candidate_pairing(graph, 1, 1, cap)
     # also when there is no exponent pair, so no cap is ever consulted
     with pytest.raises(BadRangeError, match=message):
         decide_periodicity(flip_graph(2, 3), cap=cap)
@@ -337,18 +337,22 @@ def test_verdict_json_shapes():
     assert aperiodic["checked"] == [[1, 1], [2, 2]]
 
 
-def shift_register_graph_4x2() -> TwoGraph:
-    """Blue edges are 2-letter words over {0,1}, red edges the letters.
+def shift_register_graph(m: int) -> TwoGraph:
+    """Blue edges are m-letter words over {0,1}, red edges the letters.
 
-    The rule (b_xy)(r_z) = (r_x)(b_yz) shifts one letter across, which
-    makes the graph periodic at (1, 2) with the digit-reading pairing.
+    The rule (b_w)(r_z) = (r_w[0])(b_w[1:]z) shifts one letter across,
+    which makes the graph periodic at (1, m) with the digit-reading
+    pairing.
     """
-    rows = []
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                rows.append((2 * x + y, z, x, 2 * y + z))
-    return TwoGraph(4, 2, rows)
+    top = 2 ** (m - 1)
+    return TwoGraph(
+        2**m, 2, [(w, z, w // top, w % top * 2 + z) for w in range(2**m) for z in range(2)]
+    )
+
+
+def shift_register_graph_4x2() -> TwoGraph:
+    """The 2-letter register: (b_xy)(r_z) = (r_x)(b_yz), periodic at (1, 2)."""
+    return shift_register_graph(2)
 
 
 def shift_register_graph_2x4() -> TwoGraph:
@@ -668,7 +672,7 @@ def test_a_periodic_decision_leaves_no_path_lists_on_the_graph():
     }
 
 
-# -- prefix moves, tails classes and the two lemmas, on reordered products -----
+# -- prefix moves, tails classes and the lemmas, on reordered products ---------
 
 
 @contextlib.contextmanager
@@ -760,7 +764,8 @@ def _lemma_cases():
 
 
 def test_the_one_step_check_holds_exactly_when_a_period_exists():
-    # the lemma of the module docstring, with every move made by reordering
+    # the period lemma's induction run on row 0's tails, words[nu] the
+    # word nu leaves in blue word 0, with every move made by reordering
     rng = random.Random(8)
     with _refusing_moves():
         verdicts = []
@@ -770,6 +775,23 @@ def test_the_one_step_check_holds_exactly_when_a_period_exists():
             assert one_step_holds(graph, a, b, rng) == (expected is not None)
     # twin_graph(3) and 8 of the 2x2 passes are periodic
     assert verdicts.count(True) == 1 + 8 and len(verdicts) == 3 + 72
+
+
+def test_the_period_criterion_holds_exactly_when_a_period_exists():
+    # the period lemma of the module docstring, with every move made by
+    # reordering; its heads Z are then the period
+    rng = random.Random(11)
+    with _refusing_moves():
+        periods = 0
+        for graph, a, b in _lemma_cases():
+            expected = reference_pairing_codes(graph, a, b, False, rng)
+            heads = period_heads(graph, a, b, rng)
+            assert (heads is None) == (expected is None), (graph, a, b)
+            if heads is not None:
+                periods += 1
+                codes = [graph.red_path(*heads[w]).code[3] for w in sorted(heads)]
+                assert codes == expected
+    assert periods == 1 + 8
 
 
 def _candidate_cases():
@@ -839,11 +861,45 @@ def test_a_candidate_pass_stops_at_the_first_word_with_two_letters():
     assert len(calls) == 1
 
 
-def test_a_full_pass_stops_at_row_zeros_first_level():
+def test_a_certified_decision_runs_no_pass():
+    # every blue letter of the flip graph puts out the red letter moved in,
+    # so the certificate holds and the decision moves no letter; a pass
+    # still stops at its first word
     with _counting_word_moves() as calls:
         verdict = decide_periodicity(flip_graph(2, 2), kmax=19)
     assert verdict.kind == APERIODIC
-    assert len(calls) == 19
+    assert verdict.checked == tuple((k, k) for k in range(1, 20))
+    assert calls == []
+    with _counting_word_moves() as calls:
+        assert _pairing_codes(flip_graph(2, 2), 19, 19) is None
+    assert len(calls) == 1
+
+
+# -- the pair certificate -------------------------------------------------------------
+
+
+def test_the_certificate_holds_on_exactly_the_aperiodic_2x2_tables():
+    # 12 tables are certified on both sides, 4 on heads only and 4 on
+    # tails only; the 4 left are periodic at k = 1 or 2
+    rng = random.Random(12)
+    with _refusing_moves():
+        for graph in all_2x2_graphs():
+            periodic = any(
+                reference_pairing_codes(graph, k, k, False, rng) is not None for k in (1, 2, 3)
+            )
+            assert _aperiodic(graph) != periodic, graph.theta_rows()
+    assert sum(map(_aperiodic, all_2x2_graphs())) == 20
+
+
+def test_a_certified_2x2_table_has_a_split_row_or_column_at_every_k():
+    # the brute-force witness of the module docstring's certificate, with
+    # every product factored by reordering
+    rng = random.Random(13)
+    certified = [graph for graph in all_2x2_graphs() if _aperiodic(graph)]
+    with _refusing_moves():
+        for graph in certified:
+            for k in (1, 2, 3):
+                assert row_or_column_splits(graph, k, k, rng), (graph.theta_rows(), k)
 
 
 # -- candidate uniqueness -----------------------------------------------------------
@@ -866,7 +922,7 @@ def test_any_verifying_bijection_equals_candidate():
                 assert pairing == candidate
 
 
-# -- the level walk against a product-by-product reference -----------------------
+# -- the passes against a product-by-product reference ---------------------------
 
 
 def reference_pairing_codes(graph, a, b, candidate, rng):
@@ -1009,11 +1065,42 @@ def graphs_and_exponents(draw):
 @example((twin_graph(3), 3, 3), False, random.Random(0))
 @example((PERIODIC_AT_TWO, 4, 4), False, random.Random(0))
 @example((shift_register_graph_4x2(), 2, 4), False, random.Random(0))
-# the one-step check must compare each move's letter as well as the words
-# it leaves, and must not pass on the image of row 0's tails alone
+# a period check must compare each move's letter as well as the words it
+# leaves, and must not pass on row 0's tails alone
 @example((LETTER_ONLY_FAILS, 1, 1), False, random.Random(0))
 @example((CHECK_HOLDS_ON_TWO_ROWS, 1, 1), False, random.Random(0))
 def test_level_walk_matches_the_product_reference(case, candidate, rng):
     graph, a, b = case
     expected = reference_pairing_codes(graph, a, b, candidate, rng)
     assert (_candidate_codes if candidate else _pairing_codes)(graph, a, b) == expected
+
+
+# -- the pair certificate on random graphs -------------------------------------------
+
+
+@st.composite
+def small_graphs(draw):
+    shape = draw(st.sampled_from([(2, 2), (3, 2), (3, 3), (4, 2), (2, 4), (4, 3), (4, 4)]))
+    return random_two_graph(*shape, draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs())
+# periodic graphs, each with a period at some k <= 3: a certificate on any
+# of them fails the test
+@example(twin_graph(4))
+@example(PERIODIC_AT_TWO)
+@example(TWISTED_TWIN)
+@example(shift_register_graph_4x2())
+@example(shift_register_graph_2x4())
+@example(double(twin_graph(2)))
+# blue words that differ only in their last letter still differ after
+# m - 1 red letters have moved through them, so the pruning needs m rounds
+@example(shift_register_graph(4))
+def test_a_certified_graph_has_no_period_up_to_kmax_three(graph):
+    minimal = minimal_exponents(graph.n_blue, graph.n_red)
+    if minimal is None or not _aperiodic(graph):
+        return
+    a0, b0 = minimal
+    for k in (1, 2, 3):
+        assert _pairing_codes(graph, k * a0, k * b0) is None
