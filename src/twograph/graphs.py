@@ -12,13 +12,16 @@ of degree (m, n) with blue-first word e_1..e_m f_1..f_n is the tuple
 ``(m, n, blue, red)``, where ``blue`` is the sum of e_i * N1^(m-i) and
 ``red`` the sum of f_j * N2^(n-j): first letter most significant.  So
 code i of a degree is ``enumerate_paths(degree)[i]``, and sorting codes
-sorts their paths.  Every refactorization runs on one move routine,
-:func:`_move`: it walks one letter leftward through a coded word of the
-other color, one adjacent swap at a time, with the table ``_fwd``
-(blue-red to red-blue) or ``_inv`` (red-blue to blue-red).
-Composition, splitting (and so reordering), minimal common extensions
-and the periodicity pass all call it.  The memo tables for compositions,
-extensions and path enumerations live here, keyed by codes.
+sorts their paths.  Every path refactorization runs on one move
+routine, :func:`_move`: it walks one letter leftward through a coded
+word of the other color, one adjacent swap at a time, with the table
+``_fwd`` (blue-red to red-blue) or ``_inv`` (red-blue to blue-red).
+Composition, splitting (and so reordering) and minimal common
+extensions call it.  The periodicity pass, which needs the moves of
+every blue word of one length, reads each word's moves off its
+prefix's instead (``periodicity._moves``).  The memo tables for
+compositions, extensions and path enumerations live here, keyed by
+codes.
 
 :class:`Path` is the immutable public view of a code, with its letters,
 its degree and the checked constructor.  Paths are built only where

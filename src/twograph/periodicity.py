@@ -21,13 +21,22 @@ Paths in that pass are the integer codes of ``graphs.py``: a blue path
 of degree (a,0) is its blue code and a red path of degree (0,b) its red
 code, so code i is ``enumerate_paths(...)[i]``, and a red word's first
 letter is its leading digit.  The red-first factorization of mu*nu
-moves each red letter of nu leftward through the current blue word
-with the shared move routine ``graphs._move``.  Moving the red letter f
-through the blue word w puts out a red letter g_f(w) and leaves a blue
-word c_f(w): these are the moves of w.  The letters of a red word move
-one at a time, so the head of w*(f s) is g_f(w) followed by the head of
-c_f(w)*s, and the head of w*rho extends the head of w*p for every
-prefix p of rho.
+moves each red letter of nu leftward through the current blue word.
+Moving the red letter f through the blue word w puts out a red letter
+g_f(w) and leaves a blue word c_f(w): these are the moves of w.  The
+letters of a red word move one at a time, so the head of w*(f s) is
+g_f(w) followed by the head of c_f(w)*s, and the head of w*rho extends
+the head of w*p for every prefix p of rho.
+
+Recurrence (moves): let w = p e, with e its last blue letter, and let
+``_fwd[e*N2 + f] = (f', e')``, the rule (b_e)(r_f) = (r_f')(b_e').
+Then g_f(w) = g_f'(p) and c_f(w) = c_f'(p) e', whose code is
+c_f'(p) * N1 + e'.  Proof: f meets e first, which turns p e f into
+p f' e', and f' then moves through p, which turns p f' into
+g_f'(p) c_f'(p).  The moves of a one-letter word e are the table's
+row ``_fwd[e*N2 : (e+1)*N2]`` itself.  So the pass reads each word's
+moves off its prefix's with N2 lookups, where moving each letter
+through the whole word takes a * N2.
 
 Lemma (candidates): let N1^a = N2^b, and let Z[w] be the head of
 w*0^b, so that Z_1[w] = g_0(w), Z_(d+1)[w] = g_0(w) Z_d[c_0(w)] and
@@ -106,16 +115,20 @@ count of its side, and removes at least one pair.  The first round
 keeps exactly the pairs whose lists of images differ, so it is one
 list comparison per pair.
 
-A pass returns None on unequal counts, finds the moves of each blue
-word in code order, stops at the first word whose moves put out two
-letters, and builds Z along red letter 0 in b - 1 steps.  A candidate
-pass then makes the candidate lemma's check once per word and letter,
-and a verifying pass the period lemma's, which contains it: all moves
-of w put out Z[w][0], and a head Z[w][1:] f starts with Z[w][1:], so
-every row has one head once the check holds.  Each takes
-O(N1^a * (a * N2 + b)) steps and holds O(N1^a * N2) integers, all
-freed when it returns.  ``decide_periodicity`` asks for the
-certificate once and, when it holds, runs no pass.
+A pass returns None on unequal counts, reads the moves of each blue
+word in code order off its prefix's by the recurrence, stops at the
+first word whose moves put out two letters, and builds Z along red
+letter 0 in b - 1 steps.  A candidate pass then makes the candidate
+lemma's check once per word and letter, and a verifying pass the
+period lemma's, which contains it: all moves of w put out Z[w][0], and
+a head Z[w][1:] f starts with Z[w][1:], so every row has one head once
+the check holds.  With N1 >= 2 the words of lengths 1 to a number at
+most 2 * N1^a, so each pass takes O(N1^a * (N2 + b)) steps and holds
+O(N1^a * N2) integers, all freed when it returns.  The moves come from
+a chain of generators, one per word length, each holding the moves of
+one prefix; so a pass that stops at its first word takes O(a * N2)
+steps.  ``decide_periodicity`` asks for the certificate once and, when
+it holds, runs no pass.
 
 ``verify_period`` checks that a caller's pairing is a bijection on the
 path codes and compares it with the verifying pass's.  Path objects are
@@ -134,7 +147,6 @@ from .graphs import (
     Path,
     TwoGraph,
     _check_bound,
-    _move,
     _word_texts,
 )
 
@@ -170,21 +182,24 @@ def minimal_exponents(n_blue: int, n_red: int) -> Optional[tuple]:
     )
 
 
-def _word_moves(fwd: tuple, n_blue: int, n_red: int, a: int, word: int) -> tuple:
-    """The moves of every red letter through the blue word ``word``.
+def _moves(fwd: tuple, n_blue: int, n_red: int, d: int):
+    """The moves of every blue word of length d >= 1, lazily, in code
+    order.
 
-    Returns the one red letter they all put out and the tuple of the
-    blue words they leave behind, in the order of the letters moved in;
-    or (None, ()) as soon as two of them put out different letters.
+    Yields, for each word w, the sequence over the red letters f of the
+    pairs (g_f(w), c_f(w)): the letter put out and the code of the word
+    left behind.  A one-letter word's moves are its row of the table,
+    and those of the word p e are read off those of p by the recurrence
+    of the module docstring, so each level is one generator over the
+    level below and the first word costs O(d * N2).
     """
-    letter, blues = None, []
-    for f in range(n_red):
-        f, blue = _move(fwd, n_blue, n_red, a, word, f)
-        if f != letter and blues:
-            return None, ()
-        letter = f
-        blues.append(blue)
-    return letter, tuple(blues)
+    rows = [fwd[e * n_red : (e + 1) * n_red] for e in range(n_blue)]
+    if d == 1:
+        yield from rows
+        return
+    for prefix in _moves(fwd, n_blue, n_red, d - 1):
+        for row in rows:
+            yield [(prefix[f][0], prefix[f][1] * n_blue + e) for f, e in row]
 
 
 def _heads(graph: TwoGraph, a: int, b: int) -> tuple:
@@ -199,9 +214,10 @@ def _heads(graph: TwoGraph, a: int, b: int) -> tuple:
     if n_blue**a != n_red**b:
         return None, ()
     letters, kids = [], []
-    for word in range(n_blue**a):
-        f, blues = _word_moves(fwd, n_blue, n_red, a, word)
-        if f is None:
+    for moves in _moves(fwd, n_blue, n_red, a):
+        outs, blues = zip(*moves)
+        f = outs[0]
+        if outs.count(f) != n_red:
             return None, ()
         letters.append(f)
         kids.append(blues)
@@ -315,8 +331,9 @@ def candidate_pairing(graph: TwoGraph, a: int, b: int) -> Optional[dict]:
     the red path beta, and the resulting map is then a bijection (the
     corollary of the module docstring).  The pass stops at the first
     blue word whose moves put out two letters; otherwise it makes the
-    candidate lemma's check once per blue word and red letter, in
-    O(N1^a * (a * N2 + b)) steps.
+    candidate lemma's check once per blue word and red letter.  Each
+    word's moves are read off its prefix's by the recurrence of the
+    module docstring, so the pass takes O(N1^a * (N2 + b)) steps.
     """
     _check_exponents(a, b)
     _check_counts(graph, a, b)

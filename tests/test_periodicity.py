@@ -1,5 +1,6 @@
 """Periodicity decision against the brute-force segment oracle."""
 
+import collections
 import contextlib
 import itertools
 import random
@@ -677,15 +678,16 @@ def test_a_periodic_decision_leaves_no_path_lists_on_the_graph():
 
 @contextlib.contextmanager
 def _refusing_moves():
-    """The move routine of the pass raises inside, so the reordering
-    oracles are seen to factor their products without it."""
+    """The move routine of ``graphs.py`` and the move stream of the pass
+    raise inside, so the reordering oracles are seen to factor their
+    products without them."""
 
     def refuse(*args):
-        raise AssertionError("the oracle reached _move")
+        raise AssertionError("the oracle reached a move routine")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graphs, "_move", refuse)
-        patch.setattr(periodicity, "_move", refuse)
+        patch.setattr(periodicity, "_moves", refuse)
         yield
 
 
@@ -708,6 +710,32 @@ def test_moving_a_red_prefix_leaves_every_blue_word():
                     assert sorted(moved.values()) == [
                         (q, w) for q in _all_words(n_red, j) for w in _all_words(n_blue, a)
                     ]
+
+
+@st.composite
+def graphs_and_lengths(draw):
+    shape = draw(st.tuples(st.integers(2, 4), st.integers(2, 4)))
+    graph = random_two_graph(*shape, draw(st.randoms(use_true_random=False)))
+    return graph, draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_and_lengths(), st.randoms(use_true_random=False))
+@example((DEEP_GRAPH, 4), random.Random(0))
+@example((twin_graph(3), 3), random.Random(0))
+@example((flip_graph(4, 2), 4), random.Random(0))
+def test_the_move_stream_matches_the_move_routine_and_reordering(case, rng):
+    # each word's moves, read off its prefix's, are the moves of _move, which
+    # passes the whole word, and of a red-first factorization by reordering
+    graph, d = case
+    fwd, n_blue, n_red = graph._fwd, graph.n_blue, graph.n_red
+    words = _all_words(n_blue, d)
+    stream = list(periodicity._moves(fwd, n_blue, n_red, d))
+    assert len(stream) == len(words)
+    for word, moves in enumerate(stream):
+        assert list(moves) == [graphs._move(fwd, n_blue, n_red, d, word, f) for f in range(n_red)]
+        for f, (letter, left) in enumerate(moves):
+            assert red_first(graph, words[word], (f,), rng) == ((letter,), words[left])
 
 
 def test_a_period_leaves_n2_to_the_b_minus_d_tails_classes_at_depth_d():
@@ -840,39 +868,43 @@ def test_rows_with_one_head_have_distinct_heads():
 
 
 @contextlib.contextmanager
-def _counting_word_moves():
-    """Lists the calls of the pass's ``_word_moves`` inside the block."""
-    calls = []
-    word_moves = periodicity._word_moves
+def _counting_words():
+    """Counts the words that the pass's move stream yields inside the
+    block, by word length: each level of the stream calls ``_moves`` for
+    the level below, so every level is counted."""
+    counts = collections.Counter()
+    moves = periodicity._moves
 
-    def counted(*args):
-        calls.append(args)
-        return word_moves(*args)
+    def counted(fwd, n_blue, n_red, d):
+        for word in moves(fwd, n_blue, n_red, d):
+            counts[d] += 1
+            yield word
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(periodicity, "_word_moves", counted)
-        yield calls
+        patch.setattr(periodicity, "_moves", counted)
+        yield counts
 
 
 def test_a_candidate_pass_stops_at_the_first_word_with_two_letters():
-    # blue word 0 of the flip graph puts out every red letter moved in
-    with _counting_word_moves() as calls:
+    # blue word 0 of the flip graph puts out every red letter moved in; the
+    # stream yields that one word and, below it, one prefix of each length
+    with _counting_words() as counts:
         assert candidate_pairing(flip_graph(2, 2), 19, 19) is None
-    assert len(calls) == 1
+    assert counts == {d: 1 for d in range(1, 20)}
 
 
 def test_a_certified_decision_runs_no_pass():
     # every blue letter of the flip graph puts out the red letter moved in,
     # so the certificate holds and the decision moves no letter; a pass
     # still stops at its first word
-    with _counting_word_moves() as calls:
+    with _counting_words() as counts:
         verdict = decide_periodicity(flip_graph(2, 2), kmax=19)
     assert verdict.kind == APERIODIC
     assert verdict.checked == tuple((k, k) for k in range(1, 20))
-    assert calls == []
-    with _counting_word_moves() as calls:
+    assert counts == {}
+    with _counting_words() as counts:
         assert _pairing_codes(flip_graph(2, 2), 19, 19) is None
-    assert len(calls) == 1
+    assert counts == {d: 1 for d in range(1, 20)}
 
 
 # -- the pair certificate -------------------------------------------------------------

@@ -9,13 +9,16 @@ names, and ``minimal_exponents``, ``_candidate_codes`` and
 ``_pairing_codes`` are compared on a fixed case set:
 
 - every pair of counts in 2..699 x 2..299, and a few huge related pairs;
-- all 24 2x2 tables at k = 1..7;
-- all 40,320 4x2 and all 40,320 2x4 tables at k = 1..3;
+- all 24 2x2 tables at k = 1..12;
+- all 40,320 4x2 and all 40,320 2x4 tables at k = 1..3, and the 96 of
+  each that ``_aperiodic`` does not certify at k = 4, 5 too;
+- 200 random 3x3 graphs that ``_aperiodic`` does not certify, at
+  k = 1..6;
 - 20,000 random 3x3 and 3,000 random 4x4 graphs at k = 1, 2;
 - random 8x4, 4x8, 9x3, 3x9, 6x6, 8x2, 2x8 and 5x5 graphs;
 - 1,500 cases whose path counts differ, which only ``_candidate_codes``
   and ``_pairing_codes`` accept;
-- twin graphs n = 2..5.
+- twin graphs n = 2..5, n = 2 up to k = 14 and n = 3 up to k = 9.
 
 A graph case (graph, a, b) runs at k * (a0, b0), the minimal exponents
 times k.  Prints the number of cases, candidates and periods, and exits
@@ -64,11 +67,17 @@ def random_tables(n_blue: int, n_red: int, count: int, seed: int):
         yield dict(zip(domain, images))
 
 
-def graph_cases():
-    """(label, n_blue, n_red, table, ks) for every graph of the case set."""
-    for shape, ks in (((2, 2), range(1, 8)), ((4, 2), (1, 2, 3)), ((2, 4), (1, 2, 3))):
+def graph_cases(certified):
+    """(label, n_blue, n_red, table, ks) for every graph of the case set;
+    ``certified(n_blue, n_red, table)`` says whether ``_aperiodic`` holds."""
+    for shape, ks in (((2, 2), range(1, 13)), ((4, 2), (1, 2, 3)), ((2, 4), (1, 2, 3))):
         for i, table in enumerate(tables(*shape)):
-            yield f"{shape} table {i}", *shape, table, ks
+            deep = shape != (2, 2) and not certified(*shape, table)
+            yield f"{shape} table {i}", *shape, table, range(1, 6) if deep else ks
+    # a decision runs passes only on graphs without the certificate
+    uncertified = (t for t in random_tables(3, 3, 10**6, 10) if not certified(3, 3, t))
+    for i, table in enumerate(itertools.islice(uncertified, 200)):
+        yield f"uncertified (3, 3) seed 10 #{i}", 3, 3, table, range(1, 7)
     shapes = [
         ((3, 3), 20000, (1, 2)), ((4, 4), 3000, (1, 2)), ((8, 4), 300, (1,)),
         ((4, 8), 300, (1,)), ((9, 3), 500, (1, 2)), ((3, 9), 500, (1, 2)),
@@ -78,7 +87,7 @@ def graph_cases():
     for seed, (shape, count, ks) in enumerate(shapes):
         for i, table in enumerate(random_tables(*shape, count, seed)):
             yield f"random {shape} seed {seed} #{i}", *shape, table, ks
-    for n, kmax in ((2, 7), (3, 5), (4, 4), (5, 3)):
+    for n, kmax in ((2, 14), (3, 9), (4, 4), (5, 3)):
         table = {(e, f): (e, f) for e in range(n) for f in range(n)}
         yield f"twin_graph({n})", n, n, table, range(1, kmax + 1)
 
@@ -137,7 +146,10 @@ def main(argv: list) -> int:
                     periods += name == "_pairing_codes"
             cases += 1
 
-    for label, n_blue, n_red, table, ks in graph_cases():
+    def certified(n_blue, n_red, table):
+        return this._aperiodic(this.TwoGraph(n_blue, n_red, table))
+
+    for label, n_blue, n_red, table, ks in graph_cases(certified):
         a0, b0 = this.minimal_exponents(n_blue, n_red)
         compare(label, n_blue, n_red, table, [(k * a0, k * b0) for k in ks])
     for label, n_blue, n_red, table, a, b in unequal_cases():
