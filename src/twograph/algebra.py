@@ -24,32 +24,43 @@ zeros are kept and no gcd is taken.  ``GradedElement.__mul__`` and
 :func:`transfer` hand that output to ``GradedElement._of``, the one
 place where numerators are reduced to lowest terms and zeros dropped.
 The identity suite shares work across its cases through tables that
-live for one ``identity_suite`` call (each transfer-identity table for
-one degree n of one check); nothing is kept on the graph.  Every word
-product still goes through the module-level ``_product`` and every shift
-through :func:`shift`, names the tests patch; the transfer identity runs
-the transfer kernel ``_transfer`` and the other checks :func:`transfer`.
+live no longer than one ``identity_suite`` call; nothing is kept on the
+graph.  Every word product still goes through the module-level
+``_product`` and every shift through :func:`shift`, names the tests
+patch.
+
+Both transfer identities, transfer-action, transfer-section and
+module-orthonormal take every transfer from one helper,
+``_add_transfers``.  The transfer is linear, so the helper adds c T(w)
+into a difference dict for each term c w, where T(w) is the
+``_transfer`` numerators of the one word w at degree n, over the path
+count of n.  Since the path count of m + n is the product of those of m
+and n, every side of these checks is a sum of such T(w) over one common
+count, compared without denominator bookkeeping: transfer-action sums
+T(m, x) over the terms x of T(n, w) against T(m + n, w), module-orthonormal
+sums over the product of two basis words against 0 or 1, and
+transfer-section sums over shift(n, a) against a scaled by the shift's
+denominator times the path count.  The helper caches each T(w) in a dict
+its caller owns, which lives for one degree of one transfer-identity
+check, for the transfer-action check, for one case of transfer-section
+(whose shifted words never repeat) and for one level of
+module-orthonormal.  transfer-unit and the module checks call
+:func:`transfer`, which runs the same kernel.
 
 - The transfer identity transfer(n, shift(n, a) b) == a transfer(n, b)
-  computes shift(n, a) once per word, and the kernel transfer T(w) of
-  each word w once per n, the group's own words first.  A case whose two
-  sides are both empty is counted and nothing else is done: its
-  difference is the empty dict, which vanishes, so skipping it is exact.
-  The left side is empty exactly when no second path of shift(n, a) has
-  a minimal common extension with the first path of b, and the right
-  side exactly when the second path of a has none with any first path
-  of T(b); both are read from the graph's ``_extensions`` table.  So
-  whether a case is skipped depends on a only through the pair (the set
-  of second paths of shift(n, a), the second path of a), read from the
-  actual shift: one memo per n maps each such pair to the ascending
-  indices of the b with a non-empty side.  Every other case still makes
-  its two ``_product`` calls, takes the left side as the sum of c T(w)
-  over the terms c w of shift(n, a) b (exact because the transfer is
-  linear) and passes the difference of the two sides to ``_vanishes``,
-  so it builds no element.
-- transfer-action computes transfer(n, w) once per degree n and word w.
-- module-orthonormal calls ``_product`` on the numerator dicts of the
-  two basis words and transfers each distinct product once per level.
+  computes shift(n, a) once per word.  A case whose two sides are both
+  empty is counted and nothing else is done: its difference is the empty
+  dict, which vanishes, so skipping it is exact.  The left side is empty
+  exactly when no second path of shift(n, a) has a minimal common
+  extension with the first path of b, and the right side exactly when
+  the second path of a has none with any first path of T(b); both are
+  read from the graph's ``_extensions`` table.  So whether a case is
+  skipped depends on a only through the pair (the set of second paths
+  of shift(n, a), the second path of a), read from the actual shift:
+  one memo per n maps each such pair to the ascending indices of the b
+  with a non-empty side.  Every other case still makes its two
+  ``_product`` calls and passes the difference of the two sides to
+  ``_vanishes``, so it builds no element.
 - covariance keeps the elements shift(n, <(nu, lam), (alpha, beta)>) it
   multiplies back; they do not depend on the word's first path, so they
   are keyed by (nu, lam, alpha, beta), each computed once through
@@ -69,6 +80,7 @@ N^n, and all identities stay inside the rationals.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -286,7 +298,7 @@ def shift(degree, element: GradedElement) -> GradedElement:
     """
     graph = element.graph
     out: dict = {}
-    for lam in graph._paths(tuple(degree)):
+    for lam in graph._paths(_as_degree(degree)):
         for (mu, nu), n in element.nums.items():
             key = (_compose(graph, lam, mu), _compose(graph, lam, nu))
             out[key] = out.get(key, 0) + n
@@ -302,7 +314,7 @@ def transfer(degree, element: GradedElement) -> GradedElement:
     by the number of paths of degree n.
     """
     graph = element.graph
-    lams = graph._paths(tuple(degree))
+    lams = graph._paths(_as_degree(degree))
     return GradedElement._of(
         graph, _transfer(graph, lams, element.nums), element.den * len(lams)
     )
@@ -342,6 +354,23 @@ def _transfer(graph: TwoGraph, lams: tuple, nums: dict) -> dict:
                     key = (_compose(graph, head_tail, mid_tail), lam_tail)
                     out[key] = out.get(key, 0) + n
     return out
+
+
+def _add_transfers(graph: TwoGraph, cache: dict, diff: dict, degree: Degree, nums: dict):
+    """Add the transfer numerators of ``nums`` at ``degree`` to ``diff``; return ``diff``.
+
+    The transfer is linear, so this adds c T(w) for each term c w of
+    ``nums``, where T(w) = ``_transfer(graph, paths(degree), {w: 1})`` is
+    over the path count of ``degree``.  Each T(w) is computed once and
+    kept in ``cache`` under (degree, w); the caller owns ``cache``.
+    """
+    for w, c in nums.items():
+        tw = cache.get((degree, w))
+        if tw is None:
+            tw = cache[degree, w] = _transfer(graph, graph._paths(degree), {w: 1})
+        for key, t in tw.items():
+            diff[key] = diff.get(key, 0) + c * t
+    return diff
 
 
 class ModuleVector:
@@ -575,18 +604,12 @@ def identity_suite(
     def transfer_identity(name, groups):
         # transfer(n, shift(n, a) * b) == a * transfer(n, b) for all word
         # pairs (a, b) of each group, in order, on numerator dicts.  The
-        # tables below live for one degree n of one call.  The left side is
-        # over sa.den * len(lams) and the right side over len(lams), so the
-        # right side is scaled by sa.den.
+        # left side is over sa.den times the path count of n and the right
+        # side over that count, so the right side is scaled by sa.den.
         cases = 0
         for n, group in groups:
-            lams = graph._paths(tuple(n))
-            # T(w) = _transfer of the one word w at this n, seeded with the
-            # group's words (the right sides).  A left side is the sum of
-            # c * T(w) over the terms c*w of _product(shift(n, a), b), exact
-            # because _transfer is linear.
-            word_transfers = {w: _transfer(graph, lams, {w: 1}) for w in group}
-            heads = [{x for x, _ in word_transfers[w]} for w in group]
+            cache: dict = {}  # the word transfers of this n
+            rights = [_add_transfers(graph, cache, {}, n, {b: 1}) for b in group]
             # A case whose two sides are both empty has diff {}, which
             # vanishes, so it is counted and nothing else is done.  The left
             # side is empty exactly when no second path of shift(n, a) has a
@@ -605,21 +628,15 @@ def identity_suite(
                 if live is None:
                     live = lives[key] = [
                         j
-                        for j, ((alpha, _), hs) in enumerate(zip(group, heads))
+                        for j, ((alpha, _), right) in enumerate(zip(group, rights))
                         if any(_extensions(graph, nu, alpha) for nu in key[0])
-                        or any(_extensions(graph, a[1], x) for x in hs)
+                        or any(_extensions(graph, a[1], x) for x, _ in right)
                     ]
                 for j in live:
                     b = group[j]
-                    diff: dict = {}
-                    for w, c in _product(graph, sa.nums, {b: 1}).items():
-                        tw = word_transfers.get(w)
-                        if tw is None:
-                            tw = word_transfers[w] = _transfer(graph, lams, {w: 1})
-                        for k, t in tw.items():
-                            diff[k] = diff.get(k, 0) + c * t
-                    for k, c in _product(graph, word.nums, word_transfers[b]).items():
-                        diff[k] = diff.get(k, 0) - c * sa.den
+                    right = _product(graph, word.nums, rights[j])
+                    diff = {k: -c * sa.den for k, c in right.items()}
+                    _add_transfers(graph, cache, diff, n, _product(graph, sa.nums, {b: 1}))
                     if not _vanishes(graph, diff):
                         b = _word(graph, *b)
                         detail = f"counterexample: n={tuple(n)}, a={word!r}, b={b!r}"
@@ -648,55 +665,47 @@ def identity_suite(
         for w in words
     ]
 
-    # transfer(n, w) for every (n, w) the cases name, each computed once
-    transfers: dict = {}
+    def transfer_action(cache, case):
+        # The sum of the T(m, x) over the terms x of T(n, w) is over the path
+        # count of m times that of n, which is the path count of m + n.
+        m, n, w = case
+        tn = _add_transfers(graph, cache, {}, n, {w: 1})
+        diff = _add_transfers(graph, cache, {}, m + n, {w: -1})
+        return _vanishes(graph, _add_transfers(graph, cache, diff, m, tn))
 
-    def word_transfer(n, word):
-        out = transfers.get((n, word))
-        if out is None:
-            out = transfers[n, word] = transfer(n, _word(graph, *word))
-        return out
-
-    def transfer_action(case):
-        m, n, word = case
-        return transfer(m, word_transfer(n, word)) == word_transfer(m + n, word)
-
-    run("transfer-action", action_cases, transfer_action)
+    # the word transfers live for this check only
+    run("transfer-action", action_cases, functools.partial(transfer_action, {}))
 
     # transfer is a left inverse of shift
     section_cases = [(n, w) for n in degrees_upto(bound) for w in words]
 
     def transfer_section(case):
-        n, (mu, nu) = case
-        a = _word(graph, mu, nu)
-        return transfer(n, shift(n, a)) == a
+        # The words of the true shift(n, a) are the (lam mu, lam nu) for
+        # the paths lam of degree n, so no two cases share one: the word
+        # transfers live for one case.
+        n, w = case
+        sa = shift(n, _word(graph, *w))
+        diff = {w: -sa.den * graph.path_count(n)}
+        return _vanishes(graph, _add_transfers(graph, {}, diff, n, sa.nums))
 
     run("transfer-section", section_cases, transfer_section)
 
     # orthonormal module bases
     def orthonormal(level):
         # <(mu, nu), (al, be)> = path_count * transfer(level, s_nu s_mu^* s_al s_be^*)
-        # is 1 on equal basis words and 0 otherwise.  Most products are
-        # empty (they vanish unless mu == al), so each distinct product is
-        # transferred once per level.
+        # is 1 on equal basis words and 0 otherwise.  The path count cancels
+        # the transfer's denominator, so the transfer numerators are
+        # compared with that 0 or 1 directly.
         paths = graph._paths(level)
-        scale = graph.path_count(level)
-        inners: dict = {}
+        cache: dict = {}  # the word transfers of this level
         for mu in paths:
             for nu in paths:
                 adjoint = {(nu, mu): 1}
                 for al in paths:
                     for be in paths:
+                        diff = {(EMPTY, EMPTY): -1} if (mu, nu) == (al, be) else {}
                         product = _product(graph, adjoint, {(al, be): 1})
-                        terms = tuple(product.items())
-                        inner = inners.get(terms)
-                        if inner is None:
-                            inner = inners[terms] = transfer(
-                                level, GradedElement._of(graph, product, 1)
-                            )
-                        diff = {key: scale * c for key, c in inner.nums.items()}
-                        if (mu, nu) == (al, be):
-                            diff[EMPTY, EMPTY] = diff.get((EMPTY, EMPTY), 0) - inner.den
+                        _add_transfers(graph, cache, diff, level, product)
                         if not _vanishes(graph, diff):
                             return False
         return True

@@ -363,6 +363,21 @@ def test_a_degree_that_is_not_a_pair_of_ints_is_rejected(degree):
             call(degree)
 
 
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("degree", [(True, 0), (1.0, 0), ("1", 0)])
+def test_shift_and_transfer_reject_a_degree_that_is_not_a_pair_of_ints(degree, warm):
+    # (True, 0) and (1.0, 0) equal (1, 0) as keys of the graph's path table,
+    # so once it holds (1, 0) they used to read as that degree
+    g = flip_graph(2, 2)
+    one = GradedElement.one(g)
+    if warm:
+        g.enumerate_paths((1, 0))
+    message = re.escape(f"a degree must be a pair of integers, got {degree!r}")
+    for op in (shift, transfer):
+        with pytest.raises(BadRangeError, match=message):
+            op(degree, one)
+
+
 def test_a_degree_may_be_a_degree_or_any_pair_of_ints():
     g = flip_graph(2, 2)
     assert ModuleVector(Degree(1, 0), GradedElement.one(g)).level == (1, 0)
@@ -555,9 +570,9 @@ def _first_failure(name, cases, holds, show):
 
 def _reference_suite(g, bound):
     # (name, cases, passed, detail) of the transfer identities,
-    # transfer-action and module-orthonormal, one case at a time through
-    # the public operations, reading algebra.shift and algebra.transfer at
-    # call time so that a patched shift reaches every case
+    # transfer-action, transfer-section and module-orthonormal, one case at
+    # a time through the public operations, reading algebra.shift and
+    # algebra.transfer at call time so that a patched shift reaches every case
     from twograph import algebra
 
     def words_upto(top):
@@ -578,6 +593,11 @@ def _reference_suite(g, bound):
         a = GradedElement.word(mu, nu)
         return algebra.transfer(m, algebra.transfer(n, a)) == algebra.transfer(m + n, a)
 
+    def section(case):
+        n, (mu, nu) = case
+        a = GradedElement.word(mu, nu)
+        return algebra.transfer(n, algebra.shift(n, a)) == a
+
     def orthonormal(level):
         paths = g.enumerate_paths(level)
         basis = [
@@ -596,6 +616,7 @@ def _reference_suite(g, bound):
         for n in _degrees_upto(bound - m)
         for w in _word_paths(g, bound)
     ]
+    section_cases = [(n, w) for n in _degrees_upto(bound) for w in _word_paths(g, bound)]
     return [
         identity_check(
             "transfer-identity-generators", [(n, words_upto(bound)) for n in steps]
@@ -605,6 +626,7 @@ def _reference_suite(g, bound):
             [(n, words_upto(bound - n)) for n in _degrees_upto(bound)],
         ),
         _first_failure("transfer-action", action_cases, action, str),
+        _first_failure("transfer-section", section_cases, section, str),
         _first_failure("module-orthonormal", _degrees_upto(bound), orthonormal, str),
     ]
 
@@ -779,18 +801,24 @@ def test_identity_suite_reports_first_failures(monkeypatch):
     assert by_name["transfer-identity-all-degrees"].detail == detail
 
 
+def _doubled_at_blue(true_transfer):
+    # a transfer kernel that doubles its numerators at degree (1, 0), the
+    # degree of the path codes lams it sums over
+    def broken_transfer(graph, lams, nums):
+        out = true_transfer(graph, lams, nums)
+        if lams[0][:2] != (1, 0):
+            return out
+        return {key: 2 * n for key, n in out.items()}
+
+    return broken_transfer
+
+
 def test_identity_suite_reports_transfer_failures(monkeypatch):
     # a transfer that doubles its result at degree (1, 0) fails every check
     # that uses it, except the transfer identities, whose two sides both double
     from twograph import algebra
 
-    true_transfer = algebra.transfer
-
-    def broken_transfer(degree, element):
-        result = true_transfer(degree, element)
-        return 2 * result if tuple(degree) == (1, 0) else result
-
-    monkeypatch.setattr(algebra, "transfer", broken_transfer)
+    monkeypatch.setattr(algebra, "_transfer", _doubled_at_blue(algebra._transfer))
     checks = identity_suite(flip_graph(2, 2), max_degree=(1, 1), seed=0)
     assert [(c.cases, c.passed) for c in checks] == [
         (3, False),
@@ -904,6 +932,23 @@ def test_identity_suite_covariance_table_does_not_outlive_its_call(monkeypatch):
     monkeypatch.setattr(algebra, "shift", broken_shift)
     broken = identity_suite(g, max_degree=(1, 1), seed=0)
     assert not next(c for c in broken if c.name == "covariance").passed
+    monkeypatch.undo()
+    checks = identity_suite(g, max_degree=(1, 1), seed=0)
+    assert len(checks) == 12
+    assert all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
+def test_identity_suite_transfer_caches_do_not_outlive_their_scope(monkeypatch):
+    # the word transfers are cached for one degree, check or level of one
+    # suite call: a run under a broken transfer kernel leaves nothing behind
+    # for the next run on the same graph
+    from twograph import algebra
+
+    g = flip_graph(2, 2)
+    monkeypatch.setattr(algebra, "_transfer", _doubled_at_blue(algebra._transfer))
+    broken = identity_suite(g, max_degree=(1, 1), seed=0)
+    cached = ("transfer-action", "transfer-section", "module-orthonormal")
+    assert not any(c.passed for c in broken if c.name in cached)
     monkeypatch.undo()
     checks = identity_suite(g, max_degree=(1, 1), seed=0)
     assert len(checks) == 12
