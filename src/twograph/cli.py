@@ -295,15 +295,14 @@ def _group_transfer(args) -> int:
     from .groups import transfer_eval
 
     group = _load_group(args.group)
-    values = transfer_eval(group, args.a, _decode("--table", args.table))
-    # transfer_eval returns one shared Fraction per distinct value, so each
-    # distinct object is converted to text once
-    ids = list(map(id, values))
+    table = _decode("--table", args.table)
+    # the values come back as text, written from transfer_eval's integer
+    # sums; a GroupError is not a ValueError, so only printing lands here
     try:
-        texts = {key: str(v) for key, v in dict(zip(ids, values)).items()}
+        values = transfer_eval(group, args.a, table, _text=True)
     except ValueError as exc:  # past the interpreter's int-to-str digit limit
         raise ValueError(f"--table gives a value too long to print: {exc}") from None
-    _emit({"a": args.a, "values": list(map(texts.__getitem__, ids))})
+    _emit({"a": args.a, "values": values})
     return 0
 
 

@@ -337,7 +337,7 @@ def _power_index(group: FiniteAbelian, a: int, table: Sequence) -> list:
     return index
 
 
-def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
+def transfer_eval(group: FiniteAbelian, a: int, table: Sequence, *, _text: bool = False) -> list:
     """Average a value table over power-map preimages, exactly.
 
     The output value at a point of the image subgroup is the mean of
@@ -347,9 +347,15 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
     or a string like "1/2"); floats and booleans are rejected.  Each
     distinct entry is parsed once per call into a reduced integer ratio
     (see :func:`_table_values`) and scaled once to a numerator over the
-    lcm of the denominators; the sums are taken in integers, and each
-    distinct sum becomes one Fraction, of that sum over the lcm times
-    the kernel size, shared by every output equal to it.
+    lcm of the denominators; the sums are taken in integers, over one
+    denominator, the lcm times the kernel size.  Each distinct sum
+    becomes one Fraction, shared by every output equal to it.
+
+    The private keyword ``_text=True`` is for the CLI: each distinct sum
+    becomes instead the text ``str`` gives its Fraction, written from
+    the sum and the denominator over their gcd, and no Fraction is
+    built.  A value with more digits than the interpreter converts to
+    text raises ValueError, as ``str`` of its Fraction does.
     """
     if not isinstance(group, FiniteAbelian):
         raise GroupError("transfer tables only make sense on finite groups")
@@ -364,8 +370,15 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence) -> list:
     for idx, numerator in zip(index, map(scaled.__getitem__, keys)):
         sums[idx] += numerator
     denominator = scale * kernel
-    shared = {s: Fraction(s, denominator) for s in set(sums)}
+    value = _ratio_text if _text else Fraction
+    shared = {s: value(s, denominator) for s in set(sums)}
     return list(map(shared.__getitem__, sums))
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``, without the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 # An entry in its plainest spelling: an optional sign, ASCII digits and an
@@ -381,27 +394,38 @@ def _table_values(table: Sequence) -> tuple:
     Returns the key of each entry, in table order, and a dict from key to
     ``(numerator, denominator)``, reduced, with a positive denominator.
     An int or a string is its own key, so each distinct one is parsed
-    once per call; every other entry gets a key of its own and is parsed
+    once per call, and a table of only ints and strings is its own key
+    list.  Every other entry gets the key ``(position,)`` and is parsed
     where it stands, so a ``True`` is never served the entry of ``1``.
+    Distinct keys are parsed in order of first occurrence, so the first
+    that fails is the first bad entry of the table; its position is
+    looked up only then.
     """
+    if set(map(type, table)) <= {int, str}:
+        keys = table
+    else:
+        keys = [
+            entry if type(entry) is int or type(entry) is str else (position,)
+            for position, entry in enumerate(table)
+        ]
     ratios: dict = {}
-    keys = []
-    for position, entry in enumerate(table):
-        kind = type(entry)
-        key = entry if kind is int or kind is str else (position,)
-        if key not in ratios:
-            ratios[key] = (entry, 1) if kind is int else _ratio(position, entry)
-        keys.append(key)
+    for key in dict.fromkeys(keys):
+        entry = table[key[0]] if type(key) is tuple else key
+        ratio = (entry, 1) if type(entry) is int else _ratio(entry)
+        if ratio is None:
+            raise GroupError(f"table entry {keys.index(key)} is not a rational: {entry!r}")
+        ratios[key] = ratio
     return keys, ratios
 
 
-def _ratio(position: int, entry) -> tuple:
-    """One non-int entry as a reduced ``(numerator, denominator)`` pair.
+def _ratio(entry) -> Optional[tuple]:
+    """One non-int entry as a reduced ``(numerator, denominator)`` pair,
+    or None if it is not an exact rational.
 
     A string in the plainest spelling is read with two int conversions;
     everything else, and any such string whose digits or denominator
-    Fraction would refuse, goes through :func:`_table_entry`, so both
-    routes accept and reject alike.
+    Fraction would refuse, goes through :func:`_exact`, so both routes
+    accept and reject alike.
     """
     match = type(entry) is str and _PLAIN_RATIO.fullmatch(entry)
     if match:
@@ -413,18 +437,18 @@ def _ratio(position: int, entry) -> tuple:
             if den:
                 g = math.gcd(num, den)
                 return num // g, den // g
-    value = _table_entry(position, entry)
-    return value.numerator, value.denominator
+    value = _exact(entry)
+    return None if value is None else (value.numerator, value.denominator)
 
 
 # The exponent of a decimal string such as "2.5e-3", as Fraction reads it.
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
-def _table_entry(position: int, value) -> Fraction:
-    """A table entry as an exact rational.
+def _exact(value) -> Optional[Fraction]:
+    """A table entry as an exact rational, or None.
 
-    Floats (and booleans) are rejected rather than read through their
+    Floats (and booleans) are refused rather than read through their
     binary expansion: JSON ``0.1`` is not the rational 1/10.  So is a
     zero denominator, and a decimal exponent larger in magnitude than
     the interpreter's limit on digits in an int-to-str conversion
@@ -432,12 +456,12 @@ def _table_entry(position: int, value) -> Fraction:
     Fraction would expand to a power of ten before anything could
     refuse it.
     """
-    if not isinstance(value, (bool, float)) and not _huge_exponent(value):
-        try:
-            return Fraction(value)
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-            pass
-    raise GroupError(f"table entry {position} is not a rational: {value!r}")
+    if isinstance(value, (bool, float)) or _huge_exponent(value):
+        return None
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        return None
 
 
 def _huge_exponent(value) -> bool:

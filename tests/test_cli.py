@@ -52,6 +52,14 @@ def _int_error(text: str) -> str:
 
 
 _TOO_LONG = "9" * 5000
+# The parametrized tables below that check an error message give each row
+# the id pytest first generated for it, from the expected message of that
+# time, written out: rewording a message renames no test.  _LIMIT is the
+# digit-limit message as those ids spell it.
+_LIMIT = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has "
+    "5000 digits; use sys.set_int_max_str_digits() to increase the limit"
+)
 
 
 def test_validate_good_spec(capsys, twin_spec):
@@ -190,6 +198,23 @@ def test_negative_max_degree_is_input_error(capsys, flip_spec):
             f"error: --max-degree has a part too long to read: {_int_error(_TOO_LONG)}\n",
         ),
     ],
+    ids=[
+        "argv0-error: bad letter 'b'\n",
+        "argv1-error: bad --max-degree 'a,1', expected like '2,2'\n",
+        "argv2-error: bad letter 'b+1'\n",
+        "argv3-error: bad letter 'b-0'\n",
+        "argv4-error: bad letter 'b\u0661'\n",
+        "argv5-error: bad letter 'b1_0'\n",
+        "argv6-error: bad letter 'r\u00b2'\n",
+        "argv7-error: bad --max-degree '+1,2', expected like '2,2'\n",
+        "argv8-error: bad --max-degree '1,+2', expected like '2,2'\n",
+        "argv9-error: bad --max-degree '1_0,1', expected like '2,2'\n",
+        "argv10-error: bad --max-degree '\u0661,1', expected like '2,2'\n",
+        "argv11-error: bad --max-degree '--1,2', expected like '2,2'\n",
+        "argv12-error: bad --max-degree '1,2,3', expected like '2,2'\n",
+        'argv13-error: blue letter 1 has an id too long to read: ' + _LIMIT + '\n',
+        'argv14-error: --max-degree has a part too long to read: ' + _LIMIT + '\n',
+    ],
 )
 def test_malformed_number_names_the_field(capsys, flip_spec, argv, err):
     code = main([*argv, "--spec", flip_spec])
@@ -205,6 +230,11 @@ def test_malformed_number_names_the_field(capsys, flip_spec, argv, err):
         ("1", 1, "error: 2 paths of degree (0, 1) exceed cap 1\n"),
         ("3", 1, "error: 4 paths of degree (1, 1) exceed cap 3\n"),
         ("4", 0, ""),
+    ],
+    ids=[
+        '1-1-error: 2 paths of degree (0, 1) exceed cap 1\n',
+        '3-1-error: 4 paths of degree (1, 1) exceed cap 3\n',
+        '4-0-',
     ],
 )
 def test_core_verify_path_cap(capsys, flip_spec, cap, code, err):
@@ -755,6 +785,38 @@ _FINITE_2 = '{"kind": "finite", "factors": [2]}'
         (("group", "transfer", "--group", _FINITE_2, "--a", "0", "--table", "[1, 2]"),
          "exponent a must be at least 1, got 0"),
     ],
+    ids=[
+        "argv0-n1 must be an integer, got 'x'",
+        'argv1-n1 must be an integer, got 1.5',
+        'argv2-n2 must be an integer, got True',
+        'argv3-theta must be a list of rows, got int',
+        'argv4-theta row 0 must be 4 integers [e, f, f2, e2], got [0, 0, 0]',
+        "argv5-theta row 0 must be 4 integers [e, f, f2, e2], got [0, '0', 0, 0]",
+        'argv6-graph JSON must be an object, got list',
+        "argv7-missing key 'factors' in group JSON",
+        'argv8-factors must be a list of integers, got 5',
+        'argv9-factors must be a list of integers, got [2.5]',
+        'argv10-factors must be a list of integers, got [True]',
+        "argv11-rank must be an integer, got '2'",
+        'argv12-rank must be an integer, got 1.5',
+        "argv13-p must be an integer, got '3'",
+        'argv14-finite must map primes to integer multiplicities, got [[2, 1]]',
+        "argv15-finite must map primes to integer multiplicities, got {'x': 1}",
+        'argv16-group JSON must be an object, got list',
+        'argv17-table must be a list of rationals, got 5',
+        'argv18-table entry 0 is not a rational: [1]',
+        'argv19-table entry 0 is not a rational: 0.1',
+        'argv20-table entry 1 is not a rational: True',
+        'argv21-pair (b1, r1) has no image',
+        'argv22-pair (b0, r1) has no image',
+        'argv23-cannot decide whether 3317044064679887385961981 is prime: primality is decided only below 3317044064679887385961981',
+        "argv24-finite must map primes to integer multiplicities, got {'\u00b2': 1}",
+        "argv25-finite must map primes to integer multiplicities, got {'\u0663': 1}",
+        "argv26-finite must map primes to integer multiplicities, got {' 3': 1}",
+        'argv27-finite has a prime too long to read: ' + _LIMIT,
+        "argv28-finite names the prime 3 twice: '3' and '03'",
+        'argv29-exponent a must be at least 1, got 0',
+    ],
 )
 def test_malformed_spec_names_the_field(capsys, argv, err):
     code = main(list(argv))
@@ -848,6 +910,16 @@ _NOT_UTF8 = "<a file that is not UTF-8>"
         (("theta", "validate", "--spec", _NOT_UTF8),
          "--spec is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
          "invalid start byte"),
+    ],
+    ids=[
+        'argv0---spec is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)',
+        "argv1---group is not valid JSON: Expecting ',' delimiter: line 1 column 3 (char 2)",
+        'argv2---table is not valid JSON: Expecting value: line 1 column 1 (char 0)',
+        "argv3---group is not valid JSON: Expecting ',' delimiter: line 1 column 3 (char 2)",
+        'argv4---spec is not valid JSON: ' + _LIMIT,
+        'argv5---group is not valid JSON: ' + _LIMIT,
+        'argv6---table is not valid JSON: ' + _LIMIT,
+        "argv7---spec is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
     ],
 )
 def test_unparsable_json_names_its_option(capsys, tmp_path, argv, err):

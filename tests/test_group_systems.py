@@ -1,5 +1,8 @@
 """Kernel arithmetic, transfer averages and classification on groups."""
 
+import contextlib
+import io
+import json
 import math
 import random
 import re
@@ -26,6 +29,7 @@ from twograph import (
     transfer_eval,
 )
 from twograph import groups
+from twograph.cli import main
 
 from _oracles import (
     kernel_by_listing,
@@ -428,6 +432,83 @@ def test_exponent_limit_is_the_interpreters_digit_limit():
         assert transfer_eval(FiniteAbelian([1]), 1, ["1e5000"]) == [10**5000]
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# -- transfer values as text --------------------------------------------------------------
+
+_TABLE_ENTRIES = st.one_of(
+    st.integers(-30, 30),
+    st.just(0),
+    st.integers(-(10**60), 10**60),
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(1, 12)),
+    st.builds("{}/{}".format, st.integers(-(10**40), 10**40), st.integers(1, 10**6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_finite_groups(64)), st.integers(1, 14), st.data())
+def test_cli_values_are_the_text_of_the_transfer_fractions(factors, a, data):
+    # a small palette makes repeated entries, and so repeated sums, common
+    order = math.prod(factors)
+    palette = data.draw(st.lists(_TABLE_ENTRIES, min_size=1, max_size=6))
+    entry = st.one_of(st.sampled_from(palette), _TABLE_ENTRIES)
+    table = data.draw(st.lists(entry, min_size=order, max_size=order))
+    argv = ["group", "transfer", "--group", json.dumps({"kind": "finite", "factors": factors}),
+            "--a", str(a), "--table", json.dumps(table)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    texts = [str(v) for v in transfer_eval(FiniteAbelian(factors), a, table)]
+    assert json.loads(out.getvalue()) == {"a": a, "values": texts}
+    assert texts == [str(v) for v in transfer_by_listing(factors, a, table)]
+    assert transfer_eval(FiniteAbelian(factors), a, table, _text=True) == texts
+
+
+# Each entry stands at positions 3 and 5 of a table on Z8, after a 1: the
+# first bad position (or the value) must not depend on whether the table
+# holds only ints and strings (each its own key) or also a Fraction.
+_AFTER_ONE = [
+    (True, True), (1.0, True), (None, True), ([1], True), ({"x": 1}, True),
+    ("1/0", True), ("١", False), ("1e5000", True), ("+1", False),
+]
+
+
+@pytest.mark.parametrize("text", [False, True], ids=["fractions", "text"])
+@pytest.mark.parametrize(
+    "entry, refused", _AFTER_ONE,
+    ids=["true", "float", "null", "list", "dict", "zero-denominator", "arabic-indic-one",
+         "huge-exponent", "plus-one"],
+)
+def test_first_bad_position_is_the_same_on_both_paths(entry, refused, text):
+    group = FiniteAbelian([8])
+    outcomes = []
+    for filler in (1, Fraction(1)):
+        table = ["1/2", filler, 1, entry, "1/2", entry, 1, "1"]
+        try:
+            outcomes.append(transfer_eval(group, 1, table, _text=text))
+        except GroupError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if refused:
+        assert outcomes[0] == f"table entry 3 is not a rational: {entry!r}"
+    else:
+        expected = [Fraction(1, 2), 1, 1, 1, Fraction(1, 2), 1, 1, 1]
+        assert outcomes[0] == ([str(v) for v in expected] if text else expected)
+
+
+def test_text_values_are_shared_and_fractions_are_built_only_without_the_flag(monkeypatch):
+    group = FiniteAbelian([6, 12])
+    table = [["1/3", 2, "-5/6", 0][i % 4] for i in range(group.order)]
+    values = transfer_eval(group, 2, table)
+    texts = transfer_eval(group, 2, table, _text=True)
+    assert texts == [str(v) for v in values]
+    assert len({id(t) for t in texts}) == len(set(texts)) < len(texts)
+
+    def refused(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(groups, "Fraction", refused)
+    assert transfer_eval(group, 2, table, _text=True) == texts
 
 
 # -- classification ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import collections
 import contextlib
 import itertools
+import json
+import pathlib
 import random
 import re
 
@@ -932,6 +934,35 @@ def test_a_certified_2x2_table_has_a_split_row_or_column_at_every_k():
         for graph in certified:
             for k in (1, 2, 3):
                 assert row_or_column_splits(graph, k, k, rng), (graph.theta_rows(), k)
+
+
+# The 48 periodic 4x2 and 48 periodic 2x4 tables, with the multiple k at which
+# each has its period; tools/periodic_fixtures.py regenerates them from the
+# census of all 40,320 tables of each shape.
+UNCERTIFIED_PERIODIC = json.loads(
+    (pathlib.Path(__file__).resolve().parent / "fixtures" / "uncertified_periodic.json").read_text()
+)
+
+
+def test_the_uncertified_periodic_fixture_has_48_tables_of_each_shape():
+    shapes = collections.Counter((t["spec"]["n1"], t["spec"]["n2"]) for t in UNCERTIFIED_PERIODIC)
+    assert shapes == {(4, 2): 48, (2, 4): 48}
+    assert len({json.dumps(t["spec"]) for t in UNCERTIFIED_PERIODIC}) == 96
+
+
+@pytest.mark.parametrize(
+    "table", UNCERTIFIED_PERIODIC,
+    ids=[f"{t['spec']['n1']}x{t['spec']['n2']}-{i}" for i, t in enumerate(UNCERTIFIED_PERIODIC)],
+)
+def test_the_certificate_leaves_a_periodic_table_alone(table):
+    graph = TwoGraph.from_json(table["spec"])
+    assert _aperiodic(graph) is False
+    k = table["k"]
+    a0, b0 = minimal_exponents(graph.n_blue, graph.n_red)
+    verdict = decide_periodicity(graph, kmax=k)
+    assert verdict.kind == PERIODIC
+    # the search stops at the first period, so none lies below k
+    assert (verdict.witness.a, verdict.witness.b) == (k * a0, k * b0)
 
 
 # -- candidate uniqueness -----------------------------------------------------------
