@@ -26,7 +26,7 @@ from .periodicity import decide_periodicity
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems are input errors: print help, exit 1
+    # usage problems are input errors: print usage and the message, exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -143,70 +143,77 @@ def _parse_degree(value: str) -> tuple:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared.
 
-    One parser serves every request of a process: ``parse_args`` returns
-    a fresh namespace and leaves the parser unchanged, and each handler
+    One parser serves every request of a process: parsing returns a
+    fresh namespace and leaves the parser unchanged, and each handler
     looks up what it calls when it runs.  Callers must not add to it.
+    Its ``leaves`` maps each leaf's command words, such as
+    ``("theta", "periodicity")`` or ``("double",)``, to the leaf's own
+    parser, which :func:`main` sends a request to directly.
     """
     parser = _Parser(prog="twograph", description=__doc__)
+    parser.leaves = {}
+
+    def leaf(sub, words: tuple, run, **kwargs) -> argparse.ArgumentParser:
+        p = parser.leaves[words] = sub.add_parser(words[-1], **kwargs)
+        p.set_defaults(run=run)
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     theta = sub.add_parser("theta", help="single-graph questions")
     theta_sub = theta.add_subparsers(dest="subcommand", required=True)
 
-    p = theta_sub.add_parser("validate", help="check the commutation table")
+    p = leaf(theta_sub, ("theta", "validate"), _theta_validate,
+             help="check the commutation table")
     p.add_argument("--spec", required=True, help="graph JSON file or inline JSON")
-    p.set_defaults(run=_theta_validate)
 
-    p = theta_sub.add_parser("normal-form", help="normalize or reorder a word")
+    p = leaf(theta_sub, ("theta", "normal-form"), _theta_normal_form,
+             help="normalize or reorder a word")
     p.add_argument("--spec", required=True)
     p.add_argument("--word", required=True, help="letters like 'r0 b1'")
     p.add_argument("--pattern", help="color pattern like 'RB' to reorder into")
-    p.set_defaults(run=_theta_normal_form)
 
-    p = theta_sub.add_parser("periodicity", help="bounded periodicity decision")
+    p = leaf(theta_sub, ("theta", "periodicity"), _theta_periodicity,
+             help="bounded periodicity decision")
     p.add_argument("--spec", required=True)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
-    p.set_defaults(run=_theta_periodicity)
 
-    p = sub.add_parser("double", help="emit the doubled graph")
+    p = leaf(sub, ("double",), _double, help="emit the doubled graph")
     p.add_argument("--spec", required=True)
-    p.set_defaults(run=_double)
 
-    p = sub.add_parser("crossed-product", help="simplicity of the core crossed product")
+    p = leaf(sub, ("crossed-product",), _crossed_product,
+             help="simplicity of the core crossed product")
     p.add_argument("--spec", required=True)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
-    p.set_defaults(run=_crossed_product)
 
     core = sub.add_parser("core", help="symbolic identity suite")
     core_sub = core.add_subparsers(dest="subcommand", required=True)
-    p = core_sub.add_parser("verify", help="run every identity check")
+    p = leaf(core_sub, ("core", "verify"), _core_verify, help="run every identity check")
     p.add_argument("--spec", required=True)
     p.add_argument("--max-degree", default="2,2", help="degree bound like '2,2'")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
     p.add_argument("--output", choices=("json", "table"), default="table")
-    p.set_defaults(run=_core_verify)
 
     group = sub.add_parser("group", help="compact abelian group systems")
     group_sub = group.add_subparsers(dest="subcommand", required=True)
 
-    p = group_sub.add_parser("classify", help="crossed-product classification")
+    p = leaf(group_sub, ("group", "classify"), _group_classify,
+             help="crossed-product classification")
     p.add_argument("--group", required=True, help="group JSON file or inline JSON")
     p.add_argument("--range", type=int, default=12, dest="test_range")
-    p.set_defaults(run=_group_classify)
 
-    p = group_sub.add_parser("transfer", help="exact transfer average on a finite group")
+    p = leaf(group_sub, ("group", "transfer"), _group_transfer,
+             help="exact transfer average on a finite group")
     p.add_argument("--group", required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--table", required=True, help="JSON list of rationals")
-    p.set_defaults(run=_group_transfer)
 
-    p = group_sub.add_parser("g123", help="system conditions report")
+    p = leaf(group_sub, ("group", "g123"), _group_g123, help="system conditions report")
     p.add_argument("--group", required=True)
     p.add_argument("--range", type=int, default=12, dest="test_range")
-    p.set_defaults(run=_group_g123)
 
     return parser
 
@@ -306,10 +313,36 @@ def _group_transfer(args) -> int:
     return 0
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """``argv`` parsed as ``build_parser().parse_args(argv)`` parses it.
+
+    Above a leaf, every parser only hands the remaining strings down:
+    its subcommand positional takes ``-h``, ``--`` and unknown options
+    alike.  So a request that starts with a leaf's command words goes to
+    that leaf's parser alone, and only strings the leaf leaves over are
+    reported by the root, as argparse reports them.  Help and errors
+    before a command is named stay with the root parser.
+    """
+    parser = build_parser()
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        leaf = parser.leaves.get(words)
+        if leaf is not None:
+            args, extras = leaf.parse_known_args(argv[len(words):])
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
+    """Run one request, ``sys.argv[1:]`` when ``argv`` is None.
+
+    Parse, run, and report an input error as one line on stderr with
+    exit 1; usage errors exit 1 from the parser.
+    """
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parse(sys.argv[1:] if argv is None else list(argv))
             return args.run(args)
         finally:  # a closed stdout shows here, not at exit, even after --help
             sys.stdout.flush()

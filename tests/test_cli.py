@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 
 from twograph import cli, flip_graph, twin_graph
 from twograph.cli import main
+from twograph.graphs import GraphError, GroupError
 
 
 @pytest.fixture
@@ -433,7 +435,7 @@ def test_closed_stdout_ends_quietly(size):
     assert (result.returncode, result.stderr) == (1, b"")
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["theta", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["theta", "--help"], ["double", "--help"]])
 def test_closed_stdout_on_help_ends_quietly(argv):
     # argparse prints the help and leaves by SystemExit, so the flush
     # must come before that exit leaves main
@@ -944,11 +946,11 @@ def test_unparsable_spec_file_names_its_option(capsys, tmp_path):
     )
 
 
-def _main_result(argv) -> tuple:
+def _main_result(argv, run=main) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(list(argv))
+            code = run(list(argv))
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
@@ -987,3 +989,127 @@ def test_cached_parser_answers_like_a_fresh_one(monkeypatch, twin_spec, flip_spe
     assert cached == fresh
     assert {code for code, _, _ in cached} == {0, 1}
     assert sum(code == 1 for code, _, _ in cached) == 10
+
+
+def _root_parsed(argv) -> int:
+    """``main`` with every request parsed by the root parser, as argparse
+    sends it down through each subcommand level, under main's clauses."""
+    try:
+        try:
+            args = cli.build_parser().parse_args(argv)
+            return args.run(args)
+        finally:
+            sys.stdout.flush()
+    except (GraphError, GroupError, OSError, ValueError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
+
+
+_GRAPH = '{"n1": 1, "n2": 1, "theta": [[0, 0, 0, 0]]}'
+_GROUP = '{"kind": "finite", "factors": [2]}'
+# each leaf's command words and the options that make it run
+_LEAF_INPUTS = {
+    ("theta", "validate"): ["--spec", _GRAPH],
+    ("theta", "normal-form"): ["--spec", _GRAPH, "--word", "b0"],
+    ("theta", "periodicity"): ["--spec", _GRAPH],
+    ("double",): ["--spec", _GRAPH],
+    ("crossed-product",): ["--spec", _GRAPH],
+    ("core", "verify"): ["--spec", _GRAPH, "--max-degree", "1,1"],
+    ("group", "classify"): ["--group", _GROUP],
+    ("group", "transfer"): ["--group", _GROUP, "--a", "2", "--table", "[1, 2]"],
+    ("group", "g123"): ["--group", _GROUP],
+}
+
+
+def _tails(option: str, value: str) -> dict:
+    return {
+        "bare": [],
+        "-h": ["-h"],
+        "--he": ["--he"],
+        "abbreviated": [option[:5], value],
+        "equals": [f"{option}={value}"],
+        "repeated": [option, value, option, value],
+        "-x": ["-x"],
+        "--": ["--"],
+        "--kmax": ["--kmax"],
+        "--kmax-x": ["--kmax", "x"],
+        "--output-xml": ["--output", "xml"],
+        "stray": ["stray"],
+    }
+
+
+# each tail after a leaf's words alone, and after its input options too,
+# where a stray string is left over for the root parser to report
+_PARITY = {
+    **{
+        f"{'-'.join(words)}{with_inputs}:{name}": [*words, *inputs[:size], *tail]
+        for words, inputs in _LEAF_INPUTS.items()
+        for size, with_inputs in ((0, ""), (len(inputs), "+inputs"))
+        for name, tail in _tails(*inputs[:2]).items()
+    },
+    "root": [],
+    "root:-h": ["-h"],
+    "nonsense": ["nonsense"],
+    "theta": ["theta"],
+    "theta:-h": ["theta", "-h"],
+    "core": ["core"],
+    "group": ["group"],
+    "option-before-command": ["--spec", "x", "theta", "validate"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_PARITY.values()), ids=list(_PARITY))
+def test_leaf_parse_answers_like_the_root_parser(argv):
+    # main sends a request that names a leaf to that leaf's parser alone;
+    # exit code, stdout and stderr must be those of the whole tree's parse
+    assert _main_result(argv) == _main_result(argv, _root_parsed)
+
+
+def test_leftover_argument_is_reported_by_the_root_parser(capsys, monkeypatch, twin_spec):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["theta", "validate", "--spec", twin_spec, "extra"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage: twograph [-h] {theta,double,crossed-product,core,group} ...\n"
+        "error: unrecognized arguments: extra\n"
+    )
+
+
+def _tree_leaves(parser, words=()) -> dict:
+    """Every leaf parser under ``parser``, by its command words."""
+    leaves = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                leaves.update(_tree_leaves(child, (*words, name)))
+    return leaves or {words: parser}
+
+
+def test_leaf_table_holds_every_leaf_of_the_tree():
+    # a subcommand missing from the table would still answer, from the
+    # root parser, so only this test shows it
+    parser = cli.build_parser.__wrapped__()
+    leaves = _tree_leaves(parser)
+    assert len(leaves) == 9
+    assert parser.leaves.keys() == leaves.keys()
+    assert all(parser.leaves[words] is leaf for words, leaf in leaves.items())
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["theta", "validate", "--spec", _GRAPH], 0), (["--help"], 0), (["nonsense"], 1)],
+    ids=["leaf", "root-help", "root-error"],
+)
+def test_main_without_argv_reads_sys_argv(monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["twograph", *argv])
+    result = _main_result((), lambda _: main())
+    assert result == _main_result(argv)
+    assert result[0] == code
+
+
+def test_tuple_argv_is_parsed_like_a_list():
+    for argv in (("theta", "validate", "--spec", _GRAPH), ("theta",), ()):
+        assert _main_result(argv, lambda argv: main(tuple(argv))) == _main_result(argv)
