@@ -170,9 +170,10 @@ def ker_size(group: GroupSpec, a: int) -> int:
 
     Finite groups count solutions componentwise; tori give a^rank;
     solenoids give the part of a coprime to the forever-recurring
-    primes; p-adic power maps are injective.
+    primes; p-adic power maps are injective.  ``a`` must be an int (not
+    a bool) of at least 1.
     """
-    if a < 1:
+    if _int("a", a) < 1:
         raise GroupError(f"exponent a must be at least 1, got {a}")
     if isinstance(group, FiniteAbelian):
         return math.prod(math.gcd(a, d) for d in group.factors)
@@ -344,7 +345,8 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence, *, _text: bool 
     the inputs over its preimages; points off the image get zero.
     Tables list the elements in mixed radix, the first invariant factor
     most significant.  Each entry must be a rational (an int, a Fraction
-    or a string like "1/2"); floats and booleans are rejected.  Each
+    or a string like "1/2"); floats and booleans are rejected, and so is
+    an exponent ``a`` that is not an int, as in :func:`ker_size`.  Each
     distinct entry is parsed once per call into a reduced integer ratio
     (see :func:`_table_values`) and scaled once to a numerator over the
     lcm of the denominators; the sums are taken in integers, over one
@@ -357,6 +359,7 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence, *, _text: bool 
     built.  A value with more digits than the interpreter converts to
     text raises ValueError, as ``str`` of its Fraction does.
     """
+    _int("a", a)
     if not isinstance(group, FiniteAbelian):
         raise GroupError("transfer tables only make sense on finite groups")
     if isinstance(table, str) or not isinstance(table, Sequence):

@@ -115,6 +115,31 @@ count of its side, and removes at least one pair.  The first round
 keeps exactly the pairs whose lists of images differ, so it is one
 list comparison per pair.
 
+Lemma (superadditivity): read the moves as a machine T whose states
+are the blue letters: in state e it reads a red letter f, writes f'
+and goes to state e', by ``_fwd[e*N2 + f] = (f', e')``.  Moving a red
+word through the blue word e1...ea runs T^a, the serial composition
+in which ea reads first, with e1...ea as its start state.  Let
+delay(M) be the least t at which some output of the machine M depends
+on its input, over all start states: from every start state, the
+outputs at times 0 to delay(M) - 1 depend on the state alone.  Then
+condition 1 at (a, b) says delay(T^a) >= b, and condition 2 is
+condition 1 of the dual machine, whose states are the red letters and
+which reads a blue letter e by (f, e) -> (e', f'): it says that the
+dual's delay on red words of length b is at least a.  The lemma is
+delay(T^(a+a')) >= delay(T^a) + delay(T^a'), and so on the dual side.
+
+Proof: write d for the delay of a machine.  Every state it reaches
+starts a copy of the machine, so, from any start state, the output at
+time u depends only on the state at time u - d + 1, that is, on the
+start state and the inputs up to time u - d.  T^(a+a') is T^a'
+followed by T^a.  The outer output at time u reads the inner outputs
+up to time u - delay(T^a), and those read the inputs up to time
+u - delay(T^a) - delay(T^a').  So the first delay(T^a) + delay(T^a')
+outputs depend on the start state alone.  By induction
+delay(T^(m*a)) >= m * delay(T^a), so condition 1 (or 2) at
+k * (a0, b0) holds at every multiple of k.
+
 A pass returns None on unequal counts, reads the moves of each blue
 word in code order off its prefix's by the recurrence, stops at the
 first word whose moves put out two letters, and builds Z along red

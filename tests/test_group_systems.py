@@ -77,6 +77,20 @@ def test_ker_padic_injective():
     assert ker_size(Padic(3), 18) == 1
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [lambda a: ker_size(Torus(2), a), lambda a: ker_size(FiniteAbelian([4]), a),
+     lambda a: transfer_eval(FiniteAbelian([4]), a, [1, 2, 3, 4])],
+    ids=["ker_size-torus", "ker_size-finite", "transfer_eval"],
+)
+@pytest.mark.parametrize("a", [2.5, 2.0, True, "3", None])
+def test_exponent_that_is_not_an_int_is_named(evaluate, a):
+    # a float is not read as an exponent (2.5 gave a kernel of 6.25), nor
+    # True as 1, and a str or None is a GroupError, not a TypeError
+    with pytest.raises(GroupError, match=f"^a must be an integer, got {re.escape(repr(a))}$"):
+        evaluate(a)
+
+
 # -- system conditions ---------------------------------------------------------------
 
 
