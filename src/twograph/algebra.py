@@ -14,38 +14,40 @@ shared positive denominator per element, kept in lowest terms.  Every
 suite coefficient lies in Z[1/N1, 1/N2]: the word product multiplies
 the two denominators, shift keeps the denominator and transfer
 multiplies it by the path count, so no Fraction is built inside the
-algebra.  Any rational is accepted at the boundary (the constructor,
-word coefficients and scalar multiples) and ``terms`` reads the
-coefficients back as Fractions.
+algebra.  The boundary (the constructor, word coefficients, scalar
+multiples and ``==``) accepts an int or a Fraction and refuses anything
+else, and ``terms`` reads the coefficients back as Fractions.
 
-The word product and the transfer each run in one kernel on numerator
-dicts, ``_product`` and ``_transfer``.  A kernel returns raw numerators:
-zeros are kept and no gcd is taken.  ``GradedElement.__mul__`` and
-:func:`transfer` hand that output to ``GradedElement._of``, the one
-place where numerators are reduced to lowest terms and zeros dropped.
-The identity suite shares work across its cases through tables that
-live no longer than one ``identity_suite`` call; nothing is kept on the
-graph.  Every word product still goes through the module-level
-``_product`` and every shift through :func:`shift`, names the tests
-patch.
+The word product runs in one kernel, ``_product``, and the transfer in
+one per-word kernel, ``_transfer``: T(w), the numerators of the
+transfer of the one word w at degree n, over the path count of n.  A
+kernel returns raw numerators: zeros are kept and no gcd is taken.
+Every transfer, :func:`transfer` included, goes through one helper,
+``_add_transfers``, the kernel's only caller: the transfer is linear,
+so the helper adds c T(w) into a numerator dict for each term c w.
+``GradedElement.__mul__`` and :func:`transfer` hand their numerators to
+``GradedElement._of``, the one place where numerators are reduced to
+lowest terms and zeros dropped.  Every word product goes through the
+module-level ``_product``, every shift through :func:`shift` and every
+word transfer through ``_transfer``, names the tests patch.
 
-Both transfer identities, transfer-action, transfer-section and
-module-orthonormal take every transfer from one helper,
-``_add_transfers``.  The transfer is linear, so the helper adds c T(w)
-into a difference dict for each term c w, where T(w) is the
-``_transfer`` numerators of the one word w at degree n, over the path
-count of n.  Since the path count of m + n is the product of those of m
-and n, every side of these checks is a sum of such T(w) over one common
+Since the path count of m + n is the product of those of m and n, every
+side of the suite's transfer checks is a sum of T(w) over one common
 count, compared without denominator bookkeeping: transfer-action sums
 T(m, x) over the terms x of T(n, w) against T(m + n, w), module-orthonormal
 sums over the product of two basis words against 0 or 1, and
 transfer-section sums over shift(n, a) against a scaled by the shift's
-denominator times the path count.  The helper caches each T(w) in a dict
-its caller owns, which lives for one degree of one transfer-identity
-check, for the transfer-action check, for one case of transfer-section
-(whose shifted words never repeat) and for one level of
-module-orthonormal.  transfer-unit and the module checks call
-:func:`transfer`, which runs the same kernel.
+denominator times the path count.
+
+The algebra keeps nothing on the graph, and its tables live no longer
+than one ``identity_suite`` call.  ``_add_transfers`` caches each T(w)
+in a dict its caller owns: :func:`transfer` passes a fresh one per
+call, and the suite one per degree of a transfer-identity check (whose
+right sides are the cached T(b) themselves), one for the transfer-action
+check, one per case of transfer-section (whose shifted words never
+repeat) and one per level of module-orthonormal.  The memo of skipped
+transfer-identity cases lives for one degree, and the covariance table
+for one suite call:
 
 - The transfer identity transfer(n, shift(n, a) b) == a transfer(n, b)
   computes shift(n, a) once per word.  A case whose two sides are both
@@ -126,6 +128,8 @@ class GradedElement:
 
     def __init__(self, graph: TwoGraph, terms: Optional[dict] = None):
         terms = terms or {}
+        if not all(p.graph is graph or p.graph == graph for pair in terms for p in pair):
+            raise SpecMismatchError("a path of the terms lives on another graph")
         ratios = {(mu.code, nu.code): _ratio(c) for (mu, nu), c in terms.items()}
         den = math.lcm(*(d for _, d in ratios.values()))
         element = GradedElement._of(
@@ -234,16 +238,11 @@ class GradedElement:
         return _vanishes(self.graph, self.nums)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, GradedElement):
-            nums, _ = self._combine(other, -1)
-        elif isinstance(other, (int, Fraction)):
-            # self - p/q vanishes exactly when q*self - p*1 does
-            p, q = _ratio(other)
-            nums = {key: n * q for key, n in self.nums.items()}
-            nums[EMPTY, EMPTY] = nums.get((EMPTY, EMPTY), 0) - p * self.den
-        else:
+        if isinstance(other, (int, Fraction)):
+            other = other * GradedElement.one(self.graph)
+        elif not isinstance(other, GradedElement):
             return NotImplemented
-        return _vanishes(self.graph, nums)
+        return _vanishes(self.graph, self._combine(other, -1)[0])
 
     def __hash__(self):
         raise TypeError("GradedElement equality is modulo expansion; not hashable")
@@ -258,11 +257,16 @@ class GradedElement:
 
 
 def _ratio(value) -> tuple:
-    """A rational scalar as (numerator, positive denominator)."""
+    """An int (a bool too) or a Fraction as (numerator, positive denominator).
+
+    Anything else is refused, as ``*`` refuses it: a float would be read
+    as its binary expansion.
+    """
     if isinstance(value, int):
         return int(value), 1
-    value = Fraction(value)
-    return value.numerator, value.denominator
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"a coefficient must be an int or a Fraction, got {value!r}")
 
 
 def _vanishes(graph: TwoGraph, nums: dict) -> bool:
@@ -314,9 +318,10 @@ def transfer(degree, element: GradedElement) -> GradedElement:
     by the number of paths of degree n.
     """
     graph = element.graph
-    lams = graph._paths(_as_degree(degree))
+    degree = _as_degree(degree)
+    count = len(graph._paths(degree))  # checks the degree, even on the zero element
     return GradedElement._of(
-        graph, _transfer(graph, lams, element.nums), element.den * len(lams)
+        graph, _add_transfers(graph, {}, {}, degree, element.nums), element.den * count
     )
 
 
@@ -338,21 +343,22 @@ def _product(graph: TwoGraph, left: dict, right: dict) -> dict:
     return out
 
 
-def _transfer(graph: TwoGraph, lams: tuple, nums: dict) -> dict:
-    """Numerators of the sum of s_lam^* a s_lam over the path codes ``lams``.
+def _transfer(graph: TwoGraph, degree: Degree, word: tuple) -> dict:
+    """Numerators of the transfer of the one word ``word`` = (mu, nu) at ``degree``.
 
-    Zeros are kept and no gcd is taken; the transfer's denominator is
-    that of ``nums`` times ``len(lams)``.
+    The sum of s_lam^* s_mu s_nu^* s_lam over the paths lam of
+    ``degree``, no gcd taken; its denominator is the path count of
+    ``degree``.
     """
+    mu, nu = word
     out: dict = {}
-    for (mu, nu), n in nums.items():
-        for lam in lams:
-            # s_lam^* s_mu expands first, then s_nu^* s_lam on the right
-            for head_tail, mu_tail in _extensions(graph, lam, mu):
-                left_nu = _compose(graph, nu, mu_tail)
-                for mid_tail, lam_tail in _extensions(graph, left_nu, lam):
-                    key = (_compose(graph, head_tail, mid_tail), lam_tail)
-                    out[key] = out.get(key, 0) + n
+    for lam in graph._paths(degree):
+        # s_lam^* s_mu expands first, then s_nu^* s_lam on the right
+        for head_tail, mu_tail in _extensions(graph, lam, mu):
+            left_nu = _compose(graph, nu, mu_tail)
+            for mid_tail, lam_tail in _extensions(graph, left_nu, lam):
+                key = (_compose(graph, head_tail, mid_tail), lam_tail)
+                out[key] = out.get(key, 0) + 1
     return out
 
 
@@ -360,14 +366,14 @@ def _add_transfers(graph: TwoGraph, cache: dict, diff: dict, degree: Degree, num
     """Add the transfer numerators of ``nums`` at ``degree`` to ``diff``; return ``diff``.
 
     The transfer is linear, so this adds c T(w) for each term c w of
-    ``nums``, where T(w) = ``_transfer(graph, paths(degree), {w: 1})`` is
-    over the path count of ``degree``.  Each T(w) is computed once and
+    ``nums``, where T(w) = ``_transfer(graph, degree, w)`` is over the
+    path count of ``degree``.  Each T(w) is computed once and
     kept in ``cache`` under (degree, w); the caller owns ``cache``.
     """
     for w, c in nums.items():
         tw = cache.get((degree, w))
         if tw is None:
-            tw = cache[degree, w] = _transfer(graph, graph._paths(degree), {w: 1})
+            tw = cache[degree, w] = _transfer(graph, degree, w)
         for key, t in tw.items():
             diff[key] = diff.get(key, 0) + c * t
     return diff
@@ -417,10 +423,6 @@ class ModuleVector:
             self.level + other.level,
             self.payload * shift(self.level, other.payload),
         )
-
-    def right_mul(self, element: GradedElement) -> "ModuleVector":
-        """The right module action; multiplies by the shifted element."""
-        return ModuleVector(self.level, self.payload * shift(self.level, element))
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         self._check_level(other)
@@ -609,7 +611,8 @@ def identity_suite(
         cases = 0
         for n, group in groups:
             cache: dict = {}  # the word transfers of this n
-            rights = [_add_transfers(graph, cache, {}, n, {b: 1}) for b in group]
+            _add_transfers(graph, cache, {}, n, dict.fromkeys(group, 0))
+            rights = [cache[n, b] for b in group]  # the cached T(b), not copies
             # A case whose two sides are both empty has diff {}, which
             # vanishes, so it is counted and nothing else is done.  The left
             # side is empty exactly when no second path of shift(n, a) has a
@@ -776,7 +779,7 @@ def identity_suite(
                 target = ModuleVector(level, _word(graph, al, be))
                 total = ModuleVector(level, GradedElement.zero(graph))
                 for vec in family:
-                    total = total + vec.right_mul(vec.inner(target))
+                    total = total + vec * ModuleVector((0, 0), vec.inner(target))
                 if total != target:
                     return False
         return True

@@ -357,9 +357,9 @@ def _parse_word(word, sizes: tuple) -> list:
 
 
 def _check_id(color: int, x, n: int) -> None:
-    """Reject an edge id that is not an int (a bool is not one) in ``0..n-1``."""
+    """Reject an edge id whose type is not ``int``, or that is outside ``0..n-1``."""
     name = "red" if color else "blue"
-    if not isinstance(x, int) or isinstance(x, bool):
+    if type(x) is not int:
         raise IdOutOfRangeError(f"{name} id {x!r} is not an integer")
     if not 0 <= x < n:
         raise IdOutOfRangeError(f"{name} id {x} out of range")
@@ -372,8 +372,8 @@ def _check_count(name: str, value) -> None:
 
 
 def _check_bound(name: str, value) -> None:
-    """Reject a bound that is not an int (a bool is not one) or is below 1."""
-    if not isinstance(value, int) or isinstance(value, bool):
+    """Reject a bound whose type is not ``int``, or that is below 1."""
+    if type(value) is not int:
         raise BadRangeError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise BadRangeError(f"{name} must be at least 1, got {value}")

@@ -324,9 +324,7 @@ def _aperiodic(graph: TwoGraph) -> bool:
 
 def _check_exponents(a: int, b: int) -> None:
     # (0, 0) would pair the empty paths vacuously; negative ones have no paths
-    if not all(
-        isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in (a, b)
-    ):
+    if not all(type(x) is int and x >= 1 for x in (a, b)):
         raise BadRangeError(
             f"exponents must be integers of at least 1, got (a, b) = {(a, b)}"
         )

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,33 @@ def test_scalar_multiples_accept_the_same_scalars_in_either_order():
             bad * one
         with pytest.raises(TypeError):
             one * bad
+
+
+def test_constructors_accept_only_the_scalars_of_a_multiple():
+    # a float would be stored as its binary expansion, so word coefficients
+    # and constructor terms take what * takes: an int (a bool too) or a Fraction
+    g = flip_graph(2, 2)
+    e = g.empty_path()
+    for scalar in (3, -1, 0, True, Fraction(2, 7)):
+        expected = (scalar * GradedElement.one(g)).terms
+        assert GradedElement.word(e, e, scalar).terms == expected
+        assert GradedElement(g, {(e, e): scalar}).terms == expected
+    for bad in (0.1, 0.5, complex(1, 0), "1/3", Decimal("0.5"), None):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            GradedElement.word(e, e, bad)
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            GradedElement(g, {(e, e): bad})
+
+
+def test_constructor_rejects_paths_of_another_graph():
+    g = flip_graph(2, 2)
+    other = flip_graph(3, 3).blue_path(2)  # names blue edge 2 of a 2-edge graph
+    for key in ((other, other), (g.empty_path(), other), (other, g.empty_path())):
+        with pytest.raises(SpecMismatchError):
+            GradedElement(g, {key: 1})
+    # a path of an equal graph is accepted, as word() accepts it
+    twin = flip_graph(2, 2).blue_path(1)
+    assert GradedElement(g, {(twin, twin): 1}) == GradedElement.word(twin, twin)
 
 
 # -- coefficient arithmetic against a Fraction oracle --------------------------------
@@ -338,7 +366,13 @@ def test_transfer_section_of_shift():
 def test_negative_degree_is_rejected():
     g = flip_graph(2, 2)
     one = GradedElement.one(g)
-    calls = (g.enumerate_paths, lambda n: shift(n, one), lambda n: transfer(n, one))
+    zero = GradedElement.zero(g)
+    calls = (
+        g.enumerate_paths,
+        lambda n: shift(n, one),
+        lambda n: transfer(n, one),
+        lambda n: transfer(n, zero),
+    )
     for call in calls:
         with pytest.raises(BadRangeError, match=r"negative degree"):
             call((-1, 0))
@@ -802,11 +836,10 @@ def test_identity_suite_reports_first_failures(monkeypatch):
 
 
 def _doubled_at_blue(true_transfer):
-    # a transfer kernel that doubles its numerators at degree (1, 0), the
-    # degree of the path codes lams it sums over
-    def broken_transfer(graph, lams, nums):
-        out = true_transfer(graph, lams, nums)
-        if lams[0][:2] != (1, 0):
+    # a transfer kernel that doubles its numerators at degree (1, 0)
+    def broken_transfer(graph, degree, word):
+        out = true_transfer(graph, degree, word)
+        if tuple(degree) != (1, 0):
             return out
         return {key: 2 * n for key, n in out.items()}
 

@@ -1,5 +1,6 @@
 """Normal forms, refactorization and enumeration on small graphs."""
 
+import enum
 import random
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twograph
 from twograph import (
     BLUE,
     DEFAULT_PATH_CAP,
@@ -14,6 +16,7 @@ from twograph import (
     BadRangeError,
     Degree,
     GraphError,
+    GroupError,
     IdOutOfRangeError,
     NotBijectiveError,
     Path,
@@ -21,9 +24,12 @@ from twograph import (
     SizeLimitError,
     SpecMismatchError,
     TwoGraph,
+    candidate_pairing,
+    decide_periodicity,
     flip_graph,
     random_two_graph,
     twin_graph,
+    verify_period,
 )
 
 from _oracles import randomized_reorder
@@ -448,3 +454,31 @@ def test_non_integer_edge_ids_are_rejected(build, err):
     with pytest.raises(IdOutOfRangeError) as exc:
         build(flip_graph(2, 2))
     assert str(exc.value) == err
+
+
+class _One(enum.IntEnum):
+    ONE = 1
+
+
+_INT_INPUTS = {
+    # once accepted as an int
+    "blue id": lambda g: Path(g, [_One.ONE], []),
+    "red id": lambda g: g.path([(RED, _One.ONE)]),
+    "kmax": lambda g: decide_periodicity(g, kmax=_One.ONE),
+    "periodicity cap": lambda g: decide_periodicity(g, cap=_One.ONE),
+    "path cap": lambda g: g.check_path_cap((1, 0), _One.ONE),
+    "exponent a": lambda g: candidate_pairing(g, _One.ONE, 1),
+    "exponent b": lambda g: verify_period(g, 1, _One.ONE, {}),
+    # always refused
+    "edge count": lambda g: TwoGraph(_One.ONE, 1, [[0, 0, 0, 0]]),
+    "degree": lambda g: g.enumerate_paths((_One.ONE, 0)),
+    "group exponent": lambda g: twograph.ker_size(twograph.FiniteAbelian([2]), _One.ONE),
+    "invariant factor": lambda g: twograph.FiniteAbelian([_One.ONE]),
+}
+
+
+@pytest.mark.parametrize("call", _INT_INPUTS.values(), ids=_INT_INPUTS.keys())
+def test_every_integer_input_refuses_an_int_subclass(call):
+    # one rule, type(x) is int, as the JSON reader applies it
+    with pytest.raises((GraphError, GroupError), match=re.escape(repr(_One.ONE))):
+        call(flip_graph(2, 2))

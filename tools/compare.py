@@ -28,7 +28,23 @@ equal on a fixed corpus:
   ``{"x": 1}``, ``"1/0"``, an Arabic-Indic digit, ``"1e5000"`` and the
   accepted ``"+1"``, at every position of a short table, and a few
   malformed ``group transfer`` requests;
-- two tables whose values are too long to print.
+- two tables whose values are too long to print;
+- each malformed ``--spec`` of ``BAD_SPECS`` through the six leaves that
+  read a graph, and each malformed ``--group`` of ``BAD_GROUPS`` through
+  the three that read a group: bad JSON, shapes, counts, rows and ids,
+  pairs listed twice, colliding or missing, factors, kinds, ranks,
+  primes, the solenoid's prime keys, and a missing file; then bad
+  words, patterns, degree bounds, path caps and test ranges.
+
+Every input-error message of ``graphs.py`` and ``groups.py`` is reached
+but these, which no command line can reach: in ``graphs.py`` a degree
+that is not a pair of ints, an edge id or a bound that is not an int
+and a color that is not 0 or 1 (the command line passes ints and
+strings), ``commute_*`` ids out of range, a negative degree (the suite
+refuses a negative bound first), a bad ``split`` or ``segment`` and
+paths of two graphs; in ``groups.py`` the ``Solenoid`` check of its
+prime counts (the JSON reader checks them first) and the three
+``unsupported group`` errors (the reader builds only the four kinds).
 
 The kernel suite compares ``minimal_exponents``, ``_candidate_codes``
 and ``_pairing_codes`` on a fixed case set:
@@ -203,6 +219,71 @@ def malformed_argvs():
            "--table", "[1]"]
 
 
+# malformed --spec values: bad JSON, shapes, counts, rows and ids, and
+# tables that are no bijection
+BAD_SPECS = [
+    '{"n1": 1,', "[1, 2]", "{}", '{"n1": 1, "n2": 1}',
+    '{"n1": "2", "n2": 1, "theta": []}', '{"n1": 1, "n2": true, "theta": []}',
+    '{"n1": 1.0, "n2": 1, "theta": []}', '{"n1": 1e400, "n2": 1, "theta": []}',
+    '{"n1": 0, "n2": 1, "theta": []}', '{"n1": 1, "n2": -1, "theta": []}',
+    '{"n1": 1, "n2": 1, "theta": {}}', '{"n1": 1, "n2": 1, "theta": "0000"}',
+    '{"n1": 1, "n2": 1, "theta": [0]}', '{"n1": 1, "n2": 1, "theta": [[0, 0, 0]]}',
+    '{"n1": 1, "n2": 1, "theta": [[0, 0, 0, true]]}',
+    '{"n1": 1, "n2": 1, "theta": [[0, 0, 0, 0.0]]}',
+    '{"n1": 1, "n2": 1, "theta": [[1, 0, 0, 0]]}', '{"n1": 1, "n2": 1, "theta": [[0, 0, 0, -1]]}',
+    '{"n1": 1, "n2": 1, "theta": [[0, 1, 0, 0]]}', '{"n1": 1, "n2": 1, "theta": [[0, 0, 1, 0]]}',
+    # a pair listed twice, two pairs with one image, pairs with no image
+    '{"n1": 2, "n2": 1, "theta": [[0, 0, 0, 0], [0, 0, 0, 1]]}',
+    '{"n1": 2, "n2": 1, "theta": [[0, 0, 0, 0], [1, 0, 0, 0]]}',
+    '{"n1": 2, "n2": 1, "theta": [[0, 0, 0, 0]]}', '{"n1": 2, "n2": 1, "theta": []}',
+    # past the interpreter's int-to-str digit limit
+    '{"n1": 1%s, "n2": 1, "theta": []}' % ("0" * 5000),
+    "no-such-spec.json",
+]
+# malformed --group values: bad JSON, shapes, kinds, factors, ranks and
+# primes, and the solenoid's prime keys and multiplicities
+BAD_GROUPS = [
+    '{"kind": "finite",', "[2]", "{}", '{"kind": "cyclic", "factors": [2]}', '{"kind": 1}',
+    '{"kind": "finite"}', '{"kind": "finite", "factors": 4}',
+    '{"kind": "finite", "factors": [2.0]}', '{"kind": "finite", "factors": [true]}',
+    '{"kind": "finite", "factors": [0]}', '{"kind": "finite", "factors": [2, -4]}',
+    '{"kind": "finite", "factors": [2, 3]}', '{"kind": "finite", "factors": [4, 2]}',
+    '{"kind": "torus"}', '{"kind": "torus", "rank": "1"}', '{"kind": "torus", "rank": 0}',
+    '{"kind": "padic"}', '{"kind": "padic", "p": 2.5}', '{"kind": "padic", "p": 4}',
+    '{"kind": "padic", "p": 1}', '{"kind": "padic", "p": 3317044064679887385961981}',
+    '{"kind": "solenoid", "finite": [2]}', '{"kind": "solenoid", "finite": {"x": 1}}',
+    '{"kind": "solenoid", "finite": {"-2": 1}}', '{"kind": "solenoid", "finite": {"٣": 1}}',
+    '{"kind": "solenoid", "finite": {"2": 1.5}}', '{"kind": "solenoid", "finite": {"2": 1, "02": 1}}',
+    '{"kind": "solenoid", "finite": {"4": 1}}', '{"kind": "solenoid", "finite": {"2": 0}}',
+    '{"kind": "solenoid", "finite": {"1%s": 1}}' % ("0" * 5000),
+    '{"kind": "solenoid", "finite": {"3317044064679887385961981": 1}}',
+    '{"kind": "solenoid", "infinite": 3}', '{"kind": "solenoid", "infinite": [3.0]}',
+    '{"kind": "solenoid", "infinite": [9]}',
+    '{"kind": "solenoid", "finite": {"3": 1}, "infinite": [3]}',
+    "no-such-group.json",
+]
+
+
+def malformed_inputs():
+    """Every malformed --spec or --group value through every leaf that reads
+    one, then bad words, patterns, degrees, caps and ranges."""
+    for words, (option, _, *rest) in LEAVES.items():
+        for value in BAD_SPECS if option == "--spec" else BAD_GROUPS:
+            yield [*words, option, value, *rest]
+    flip = json.dumps(CORE_SPECS[0])
+    for tail in (["x0"], ["b"], ["b2"], ["r-1"], ["b1" + "0" * 5000], ["b0", "--pattern", "BX"],
+                 ["b0 r0", "--pattern", "B"], ["b0 r0", "--pattern", "RRB"]):
+        yield ["theta", "normal-form", "--spec", flip, "--word", *tail]
+    for degree in ("2", "a,b", "+1,1", "1,1,1", "-1,0", "1,1" + "0" * 5000):
+        yield ["core", "verify", "--spec", flip, "--max-degree", degree]
+    yield ["core", "verify", "--spec", flip, "--max-degree", "1,1", "--path-cap", "1"]
+    for words in (("theta", "periodicity"), ("crossed-product",), ("core", "verify")):
+        yield [*words, "--spec", flip, "--path-cap", "0"]
+    for words in (("group", "classify"), ("group", "g123")):
+        for bound in ("0", "-3"):
+            yield [*words, "--group", GROUP, "--range", bound]
+
+
 def requests():
     with open(POOL, "r", encoding="utf-8") as fh:
         for items in json.load(fh).values():
@@ -217,6 +298,7 @@ def requests():
     yield from matrix()
     yield from seeded_argvs(2000, 29)
     yield from malformed_argvs()
+    yield from malformed_inputs()
     # every entry parses, but the sums have about 8,000 digits
     yield transfer_argv([3], 3, ["1e4000", "1e-4000", 3])
     yield transfer_argv([3], 1, ["1e4000", "1e-4000", 3])
