@@ -32,7 +32,7 @@ word algebra work on codes.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 BLUE = 0
 RED = 1
@@ -118,25 +118,34 @@ class Degree(NamedTuple):
 
 
 def _as_degree(value) -> Degree:
-    """``value`` as a Degree: a pair of ints (a bool is not one)."""
-    if isinstance(value, Degree):
-        return value
+    """``value`` as a Degree: a pair of ints (a bool is not one).
+
+    The rule holds for a ``Degree`` too, whose fields are not checked
+    when it is built.
+    """
     try:
         n1, n2 = value
     except (TypeError, ValueError):
         n1 = n2 = None
     if type(n1) is not int or type(n2) is not int:
         raise BadRangeError(f"a degree must be a pair of integers, got {value!r}")
-    return Degree(n1, n2)
+    return value if type(value) is Degree else Degree(n1, n2)
 
 
 class TwoGraph:
     """A single-vertex 2-graph: edge counts plus the commutation bijection.
 
     ``theta`` maps each blue-red pair ``(e, f)`` to the red-blue pair
-    ``(f2, e2)`` naming the same degree-(1,1) path.  The table must be a
-    bijection; the constructor checks totality and injectivity and
-    raises :class:`NotBijectiveError` otherwise.
+    ``(f2, e2)`` naming the same degree-(1,1) path: a Mapping of such
+    pairs, or rows ``[e, f, f2, e2]``.  The constructor owns every table
+    rule, however the graph is built (JSON, rows, a Mapping, ``double``).
+    Row by row, in table order, each row must be four ints (a bool is not
+    one; a Mapping entry ``(e, f): (f2, e2)`` is read as the row
+    ``[e, f, f2, e2]``, and one that is not a pair of pairs is named as
+    its ``(key, value)`` item) with ids in range, and the table must be
+    a bijection.  The first bad row raises a :class:`GraphError` that
+    names it; a repeated input pair or image, or a missing pair, raises
+    :class:`NotBijectiveError`.
     """
 
     __slots__ = (
@@ -159,16 +168,26 @@ class TwoGraph:
         self.n_blue = n_blue
         self.n_red = n_red
 
-        if isinstance(theta, Mapping):
-            rows = [(e, f, ff, ee) for (e, f), (ff, ee) in theta.items()]
-        else:
-            rows = [tuple(row) for row in theta]
-
+        entries = isinstance(theta, Mapping)
+        if not (entries or isinstance(theta, Iterable)):
+            raise GraphError(f"theta must be rows or a mapping, got {theta!r}")
         # dicts, not n1*n2 slots: a short table on huge counts must fail
         # on its first missing pair, not on the allocation
         fwd: dict = {}
         inv: dict = {}
-        for e, f, ff, ee in rows:
+        for i, row in enumerate(theta.items() if entries else theta):
+            try:
+                if entries:
+                    (e, f), (ff, ee) = row
+                    row = [e, f, ff, ee]
+                else:
+                    e, f, ff, ee = row
+            except (TypeError, ValueError):
+                e = f = ff = ee = None
+            if not (type(e) is type(f) is type(ff) is type(ee) is int):
+                raise GraphError(
+                    f"theta row {i} must be 4 integers [e, f, f2, e2], got {row!r}"
+                )
             if not (0 <= e < self.n_blue and 0 <= ee < self.n_blue):
                 raise IdOutOfRangeError(f"blue id out of range in row {(e, f, ff, ee)}")
             if not (0 <= f < self.n_red and 0 <= ff < self.n_red):
@@ -216,14 +235,14 @@ class TwoGraph:
 
     def commute_blue_red(self, e: int, f: int) -> tuple:
         """Rewrite the word (blue e)(red f) as (red f2)(blue e2)."""
-        if not (0 <= e < self.n_blue and 0 <= f < self.n_red):
-            raise IdOutOfRangeError(f"(b{e}, r{f}) out of range")
+        _check_id(BLUE, e, self.n_blue)
+        _check_id(RED, f, self.n_red)
         return self._fwd[e * self.n_red + f]
 
     def commute_red_blue(self, f: int, e: int) -> tuple:
         """Rewrite the word (red f)(blue e) as (blue e2)(red f2)."""
-        if not (0 <= e < self.n_blue and 0 <= f < self.n_red):
-            raise IdOutOfRangeError(f"(r{f}, b{e}) out of range")
+        _check_id(RED, f, self.n_red)
+        _check_id(BLUE, e, self.n_blue)
         return self._inv[f * self.n_blue + e]
 
     def __eq__(self, other) -> bool:
@@ -261,8 +280,12 @@ class TwoGraph:
         return Path._of(self, code)
 
     def path_count(self, degree) -> int:
-        degree = _as_degree(degree)
-        return self.n_blue**degree.n1 * self.n_red**degree.n2
+        """The number of paths of ``degree``, a pair of ints that are not
+        negative (BadRangeError otherwise)."""
+        m, n = degree = _as_degree(degree)
+        if m < 0 or n < 0:
+            raise BadRangeError(f"negative degree {degree}")
+        return self.n_blue**m * self.n_red**n
 
     def check_path_cap(self, degree, cap: int) -> None:
         """Raise SizeLimitError if the paths of ``degree`` outnumber ``cap``.
@@ -280,14 +303,13 @@ class TwoGraph:
 
     def _paths(self, degree) -> tuple:
         """The codes of all paths of ``degree`` (a pair), in order, at most
-        ``DEFAULT_PATH_CAP`` of them: a larger degree raises SizeLimitError."""
+        ``DEFAULT_PATH_CAP`` of them: a larger degree raises SizeLimitError.
+        A miss checks the degree through :meth:`check_path_cap`."""
         cached = self._paths_cache.get(degree)
         if cached is not None:
             return cached
-        m, n = degree
-        if m < 0 or n < 0:
-            raise BadRangeError(f"negative degree {_as_degree(degree)}")
         self.check_path_cap(degree, DEFAULT_PATH_CAP)
+        m, n = degree
         reds = range(self.n_red**n)
         codes = tuple(
             (m, n, blue, red) for blue in range(self.n_blue**m) for red in reds
@@ -306,7 +328,12 @@ class TwoGraph:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "TwoGraph":
-        """Build a graph from its JSON spec, naming the field of any malformed value."""
+        """Build a graph from its JSON spec, naming the field of any malformed value.
+
+        Only the JSON shape is checked here (an object with the three
+        keys, the counts first, ``theta`` a list); the rows meet the
+        constructor's rules.
+        """
         if not isinstance(obj, Mapping):
             raise GraphError(f"graph JSON must be an object, got {type(obj).__name__}")
         try:
@@ -318,15 +345,6 @@ class TwoGraph:
         _check_count("n2", n2)
         if not isinstance(rows, list):
             raise GraphError(f"theta must be a list of rows, got {type(rows).__name__}")
-        for i, row in enumerate(rows):
-            if not (
-                isinstance(row, list)
-                and len(row) == 4
-                and all(type(x) is int for x in row)
-            ):
-                raise GraphError(
-                    f"theta row {i} must be 4 integers [e, f, f2, e2], got {row!r}"
-                )
         return cls(n1, n2, rows)
 
 

@@ -162,7 +162,7 @@ built only for the pairing a caller gets back.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .graphs import (
     DEFAULT_PATH_CAP,
@@ -172,6 +172,7 @@ from .graphs import (
     Path,
     TwoGraph,
     _check_bound,
+    _check_count,
     _word_texts,
 )
 
@@ -184,8 +185,11 @@ def minimal_exponents(n_blue: int, n_red: int) -> Optional[tuple]:
     """Least positive (a, b) with n_blue**a == n_red**b, if any.
 
     Every solution is a multiple of the minimal one.  Returns None when
-    the counts are not rationally related (e.g. 2 and 3).
+    the counts are not rationally related (e.g. 2 and 3).  A count that
+    is not an int (a bool is not one) raises GraphError.
     """
+    _check_count("n1", n_blue)
+    _check_count("n2", n_red)
     if n_blue < 2 or n_red < 2:
         raise DegenerateCountsError(
             f"need at least two edges of each color, got {(n_blue, n_red)}"
@@ -379,12 +383,14 @@ def verify_period(graph: TwoGraph, a: int, b: int, pairing: dict) -> bool:
 
     Raises GraphError if the two path sets differ in size, or if the
     pairing is not a bijection between them, which is checked on the
-    path codes; SizeLimitError if they hold more than
-    ``DEFAULT_PATH_CAP`` paths.
+    path codes (anything but a Mapping pairs nothing); SizeLimitError if
+    they hold more than ``DEFAULT_PATH_CAP`` paths.
     """
     _check_exponents(a, b)
     size = _check_counts(graph, a, b)
     graph.check_path_cap(Degree(a, 0), DEFAULT_PATH_CAP)
+    if not isinstance(pairing, Mapping):
+        pairing = {}  # pairs no path, so it fails the test below
     codes = sorted(
         (mu.code, nu.code)
         for mu, nu in pairing.items()

@@ -786,6 +786,10 @@ _FINITE_2 = '{"kind": "finite", "factors": [2]}'
          "finite names the prime 3 twice: '3' and '03'"),
         (("group", "transfer", "--group", _FINITE_2, "--a", "0", "--table", "[1, 2]"),
          "exponent a must be at least 1, got 0"),
+        # the first bad row in table order, whatever its fault
+        (("theta", "validate", "--spec",
+          '{"n1": 1, "n2": 1, "theta": [[0, 0, 0, 5], [0, 0, 0]]}'),
+         "blue id out of range in row (0, 0, 0, 5)"),
     ],
     ids=[
         "argv0-n1 must be an integer, got 'x'",
@@ -818,6 +822,7 @@ _FINITE_2 = '{"kind": "finite", "factors": [2]}'
         'argv27-finite has a prime too long to read: ' + _LIMIT,
         "argv28-finite names the prime 3 twice: '3' and '03'",
         'argv29-exponent a must be at least 1, got 0',
+        'argv30-blue id out of range in row (0, 0, 0, 5)',
     ],
 )
 def test_malformed_spec_names_the_field(capsys, argv, err):

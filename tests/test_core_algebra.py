@@ -369,6 +369,9 @@ def test_negative_degree_is_rejected():
     zero = GradedElement.zero(g)
     calls = (
         g.enumerate_paths,
+        # once 0.5, and a passing cap check
+        g.path_count,
+        lambda n: g.check_path_cap(n, 5),
         lambda n: shift(n, one),
         lambda n: transfer(n, one),
         lambda n: transfer(n, zero),
@@ -379,7 +382,10 @@ def test_negative_degree_is_rejected():
 
 
 @pytest.mark.parametrize(
-    "degree", [(2.9, 0), (1.7, 0), (True, 1), (1, False), (1.5, 1), ("1", 1), (1,), (1, 1, 1), 2]
+    "degree",
+    [(2.9, 0), (1.7, 0), (True, 1), (1, False), (1.5, 1), ("1", 1), (1,), (1, 1, 1), 2,
+     # a Degree's fields are not checked when it is built
+     Degree(True, 1), Degree(1.5, 0)],
 )
 def test_a_degree_that_is_not_a_pair_of_ints_is_rejected(degree):
     # int() used to read (2.9, 0) as (2, 0) and (True, 1) as (1, 1)
@@ -398,7 +404,9 @@ def test_a_degree_that_is_not_a_pair_of_ints_is_rejected(degree):
 
 
 @pytest.mark.parametrize("warm", [False, True])
-@pytest.mark.parametrize("degree", [(True, 0), (1.0, 0), ("1", 0)])
+@pytest.mark.parametrize(
+    "degree", [(True, 0), (1.0, 0), ("1", 0), Degree(True, 1), Degree(1.5, 0)]
+)
 def test_shift_and_transfer_reject_a_degree_that_is_not_a_pair_of_ints(degree, warm):
     # (True, 0) and (1.0, 0) equal (1, 0) as keys of the graph's path table,
     # so once it holds (1, 0) they used to read as that degree

@@ -84,6 +84,20 @@ def test_minimal_exponents_rejects_degenerate():
         minimal_exponents(1, 2)
 
 
+@pytest.mark.parametrize(
+    "n_blue, n_red, message",
+    [
+        # once an AttributeError from int.bit_length, and True read as 1
+        (2.0, 4, "n1 must be an integer, got 2.0"),
+        (True, 2, "n1 must be an integer, got True"),
+        (4, "2", "n2 must be an integer, got '2'"),
+    ],
+)
+def test_minimal_exponents_refuses_counts_that_are_not_ints(n_blue, n_red, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        minimal_exponents(n_blue, n_red)
+
+
 def _least_exponents(n_blue, n_red):
     """The least (a, b) with a, b <= 9 and n_blue**a == n_red**b, by trying
     every power; for counts up to 300 every related pair has one."""
@@ -202,15 +216,21 @@ def _twin_two_pairing(graph) -> dict:
         lambda g, pairing: pairing.update({g.blue_path(1): g.red_path(0)}),
         # every blue path paired, and one extra key that is not a Path
         lambda g, pairing: pairing.update({"b1": g.red_path(1)}),
+        # not a mapping at all, in place of the pairing: once AttributeErrors
+        None,
+        [],
     ],
     ids=["missing-blue", "key-not-a-path", "wrong-degree-key", "wrong-degree-value",
          "unequal-graph",
-         "not-injective", "extra-key"],
+         "not-injective", "extra-key", "none", "list"],
 )
 def test_verify_rejects_a_pairing_that_is_not_a_bijection(change):
     g = twin_graph(2)
     pairing = _twin_two_pairing(g)
-    change(g, pairing)
+    if callable(change):
+        change(g, pairing)
+    else:
+        pairing = change
     with pytest.raises(GraphError, match="not a bijection"):
         verify_period(g, 1, 1, pairing)
 

@@ -27,6 +27,7 @@ from twograph import (
     candidate_pairing,
     decide_periodicity,
     flip_graph,
+    minimal_exponents,
     random_two_graph,
     twin_graph,
     verify_period,
@@ -107,6 +108,64 @@ def test_json_names_a_bad_edge_count_before_a_bad_table():
         TwoGraph.from_json({"n1": "x", "n2": 1, "theta": 5})
 
 
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        # once a bare KeyError: 1
+        ([[1.5, 0, 0, 0], [0, 0, 0, 1]], 0),
+        # once read as the ids 1 and 0
+        ([[0, 0, 0, 0], [1, 0, 0, 1.0]], 1),
+        ([[0, 0, 0, 0], [True, 0, 0, 1]], 1),
+        ([[0, 0, False, 0], [1, 0, 0, 1]], 0),
+        # once a bare TypeError from the range test
+        ([[0, 0, 0, 0], [1, "0", 0, 1]], 1),
+    ],
+)
+def test_a_malformed_row_reads_the_same_through_every_builder(rows, bad):
+    # the constructor owns the row rule, so JSON, list rows and the
+    # Mapping form name the same row in the same words
+    message = f"theta row {bad} must be 4 integers [e, f, f2, e2], got {rows[bad]!r}"
+    builders = (
+        lambda: TwoGraph.from_json({"n1": 2, "n2": 1, "theta": rows}),
+        lambda: TwoGraph(2, 1, rows),
+        lambda: TwoGraph(2, 1, {(e, f): (ff, ee) for e, f, ff, ee in rows}),
+    )
+    for build in builders:
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+@pytest.mark.parametrize(
+    "theta, message",
+    [
+        # once bare TypeErrors; an entry that is not a pair of pairs is
+        # named as its (key, value) item
+        ({0: (0, 0)}, "theta row 0 must be 4 integers [e, f, f2, e2], got (0, (0, 0))"),
+        ({(0, 0): None}, "theta row 0 must be 4 integers [e, f, f2, e2], got ((0, 0), None)"),
+        # a 3 + 1 split would make four ids
+        ({(0, 0, 0): (0,)}, "theta row 0 must be 4 integers [e, f, f2, e2], got ((0, 0, 0), (0,))"),
+        (None, "theta must be rows or a mapping, got None"),
+        ([5], "theta row 0 must be 4 integers [e, f, f2, e2], got 5"),
+    ],
+)
+def test_a_table_that_is_not_rows_or_pairs_is_rejected(theta, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        TwoGraph(1, 1, theta)
+
+
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        ([[0, 0, 0, 5], [0, 0, 0]], IdOutOfRangeError, "blue id out of range in row (0, 0, 0, 5)"),
+        ([[0, 1, 0, 0], [0, 0, 0, True]], IdOutOfRangeError, "red id out of range in row (0, 1, 0, 0)"),
+        ([[0, 0, 0, 0], [0, 0, 0, 0], [0.5]], NotBijectiveError, "pair (b0, r0) listed twice"),
+    ],
+)
+def test_the_first_bad_row_in_table_order_is_reported(rows, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        TwoGraph.from_json({"n1": 1, "n2": 1, "theta": rows})
+
+
 # -- the commutation rule ------------------------------------------------------
 
 
@@ -144,6 +203,9 @@ def test_commute_rejects_out_of_range():
     g = flip_graph(2, 2)
     with pytest.raises(IdOutOfRangeError):
         g.commute_blue_red(2, 0)
+    # once read as the id 1
+    with pytest.raises(IdOutOfRangeError, match="^blue id True is not an integer$"):
+        g.commute_blue_red(True, 0)
 
 
 # -- reorder -------------------------------------------------------------------
@@ -448,6 +510,11 @@ def test_path_equality_is_word_equality():
         (lambda g: g.path([(BLUE, True)]), "blue id True is not an integer"),
         (lambda g: Path(g, [0], [False]), "red id False is not an integer"),
         (lambda g: g.path([(RED, "1")]), "red id '1' is not an integer"),
+        # once read as the id 1, and a bare TypeError
+        (lambda g: g.commute_red_blue(True, 0), "red id True is not an integer"),
+        (lambda g: g.commute_blue_red(0.5, 0), "blue id 0.5 is not an integer"),
+        (lambda g: g.commute_red_blue(0, 1.0), "blue id 1.0 is not an integer"),
+        (lambda g: g.commute_red_blue(2, 0), "red id 2 out of range"),
     ],
 )
 def test_non_integer_edge_ids_are_rejected(build, err):
@@ -456,29 +523,34 @@ def test_non_integer_edge_ids_are_rejected(build, err):
     assert str(exc.value) == err
 
 
-class _One(enum.IntEnum):
+class _Int(enum.IntEnum):
     ONE = 1
+    TWO = 2
 
 
 _INT_INPUTS = {
     # once accepted as an int
-    "blue id": lambda g: Path(g, [_One.ONE], []),
-    "red id": lambda g: g.path([(RED, _One.ONE)]),
-    "kmax": lambda g: decide_periodicity(g, kmax=_One.ONE),
-    "periodicity cap": lambda g: decide_periodicity(g, cap=_One.ONE),
-    "path cap": lambda g: g.check_path_cap((1, 0), _One.ONE),
-    "exponent a": lambda g: candidate_pairing(g, _One.ONE, 1),
-    "exponent b": lambda g: verify_period(g, 1, _One.ONE, {}),
+    "blue id": lambda g: Path(g, [_Int.ONE], []),
+    "red id": lambda g: g.path([(RED, _Int.ONE)]),
+    "kmax": lambda g: decide_periodicity(g, kmax=_Int.ONE),
+    "periodicity cap": lambda g: decide_periodicity(g, cap=_Int.ONE),
+    "path cap": lambda g: g.check_path_cap((1, 0), _Int.ONE),
+    "exponent a": lambda g: candidate_pairing(g, _Int.ONE, 1),
+    "exponent b": lambda g: verify_period(g, 1, _Int.ONE, {}),
+    "table entry": lambda g: TwoGraph(2, 2, [*_FLIP_ROWS[:3], [1, 1, 1, _Int.ONE]]),
+    "commute id": lambda g: g.commute_blue_red(_Int.ONE, 0),
+    "blue count": lambda g: minimal_exponents(_Int.TWO, 4),
+    "red count": lambda g: minimal_exponents(4, _Int.TWO),
     # always refused
-    "edge count": lambda g: TwoGraph(_One.ONE, 1, [[0, 0, 0, 0]]),
-    "degree": lambda g: g.enumerate_paths((_One.ONE, 0)),
-    "group exponent": lambda g: twograph.ker_size(twograph.FiniteAbelian([2]), _One.ONE),
-    "invariant factor": lambda g: twograph.FiniteAbelian([_One.ONE]),
+    "edge count": lambda g: TwoGraph(_Int.ONE, 1, [[0, 0, 0, 0]]),
+    "degree": lambda g: g.enumerate_paths((_Int.ONE, 0)),
+    "group exponent": lambda g: twograph.ker_size(twograph.FiniteAbelian([2]), _Int.ONE),
+    "invariant factor": lambda g: twograph.FiniteAbelian([_Int.ONE]),
 }
 
 
 @pytest.mark.parametrize("call", _INT_INPUTS.values(), ids=_INT_INPUTS.keys())
 def test_every_integer_input_refuses_an_int_subclass(call):
     # one rule, type(x) is int, as the JSON reader applies it
-    with pytest.raises((GraphError, GroupError), match=re.escape(repr(_One.ONE))):
+    with pytest.raises((GraphError, GroupError), match=r"<_Int\.(ONE: 1|TWO: 2)>"):
         call(flip_graph(2, 2))

@@ -37,14 +37,17 @@ equal on a fixed corpus:
   words, patterns, degree bounds, path caps and test ranges.
 
 Every input-error message of ``graphs.py`` and ``groups.py`` is reached
-but these, which no command line can reach: in ``graphs.py`` a degree
+but these, which no command line can reach.  In ``graphs.py``: a degree
 that is not a pair of ints, an edge id or a bound that is not an int
 and a color that is not 0 or 1 (the command line passes ints and
-strings), ``commute_*`` ids out of range, a negative degree (the suite
-refuses a negative bound first), a bad ``split`` or ``segment`` and
-paths of two graphs; in ``groups.py`` the ``Solenoid`` check of its
-prime counts (the JSON reader checks them first) and the three
-``unsupported group`` errors (the reader builds only the four kinds).
+strings); a table that is neither rows nor a mapping (the JSON reader
+passes a list); a negative degree, raised by ``path_count`` (the suite
+refuses a negative bound first); a bad ``split`` or ``segment``; and
+paths of two graphs.
+The ``commute_*`` ids meet ``_check_id``, whose out-of-range messages
+bad words reach.  In ``groups.py``: the ``Solenoid`` check of its prime
+counts (the JSON reader checks them first) and the three ``unsupported
+group`` errors (the reader builds only the four kinds).
 
 The kernel suite compares ``minimal_exponents``, ``_candidate_codes``
 and ``_pairing_codes`` on a fixed case set:
