@@ -39,7 +39,7 @@ def _emit(obj) -> None:
     With ``indent``, ``json.dumps`` always runs its pure-Python encoder,
     which costs more than most requests' own work.  :func:`_layout`
     writes the same bytes: it lays out the containers itself and leaves
-    each scalar to the C string encoder, ``int.__repr__`` or
+    each scalar to the C string encoder, ``int.__repr__``, ``%d`` or
     ``json.dumps``.  Every report key is a str, and a dict key of any
     other type raises TypeError.
     """
@@ -49,9 +49,24 @@ def _emit(obj) -> None:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+class _Known(list):
+    """A list whose items :func:`_layout` need not check: non-empty rows of
+    exact ints, such as a graph's ``theta`` rows, which its constructor
+    checked entry by entry, or strs that need no escaping, such as the
+    values ``transfer_eval`` writes from digits, ``-`` and ``/``."""
+
+
 def _layout(obj, newline: str) -> str:
     """``obj`` as JSON indented by two spaces a level; ``newline`` is the
-    line break and indent of the level ``obj`` starts at."""
+    line break and indent of the level ``obj`` starts at.
+
+    Three shapes skip the per-item recursion: a table of non-empty int
+    rows, written by :func:`_int_table`; a list of exact ints; and a list
+    of strs, joined inside one pair of quotes when no str needs escaping.
+    Exact types decide the shape, so a bool, a float or a subclass sends
+    the list to the general branch, as does an empty row.  A
+    :class:`_Known` list takes its shape's branch without the checks.
+    """
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, int) and not isinstance(obj, bool):
@@ -60,17 +75,13 @@ def _layout(obj, newline: str) -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        first = type(obj[0])
-        # exact types: a bool in an int list takes the general branch
-        if first is list and _is_int_table(obj):
-            # the C encoder's one line, re-indented: it holds only ints,
-            # "], [" between rows and ", " between the ints of a row
-            row = inner + "  "
-            body = json.dumps(obj)[2:-2].replace(", ", "," + row)
-            body = body.replace("]," + row + "[", inner + "]," + inner + "[" + row)
-            return "[" + inner + "[" + row + body + inner + "]" + newline + "]"
+        first, known = type(obj[0]), type(obj) is _Known
+        if first is list and (known or _is_int_table(obj)):
+            return _int_table(obj, newline)
         if first is int and set(map(type, obj)) == {int}:
             body = ("," + inner).join(map(int.__repr__, obj))
+        elif first is str and (known or _is_plain_strs(obj)):
+            body = '"' + ('",' + inner + '"').join(obj) + '"'
         elif first is str and set(map(type, obj)) == {str}:
             body = ("," + inner).join(map(_encode_str, obj))
         else:
@@ -95,6 +106,29 @@ def _is_int_table(obj) -> bool:
         and all(obj)
         and set(map(type, itertools.chain.from_iterable(obj))) == {int}
     )
+
+
+def _is_plain_strs(obj) -> bool:
+    """Whether ``obj`` holds only exact strs that the encoder writes as
+    they are: it escapes a character by writing more than one."""
+    if set(map(type, obj)) != {str}:
+        return False
+    text = "".join(obj)
+    return len(_encode_str(text)) == len(text) + 2
+
+
+def _int_table(rows, newline: str) -> str:
+    """Non-empty rows of exact ints, laid out by one ``%`` format: each
+    row width has its own template of ``%d`` fields, and the templates of
+    all rows, joined, take every int at once."""
+    inner = newline + "  "
+    row = inner + "  "
+    template = {
+        width: "[" + row + ("," + row).join(["%d"] * width) + inner + "]"
+        for width in set(map(len, rows))
+    }
+    body = ("," + inner).join(map(template.__getitem__, map(len, rows)))
+    return "[" + inner + body % tuple(itertools.chain.from_iterable(rows)) + newline + "]"
 
 
 def _decode(option: str, source):
@@ -247,7 +281,10 @@ def _theta_periodicity(args) -> int:
 
 
 def _double(args) -> int:
-    _emit(double(_load_graph(args.spec)).to_json())
+    report = double(_load_graph(args.spec)).to_json()
+    # the constructor checked each entry of the rows to be an exact int
+    report["theta"] = _Known(report["theta"])
+    _emit(report)
     return 0
 
 
@@ -309,7 +346,8 @@ def _group_transfer(args) -> int:
         values = transfer_eval(group, args.a, table, _text=True)
     except ValueError as exc:  # past the interpreter's int-to-str digit limit
         raise ValueError(f"--table gives a value too long to print: {exc}") from None
-    _emit({"a": args.a, "values": values})
+    # each value is written from digits, "-" and "/"
+    _emit({"a": args.a, "values": _Known(values)})
     return 0
 
 

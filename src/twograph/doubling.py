@@ -73,18 +73,18 @@ def double(graph: TwoGraph) -> DoubledTwoGraph:
 
     The pair ((e,f), (g,h)) commutes to the red pair of first letters
     followed by the blue pair of second letters of the rewritten words
-    (e,g) and (f,h).
+    (e,g) and (f,h).  The rows are listed in the order of their input
+    pairs, blue id e*N1 + f then red id g*N2 + h, each read off the rows
+    e and f of the source's ``_fwd``.
     """
     n1, n2, fwd = graph.n_blue, graph.n_red, graph._fwd
-    rows = []
-    for e in range(n1):
-        for f in range(n1):
-            blue_id = e * n1 + f
-            for g in range(n2):
-                for h in range(n2):
-                    g2, e2 = fwd[e * n2 + g]
-                    h2, f2 = fwd[f * n2 + h]
-                    rows.append((blue_id, g * n2 + h, g2 * n2 + h2, e2 * n1 + f2))
+    # row e of _fwd holds the images (g2, e2) of (e, g), g = 0, 1, ...
+    images = [fwd[e * n2:(e + 1) * n2] for e in range(n1)]
+    rows = [
+        (blue_id, red_id, g2 * n2 + h2, e2 * n1 + f2)
+        for blue_id, (row_e, row_f) in enumerate(itertools.product(images, repeat=2))
+        for red_id, ((g2, e2), (h2, f2)) in enumerate(itertools.product(row_e, row_f))
+    ]
     return DoubledTwoGraph(graph, rows)
 
 

@@ -188,24 +188,23 @@ class TwoGraph:
                 raise GraphError(
                     f"theta row {i} must be 4 integers [e, f, f2, e2], got {row!r}"
                 )
-            if not (0 <= e < self.n_blue and 0 <= ee < self.n_blue):
+            if not (0 <= e < n_blue and 0 <= ee < n_blue):
                 raise IdOutOfRangeError(f"blue id out of range in row {(e, f, ff, ee)}")
-            if not (0 <= f < self.n_red and 0 <= ff < self.n_red):
+            if not (0 <= f < n_red and 0 <= ff < n_red):
                 raise IdOutOfRangeError(f"red id out of range in row {(e, f, ff, ee)}")
-            src = e * self.n_red + f
-            dst = ff * self.n_blue + ee
-            if src in fwd:
+            # one lookup per table: a slot already taken keeps its first pair
+            image = ff, ee
+            if fwd.setdefault(e * n_red + f, image) is not image:
                 raise NotBijectiveError(
                     f"pair (b{e}, r{f}) listed twice", witness=(e, f)
                 )
-            if dst in inv:
+            pair = e, f
+            if inv.setdefault(ff * n_blue + ee, pair) is not pair:
                 raise NotBijectiveError(
                     f"pairs map to the same image (r{ff}, b{ee}); "
                     f"second preimage (b{e}, r{f})",
                     witness=(e, f),
                 )
-            fwd[src] = (ff, ee)
-            inv[dst] = (e, f)
         size = self.n_blue * self.n_red
         if len(fwd) < size:
             # the first missing input pair lies among the first len(fwd)+1
@@ -226,12 +225,14 @@ class TwoGraph:
     # -- basic structure ---------------------------------------------------
 
     def theta_rows(self) -> list:
-        """Rows ``[e, f, f2, e2]`` sorted by input pair."""
-        rows = []
-        for src, (ff, ee) in enumerate(self._fwd):
-            e, f = divmod(src, self.n_red)
-            rows.append([e, f, ff, ee])
-        return rows
+        """Rows ``[e, f, f2, e2]`` sorted by input pair: for each blue e,
+        the row of ``_fwd`` that holds the images of (e, f), f = 0, 1, ..."""
+        n, fwd = self.n_red, self._fwd
+        return [
+            [e, f, ff, ee]
+            for e in range(self.n_blue)
+            for f, (ff, ee) in enumerate(fwd[e * n:(e + 1) * n])
+        ]
 
     def commute_blue_red(self, e: int, f: int) -> tuple:
         """Rewrite the word (blue e)(red f) as (red f2)(blue e2)."""
@@ -509,7 +510,8 @@ def _extensions(graph: TwoGraph, nu: tuple, alpha: tuple) -> tuple:
 
     Both extensions reach degree join(d(nu), d(alpha)).  Results are
     cached on the graph; the side with the smaller extension count is
-    enumerated.
+    enumerated, nu's on a tie.  The counts are taken inline: the degrees
+    are built here and are never negative.
     """
     key = (nu, alpha)
     cached = graph._ext_cache.get(key)
@@ -518,8 +520,9 @@ def _extensions(graph: TwoGraph, nu: tuple, alpha: tuple) -> tuple:
     m1, n1, m2, n2 = nu[0], nu[1], alpha[0], alpha[1]
     top1, top2 = max(m1, m2), max(n1, n2)
     d_nu, d_al = (top1 - m1, top2 - n1), (top1 - m2, top2 - n2)
+    n_blue, n_red = graph.n_blue, graph.n_red
     out = []
-    if graph.path_count(d_nu) <= graph.path_count(d_al):
+    if n_blue ** d_nu[0] * n_red ** d_nu[1] <= n_blue ** d_al[0] * n_red ** d_al[1]:
         for tail in graph._paths(d_nu):
             head, rest = _split(graph, _compose(graph, nu, tail), m2, n2)
             if head == alpha:

@@ -11,7 +11,9 @@ verdict for the associated crossed product.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -320,22 +322,72 @@ def check_conditions(group: GroupSpec, bound: int = 12) -> ConditionReport:
 # -- transfer operators on finite groups ---------------------------------------
 
 
-def _power_index(group: FiniteAbelian, a: int, table: Sequence) -> list:
-    """Index of ``a*x`` for each element x, once ``table`` covers the group.
+def _power_index(group: FiniteAbelian, a: int) -> tuple:
+    """The power map x -> a*x in the terms of :func:`_fibre_sums`:
+    ``(lines, d, g, order)``.
 
-    The size is checked against the order first, so a short table never
-    costs work in the size of a large group.  The table lists the
-    elements in mixed radix, the first invariant factor most significant,
-    so the index is built arithmetically, one place per invariant factor,
-    without listing the elements.
+    Tables list the group in mixed radix, the first invariant factor
+    most significant, so a table is a run of lines: one line of d values,
+    d the last invariant factor, for each point of the other factors.
+    The power map sends line x to line ``lines[x]`` (a*x in the other
+    factors; one line for a cyclic group), built one invariant factor at
+    a time as the table orders them.  Inside a line, on Z/d, with
+    g = gcd(a, d) and m = d/g, the kernel is the multiples of m, so the
+    fibre over a point of the image is a coset x0 + (multiples of m) with
+    0 <= x0 < m, and that point is g*t with t = (a/g)*x0 mod m;
+    ``order[t]`` is that x0.  As a/g is prime to m, its multiples mod m
+    fall in runs of stride a/g mod m, one per wrap past m, so ``order``
+    is laid out with a/g mod m slices, one when a/g = 1 mod m, as for a
+    trivial kernel.
     """
-    if len(table) != group.order:
-        raise TableSizeError(f"table has {len(table)} entries, group has {group.order}")
-    index = [0]
-    for d in group.factors:
-        place = [a * x % d for x in range(d)]
-        index = [i * d + y for i in index for y in place]
-    return index
+    *others, d = group.factors or (1,)
+    lines = [0]
+    for e in others:
+        place = [a * x % e for x in range(e)]
+        lines = [i * e + y for i in lines for y in place]
+    g = math.gcd(a, d)
+    m = d // g
+    step = a // g % m or 1
+    order = [0] * m
+    for c in range(step):
+        # the x0 in [lo, hi) go past m c times and land at step*x0 - c*m
+        lo, hi = -(-c * m // step), -(-(c + 1) * m // step)
+        order[step * lo - c * m::step] = range(lo, hi)
+    return lines, d, g, order
+
+
+def _fibre_sums(values: list, lines: list, d: int, g: int, order: list) -> list:
+    """The sum of ``values`` over each fibre of the power map, at the
+    fibre's image point, and 0 off the image, from the group's
+    :func:`_power_index`.
+
+    Whole lines are added where the other factors send them, one Python
+    step per line.  Inside each line that something reached, the g
+    blocks of m values are added elementwise (pairwise when the blocks
+    are longer than they are many, and by columns otherwise), so the
+    fibre of x0 lands at x0; one lookup through ``order`` puts the m
+    sums in image order and one slice spreads them over every g-th
+    place.  No step of this is taken per entry, and a cyclic group is
+    one line.
+    """
+    m = len(order)
+    moved = [None] * len(lines)
+    for target, start in zip(lines, range(0, len(values), d)):
+        line = values[start:start + d]
+        moved[target] = line if moved[target] is None else _add(moved[target], line)
+    out = []
+    for line in moved:
+        spread = [0] * d
+        if line is not None:
+            blocks = [line[i:i + m] for i in range(0, d, m)]
+            fibres = list(map(sum, zip(*blocks))) if g > m else functools.reduce(_add, blocks)
+            spread[::g] = map(fibres.__getitem__, order)
+        out += spread
+    return out
+
+
+def _add(left: list, right: list) -> list:
+    return list(map(operator.add, left, right))
 
 
 def transfer_eval(group: FiniteAbelian, a: int, table: Sequence, *, _text: bool = False) -> list:
@@ -346,42 +398,56 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence, *, _text: bool 
     Tables list the elements in mixed radix, the first invariant factor
     most significant.  Each entry must be a rational (an int, a Fraction
     or a string like "1/2"); floats and booleans are rejected, and so is
-    an exponent ``a`` that is not an int, as in :func:`ker_size`.  Each
-    distinct entry is parsed once per call into a reduced integer ratio
-    (see :func:`_table_values`) and scaled once to a numerator over the
-    lcm of the denominators; the sums are taken in integers, over one
-    denominator, the lcm times the kernel size.  Each distinct sum
-    becomes one Fraction, shared by every output equal to it.
+    an exponent ``a`` that is not an int, as in :func:`ker_size`.  The
+    table's size is checked against the order first, so a short table
+    never costs work in the size of a large group, and the exponent next.
+    Each distinct entry is parsed once per call into an integer ratio
+    (see :func:`_table_values`) and scaled once to a numerator over
+    the lcm of the denominators; the sums are taken in integers, one
+    fibre at a time (see :func:`_fibre_sums`), over one denominator, the
+    lcm times the kernel size.  Each distinct sum becomes one Fraction,
+    shared by every output equal to it.
 
     The private keyword ``_text=True`` is for the CLI: each distinct sum
     becomes instead the text ``str`` gives its Fraction, written from
-    the sum and the denominator over their gcd, and no Fraction is
-    built.  A value with more digits than the interpreter converts to
-    text raises ValueError, as ``str`` of its Fraction does.
+    the sum and the denominator over their gcd (see :func:`_ratio_texts`),
+    and no Fraction is built.  A value with more digits than the
+    interpreter converts to text raises ValueError, as ``str`` of its
+    Fraction does.
     """
     _int("a", a)
     if not isinstance(group, FiniteAbelian):
         raise GroupError("transfer tables only make sense on finite groups")
     if isinstance(table, str) or not isinstance(table, Sequence):
         raise GroupError(f"table must be a list of rationals, got {table!r}")
-    index = _power_index(group, a, table)
+    if len(table) != group.order:
+        raise TableSizeError(f"table has {len(table)} entries, group has {group.order}")
     kernel = ker_size(group, a)
     keys, ratios = _table_values(table)
     scale = math.lcm(*{den for _, den in ratios.values()})
     scaled = {key: num * (scale // den) for key, (num, den) in ratios.items()}
-    sums = [0] * len(index)
-    for idx, numerator in zip(index, map(scaled.__getitem__, keys)):
-        sums[idx] += numerator
+    sums = _fibre_sums(list(map(scaled.__getitem__, keys)), *_power_index(group, a))
     denominator = scale * kernel
-    value = _ratio_text if _text else Fraction
-    shared = {s: value(s, denominator) for s in set(sums)}
+    if _text:
+        shared = _ratio_texts(set(sums), denominator)
+    else:
+        shared = {s: Fraction(s, denominator) for s in set(sums)}
     return list(map(shared.__getitem__, sums))
 
 
-def _ratio_text(num: int, den: int) -> str:
-    """``str(Fraction(num, den))`` for a positive ``den``, without the Fraction."""
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+def _ratio_texts(nums, den: int) -> dict:
+    """``str(Fraction(num, den))`` for each of ``nums``, keyed by num, for a
+    positive ``den``, without the Fractions.  The sums share ``den``, so
+    the few reduced denominators are each written once."""
+    tails: dict = {}
+    texts = {}
+    for num in nums:
+        g = math.gcd(num, den)
+        tail = tails.get(g)
+        if tail is None:
+            tail = tails[g] = "" if g == den else f"/{den // g}"
+        texts[num] = str(num // g) + tail
+    return texts
 
 
 # An entry in its plainest spelling: an optional sign, ASCII digits and an
@@ -392,10 +458,12 @@ _PLAIN_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _table_values(table: Sequence) -> tuple:
-    """The entries of ``table`` as reduced integer ratios, checked in table order.
+    """The entries of ``table`` as integer ratios, checked in table order.
 
     Returns the key of each entry, in table order, and a dict from key to
-    ``(numerator, denominator)``, reduced, with a positive denominator.
+    ``(numerator, denominator)`` with a positive denominator, not
+    always reduced: the sums are taken over one common denominator and
+    reduced only when they are written.
     An int or a string is its own key, so each distinct one is parsed
     once per call, and a table of only ints and strings is its own key
     list.  Every other entry gets the key ``(position,)`` and is parsed
@@ -422,8 +490,8 @@ def _table_values(table: Sequence) -> tuple:
 
 
 def _ratio(entry) -> Optional[tuple]:
-    """One non-int entry as a reduced ``(numerator, denominator)`` pair,
-    or None if it is not an exact rational.
+    """One non-int entry as a ``(numerator, denominator)`` pair with a
+    positive denominator, or None if it is not an exact rational.
 
     A string in the plainest spelling is read with two int conversions;
     everything else, and any such string whose digits or denominator
@@ -438,8 +506,7 @@ def _ratio(entry) -> Optional[tuple]:
             pass
         else:
             if den:
-                g = math.gcd(num, den)
-                return num // g, den // g
+                return num, den
     value = _exact(entry)
     return None if value is None else (value.numerator, value.denominator)
 

@@ -282,7 +282,10 @@ def test_transfer_and_pullback_match_the_listing_oracle(factors):
     # law L(pullback(f) * h) == f * L(h) holds with the listed pullback
     group = FiniteAbelian(factors)
     rng = random.Random(str(factors))
-    for a in (1, 2, 3, 4, 5, 6, 8, 12):
+    # d_k makes the kernel the whole group; 2*d_k + 1 lies past d_k; the
+    # huge exponent checks the inverse and slice arithmetic mod each factor
+    top = max(factors, default=1)
+    for a in (1, 2, 3, 4, 5, 6, 8, 12, top, 2 * top + 1, 10**30 + 1):
         for _ in range(4):
             table = [rng.choice(_ENTRIES) for _ in range(group.order)]
             values = transfer_eval(group, a, table)

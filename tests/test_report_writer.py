@@ -1,14 +1,17 @@
 """The CLI's report writer prints exactly what ``json.dumps(indent=2, sort_keys=True)`` does."""
 
 import contextlib
+import enum
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twograph import cli, flip_graph, twin_graph
+from twograph.doubling import double
 
 
 def _dumped(obj) -> str:
@@ -90,6 +93,64 @@ def test_writer_edge_cases(obj):
     assert _emitted(obj) == _dumped(obj)
 
 
+class _Color(enum.IntEnum):
+    RED = 3
+
+
+_DOUBLED_THETA = double(flip_graph(4, 4)).to_json()["theta"]
+
+
+# the fast branches: int tables of one %d template per row width, and str
+# lists joined inside one pair of quotes when nothing needs escaping
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[1, 2, 3], [4], [5, 6], [-(10**40), 0, 7, 8, 9]],
+        {"ragged": [[0], [1, 2], [3, 4, 5], [6, 7]]},
+        [[1, _Color.RED], [2, 3]],
+        [[_Color.RED]],
+        ["a", _Color.RED, "b"],
+        [[1, 2], [True, 3]],
+        [[1, 2], [3, 2.0]],
+        [[0.5], [1]],
+        ["plain", '"', "2/3"],
+        ["plain", "\\", "2/3"],
+        ["plain", "\x7f", "2/3"],
+        ["plain", "\x1f", "2/3"],
+        ["plain", "caf\u00e9", "2/3"],
+        ["plain", "\n", ""],
+        ["-8/5", "0", "13/2"],
+        _DOUBLED_THETA,
+        {"theta": _DOUBLED_THETA, "n1": 16},
+    ],
+    ids=[
+        "ragged", "ragged-in-dict", "intenum-row", "intenum-only", "intenum-in-strs",
+        "bool-row", "float-row", "float-first", "quote", "backslash", "del", "control",
+        "non-ascii", "newline", "plain-strs", "doubled-theta", "doubled-theta-in-dict",
+    ],
+)
+def test_writer_fast_branches(obj):
+    assert _emitted(obj) == _dumped(obj)
+
+
+@pytest.mark.parametrize("obj", [_DOUBLED_THETA, ["-8/5", "0", "13/2", "7"]])
+def test_writer_lays_out_known_lists_as_json_does(obj):
+    # double marks a graph's rows, which the constructor checked, and
+    # group transfer its values, written from digits, "-" and "/"
+    assert cli._layout(cli._Known(obj), "\n") == json.dumps(obj, indent=2)
+
+
+def test_writer_and_json_refuse_an_int_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("no int-to-str digit limit in this interpreter")
+    table = [[1, 2], [10**limit, 3]]
+    with pytest.raises(ValueError):
+        json.dumps(table, indent=2, sort_keys=True)
+    with pytest.raises(ValueError):
+        _emitted(table)
+
+
 @pytest.mark.parametrize("obj", [[object()], {"a": {1: 0, "b": 1}}, {(1, 2): 0}])
 def test_writer_rejects_what_json_rejects(obj):
     with pytest.raises(TypeError):
@@ -117,6 +178,7 @@ _REPORTS = {
                     "--pattern", "RB"],
     "periodicity": ["theta", "periodicity", "--spec", _TWIN, "--kmax", "2"],
     "double": ["double", "--spec", _FLIP],
+    "double-4x4": ["double", "--spec", json.dumps(flip_graph(4, 4).to_json())],
     "crossed-product": ["crossed-product", "--spec", _TWIN, "--kmax", "2"],
     "core-verify": ["core", "verify", "--spec", _FLIP, "--max-degree", "1,1",
                     "--output", "json"],

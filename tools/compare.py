@@ -29,6 +29,10 @@ equal on a fixed corpus:
   accepted ``"+1"``, at every position of a short table, and a few
   malformed ``group transfer`` requests;
 - two tables whose values are too long to print;
+- ``double`` and ``crossed-product --kmax 2`` on 200 seeded random
+  tables of each of the 16 shapes from 1x1 to 4x4, and on the 96
+  periodic tables of ``tests/fixtures/uncertified_periodic.json``, whose
+  crossed products build the double and square a witness;
 - each malformed ``--spec`` of ``BAD_SPECS`` through the six leaves that
   read a graph, and each malformed ``--group`` of ``BAD_GROUPS`` through
   the three that read a group: bad JSON, shapes, counts, rows and ids,
@@ -65,7 +69,7 @@ and ``_pairing_codes`` on a fixed case set:
 - twin graphs n = 2..5, n = 2 up to k = 14 and n = 3 up to k = 9.
 
 A graph case (graph, a, b) runs at k * (a0, b0), the minimal exponents
-times k.  The CLI suite runs first, as it takes about a second and the
+times k.  The CLI suite runs first, as it takes a few seconds and the
 kernel suite about 25.  Each suite prints its counts, and the tool exits
 with status 1 at the first mismatch, naming the case or the request.
 Stdlib only.
@@ -85,6 +89,7 @@ from pathlib import Path
 
 THIS_SRC = Path(__file__).resolve().parents[1] / "src"
 POOL = THIS_SRC.parent / "perfbench" / "expected" / "small-pool.json"
+FIXTURE = THIS_SRC.parent / "tests" / "fixtures" / "uncertified_periodic.json"
 
 
 class Mismatch(Exception):
@@ -222,6 +227,25 @@ def malformed_argvs():
            "--table", "[1]"]
 
 
+def graph_argvs(count: int, seed: int):
+    """``double`` and ``crossed-product --kmax 2`` on ``count`` random tables
+    of each shape from 1x1 to 4x4, then on the fixture's periodic tables."""
+    rng = random.Random(seed)
+    specs = [
+        {"n1": n_blue, "n2": n_red,
+         "theta": [[e, f, ff, ee] for (e, f), (ff, ee) in table.items()]}
+        for n_blue in range(1, 5)
+        for n_red in range(1, 5)
+        for table in random_tables(n_blue, n_red, count, rng.randrange(2**32))
+    ]
+    with open(FIXTURE, "r", encoding="utf-8") as fh:
+        specs += [item["spec"] for item in json.load(fh)]
+    for spec in specs:
+        text = json.dumps(spec)
+        yield ["double", "--spec", text]
+        yield ["crossed-product", "--spec", text, "--kmax", "2"]
+
+
 # malformed --spec values: bad JSON, shapes, counts, rows and ids, and
 # tables that are no bijection
 BAD_SPECS = [
@@ -305,6 +329,7 @@ def requests():
     # every entry parses, but the sums have about 8,000 digits
     yield transfer_argv([3], 3, ["1e4000", "1e-4000", 3])
     yield transfer_argv([3], 1, ["1e4000", "1e-4000", 3])
+    yield from graph_argvs(200, 34)
 
 
 def run(cli, argv: list) -> tuple:
