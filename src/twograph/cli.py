@@ -14,11 +14,10 @@ import functools
 import itertools
 import json
 import os
-import re
 import sys
 
 from .doubling import crossed_product_report, double
-from .graphs import DEFAULT_PATH_CAP, GraphError, GroupError, TwoGraph
+from .graphs import DEFAULT_PATH_CAP, GraphError, GroupError, TwoGraph, _is_decimal
 from .periodicity import decide_periodicity
 
 # The word algebra and the group systems are imported by the handlers that
@@ -82,8 +81,6 @@ def _layout(obj, newline: str) -> str:
             body = ("," + inner).join(map(int.__repr__, obj))
         elif first is str and (known or _is_plain_strs(obj)):
             body = '"' + ('",' + inner + '"').join(obj) + '"'
-        elif first is str and set(map(type, obj)) == {str}:
-            body = ("," + inner).join(map(_encode_str, obj))
         else:
             body = ("," + inner).join([_layout(item, inner) for item in obj])
         return "[" + inner + body + newline + "]"
@@ -135,12 +132,13 @@ def _decode(option: str, source):
     """JSON given to ``option`` as a string or an open text file.
 
     Every error in reading or parsing it names the option: bad syntax,
-    a number longer than the interpreter converts, or a file that is
-    not UTF-8.
+    a number longer than the interpreter converts, a file that is not
+    UTF-8, or arrays and objects nested deeper than the decoder's
+    recursion limit.
     """
     try:
         return json.loads(source if isinstance(source, str) else source.read())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{option} is not valid JSON: {exc}") from None
 
 
@@ -161,10 +159,21 @@ def _load_group(value: str):
     return group_from_json(_load_json_arg("--group", value))
 
 
+def _int_arg(text: str) -> int:
+    """The ``type`` of every integer option: ASCII digits after at most one
+    ``-``, by :func:`~twograph.graphs._is_decimal`, else the message
+    argparse gives for ``int``, also past the int-to-str digit limit."""
+    if _is_decimal(text, signed=True):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_degree(value: str) -> tuple:
     parts = value.replace("(", " ").replace(")", " ").replace(",", " ").split()
-    # int() would also read "+1", "1_0" or "١"
-    if len(parts) != 2 or not all(re.fullmatch("-?[0-9]+", part) for part in parts):
+    if len(parts) != 2 or not all(_is_decimal(part, signed=True) for part in parts):
         raise GraphError(f"bad --max-degree {value!r}, expected like '2,2'")
     try:
         n1, n2 = map(int, parts)
@@ -210,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(theta_sub, ("theta", "periodicity"), _theta_periodicity,
              help="bounded periodicity decision")
     p.add_argument("--spec", required=True)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    p.add_argument("--kmax", type=_int_arg, default=4)
+    p.add_argument("--path-cap", type=_int_arg, default=DEFAULT_PATH_CAP)
 
     p = leaf(sub, ("double",), _double, help="emit the doubled graph")
     p.add_argument("--spec", required=True)
@@ -219,16 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, ("crossed-product",), _crossed_product,
              help="simplicity of the core crossed product")
     p.add_argument("--spec", required=True)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    p.add_argument("--kmax", type=_int_arg, default=4)
+    p.add_argument("--path-cap", type=_int_arg, default=DEFAULT_PATH_CAP)
 
     core = sub.add_parser("core", help="symbolic identity suite")
     core_sub = core.add_subparsers(dest="subcommand", required=True)
     p = leaf(core_sub, ("core", "verify"), _core_verify, help="run every identity check")
     p.add_argument("--spec", required=True)
     p.add_argument("--max-degree", default="2,2", help="degree bound like '2,2'")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    p.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    p.add_argument("--seed", type=_int_arg, default=0, help="seed for sampled checks")
+    p.add_argument("--path-cap", type=_int_arg, default=DEFAULT_PATH_CAP)
     p.add_argument("--output", choices=("json", "table"), default="table")
 
     group = sub.add_parser("group", help="compact abelian group systems")
@@ -237,17 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(group_sub, ("group", "classify"), _group_classify,
              help="crossed-product classification")
     p.add_argument("--group", required=True, help="group JSON file or inline JSON")
-    p.add_argument("--range", type=int, default=12, dest="test_range")
+    p.add_argument("--range", type=_int_arg, default=12, dest="test_range")
 
     p = leaf(group_sub, ("group", "transfer"), _group_transfer,
              help="exact transfer average on a finite group")
     p.add_argument("--group", required=True)
-    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--a", type=_int_arg, required=True)
     p.add_argument("--table", required=True, help="JSON list of rationals")
 
     p = leaf(group_sub, ("group", "g123"), _group_g123, help="system conditions report")
     p.add_argument("--group", required=True)
-    p.add_argument("--range", type=int, default=12, dest="test_range")
+    p.add_argument("--range", type=_int_arg, default=12, dest="test_range")
 
     return parser
 

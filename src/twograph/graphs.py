@@ -355,9 +355,8 @@ def _parse_word(word, sizes: tuple) -> list:
     if isinstance(word, str):
         letters = []
         for token in word.replace(",", " ").replace(".", " ").split():
-            # ASCII digits only: int() would also read "+1", "1_0" or "١"
             color, digits = _COLOR_OF_CHAR.get(token[0]), token[1:]
-            if color is None or not (digits.isascii() and digits.isdigit()):
+            if color is None or not _is_decimal(digits):
                 raise PatternMismatchError(f"bad letter {token!r}")
             try:
                 letters.append((color, int(digits)))
@@ -373,6 +372,15 @@ def _parse_word(word, sizes: tuple) -> list:
     for color, x in letters:
         _check_id(color, x, sizes[color])
     return letters
+
+
+def _is_decimal(text: str, signed: bool = False) -> bool:
+    """Whether ``text`` is ASCII digits, after one leading ``-`` when
+    ``signed``: the package's one rule for an integer written as text.
+    ``int()`` would also read "+1", "1_0", " 7", "١" or "１"."""
+    if signed and text[:1] == "-":
+        text = text[1:]
+    return text.isascii() and text.isdigit()
 
 
 def _check_id(color: int, x, n: int) -> None:
@@ -399,6 +407,9 @@ def _check_bound(name: str, value) -> None:
 
 
 def _parse_pattern(pattern) -> list:
+    """The colors of a pattern: letters ``b``/``B`` and ``r``/``R`` (spaces,
+    commas and dots skipped) in a str, or else items that are each
+    ``BLUE`` or ``RED`` of type ``int`` (a bool or a float is not one)."""
     if isinstance(pattern, str):
         out = []
         for ch in pattern:
@@ -411,9 +422,9 @@ def _parse_pattern(pattern) -> list:
         return out
     out = list(pattern)
     for i, color in enumerate(out):
-        if color not in (BLUE, RED):
+        if type(color) is not int or color not in (BLUE, RED):
             raise PatternMismatchError(f"bad color {color!r} at position {i}")
-    return [int(c) for c in out]
+    return out
 
 
 # -- path codes ----------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .graphs import GroupError
+from .graphs import GroupError, _is_decimal
 
 
 class TableSizeError(GroupError):
@@ -624,15 +624,12 @@ def _field(obj: dict, key: str):
         raise GroupError(f"missing key {key!r} in group JSON") from None
 
 
-_DECIMAL = re.compile(r"[0-9]+")
-
-
 def _prime_counts(finite) -> dict:
     """A solenoid's ``finite`` field as ints: each key must be written in
     ASCII decimal digits, name a prime no other key names, and map to an
     integer multiplicity."""
     if not isinstance(finite, dict) or not all(
-        _DECIMAL.fullmatch(str(p)) and type(m) is int for p, m in finite.items()
+        _is_decimal(str(p)) and type(m) is int for p, m in finite.items()
     ):
         raise GroupError(
             f"finite must map primes to integer multiplicities, got {finite!r}"

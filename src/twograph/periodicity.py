@@ -326,20 +326,19 @@ def _aperiodic(graph: TwoGraph) -> bool:
     return False
 
 
-def _check_exponents(a: int, b: int) -> None:
+def _check_pair(graph: TwoGraph, a: int, b: int) -> int:
+    """The number of blue paths of degree (a, 0), which must equal the red
+    paths of degree (0, b) and be within ``DEFAULT_PATH_CAP``; the
+    exponents are checked first."""
     # (0, 0) would pair the empty paths vacuously; negative ones have no paths
     if not all(type(x) is int and x >= 1 for x in (a, b)):
         raise BadRangeError(
             f"exponents must be integers of at least 1, got (a, b) = {(a, b)}"
         )
-
-
-def _check_counts(graph: TwoGraph, a: int, b: int) -> int:
-    """The number of blue paths of degree (a, 0), which must equal the red
-    paths of degree (0, b)."""
     size = graph.n_blue**a
     if size != graph.n_red**b:
         raise GraphError(f"path counts differ at (a, b) = {(a, b)}")
+    graph.check_path_cap(Degree(a, 0), DEFAULT_PATH_CAP)
     return size
 
 
@@ -362,9 +361,7 @@ def candidate_pairing(graph: TwoGraph, a: int, b: int) -> Optional[dict]:
     word's moves are read off its prefix's by the recurrence of the
     module docstring, so the pass takes O(N1^a * (N2 + b)) steps.
     """
-    _check_exponents(a, b)
-    _check_counts(graph, a, b)
-    graph.check_path_cap(Degree(a, 0), DEFAULT_PATH_CAP)
+    _check_pair(graph, a, b)
     codes = _candidate_codes(graph, a, b)
     return None if codes is None else _pairing_paths(graph, a, b, codes)
 
@@ -386,9 +383,7 @@ def verify_period(graph: TwoGraph, a: int, b: int, pairing: dict) -> bool:
     path codes (anything but a Mapping pairs nothing); SizeLimitError if
     they hold more than ``DEFAULT_PATH_CAP`` paths.
     """
-    _check_exponents(a, b)
-    size = _check_counts(graph, a, b)
-    graph.check_path_cap(Degree(a, 0), DEFAULT_PATH_CAP)
+    size = _check_pair(graph, a, b)
     if not isinstance(pairing, Mapping):
         pairing = {}  # pairs no path, so it fails the test below
     codes = sorted(

@@ -62,6 +62,30 @@ _LIMIT = (
     "Exceeds the limit (4300 digits) for integer string conversion: value has "
     "5000 digits; use sys.set_int_max_str_digits() to increase the limit"
 )
+_FINITE_2 = '{"kind": "finite", "factors": [2]}'
+# Every integer option by leaf, after what else its leaf requires; the
+# graph leaves get their --spec from the test.  The guard test below
+# checks that these are all the typed options there are.
+_INT_OPTIONS = {
+    ("theta", "periodicity"): ((), ("--kmax", "--path-cap")),
+    ("crossed-product",): ((), ("--kmax", "--path-cap")),
+    ("core", "verify"): ((), ("--seed", "--path-cap")),
+    ("group", "classify"): (("--group", _FINITE_2), ("--range",)),
+    ("group", "transfer"): (("--group", _FINITE_2, "--table", "[0, 1]"), ("--a",)),
+    ("group", "g123"): (("--group", _FINITE_2), ("--range",)),
+}
+# int() reads each of these, but an integer option is ASCII digits after
+# at most one "-"
+_LOOSE_INTS = {
+    f"{' '.join(words)} {option} {text!r}": (
+        (*words, *required, option, text),
+        cli.build_parser().leaves[words].format_usage()
+        + f"error: argument {option}: invalid int value: {text!r}\n",
+    )
+    for words, (required, options) in _INT_OPTIONS.items()
+    for option in options
+    for text in ("+1", "1_0", " 7", "\u0663", "\uff11")
+}
 
 
 def test_validate_good_spec(capsys, twin_spec):
@@ -199,6 +223,7 @@ def test_negative_max_degree_is_input_error(capsys, flip_spec):
             ("core", "verify", f"--max-degree=1,{_TOO_LONG}"),
             f"error: --max-degree has a part too long to read: {_int_error(_TOO_LONG)}\n",
         ),
+        *_LOOSE_INTS.values(),
     ],
     ids=[
         "argv0-error: bad letter 'b'\n",
@@ -216,14 +241,25 @@ def test_negative_max_degree_is_input_error(capsys, flip_spec):
         "argv12-error: bad --max-degree '1,2,3', expected like '2,2'\n",
         'argv13-error: blue letter 1 has an id too long to read: ' + _LIMIT + '\n',
         'argv14-error: --max-degree has a part too long to read: ' + _LIMIT + '\n',
+        *_LOOSE_INTS,
     ],
 )
-def test_malformed_number_names_the_field(capsys, flip_spec, argv, err):
-    code = main([*argv, "--spec", flip_spec])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err == err
+def test_malformed_number_names_the_field(flip_spec, argv, err):
+    if argv[0] != "group":
+        argv = (*argv, "--spec", flip_spec)
+    # a usage error exits 1 from the parser
+    assert _main_result(argv) == (1, "", err)
+
+
+def test_every_typed_option_reads_ints_by_the_one_rule():
+    # a new type=int option would skip the rule, and the table above
+    typed = {}
+    for words, leaf in cli.build_parser.__wrapped__().leaves.items():
+        for action in leaf._actions:
+            if action.type is not None:
+                assert action.type is cli._int_arg, action.option_strings
+                typed.setdefault(words, []).append(action.option_strings[0])
+    assert typed == {words: list(options) for words, (_, options) in _INT_OPTIONS.items()}
 
 
 @pytest.mark.parametrize(
@@ -710,9 +746,6 @@ def test_path_cap_below_one_is_rejected_without_exponent_pair(capsys, mixed_spec
     assert captured.err == "error: path cap must be at least 1, got 0\n"
 
 
-_FINITE_2 = '{"kind": "finite", "factors": [2]}'
-
-
 @pytest.mark.parametrize(
     "argv, err",
     [
@@ -937,6 +970,34 @@ def test_unparsable_json_names_its_option(capsys, tmp_path, argv, err):
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: {err}\n"
+
+
+# deeper than any interpreter's recursion limit for C code
+_NESTED = "[" * 100_000 + "]" * 100_000
+_NESTED_FILE = "<a file nested 100,000 deep>"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta", "validate", "--spec", _NESTED),
+        ("theta", "validate", "--spec", _NESTED_FILE),
+        ("group", "g123", "--group", _NESTED),
+        ("group", "transfer", "--group", _FINITE_2, "--a", "1", "--table", _NESTED),
+    ],
+    ids=["spec", "spec-file", "group", "table"],
+)
+def test_json_nested_past_the_decoder_names_its_option(capsys, tmp_path, argv):
+    nested = tmp_path / "nested.json"
+    nested.write_text(_NESTED)
+    code = main([str(nested) if arg == _NESTED_FILE else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    # what the decoder adds after this prefix differs between interpreters
+    prefix = f"error: {argv[-2]} is not valid JSON: maximum recursion depth exceeded"
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_unparsable_spec_file_names_its_option(capsys, tmp_path):

@@ -245,6 +245,15 @@ def test_colors_other_than_blue_and_red_are_rejected():
         g.path([(7, 1), (0, 0)])
     with pytest.raises(PatternMismatchError, match="bad color 0.7 at position 1"):
         g.path([(0, 1), (0.7, 1)])
+    # equal to 0 or 1, but a color is an int: once read as blue or red
+    with pytest.raises(PatternMismatchError, match="bad color True at position 0"):
+        g.path([(True, 0), (0.0, 1)])
+    with pytest.raises(PatternMismatchError, match="bad color 0.0 at position 1"):
+        g.path([(1, 0), (0.0, 1)])
+    with pytest.raises(PatternMismatchError, match="bad color 1.0 at position 0"):
+        g.path("b0 r1").reorder([1.0, 0.0])
+    with pytest.raises(PatternMismatchError, match="bad color False at position 1"):
+        g.path("b0 r1").reorder([1, False])
 
 
 # -- segment -------------------------------------------------------------------
@@ -539,6 +548,8 @@ _INT_INPUTS = {
     "exponent b": lambda g: verify_period(g, 1, _Int.ONE, {}),
     "table entry": lambda g: TwoGraph(2, 2, [*_FLIP_ROWS[:3], [1, 1, 1, _Int.ONE]]),
     "commute id": lambda g: g.commute_blue_red(_Int.ONE, 0),
+    "color": lambda g: g.path([(_Int.ONE, 0)]),
+    "pattern color": lambda g: g.path("r0").reorder([_Int.ONE]),
     "blue count": lambda g: minimal_exponents(_Int.TWO, 4),
     "red count": lambda g: minimal_exponents(4, _Int.TWO),
     # always refused
