@@ -172,7 +172,9 @@ def _int_arg(text: str) -> int:
 
 
 def _parse_degree(value: str) -> tuple:
-    parts = value.replace("(", " ").replace(")", " ").replace(",", " ").split()
+    """``--max-degree`` as ``(m, n)``: exactly two parts split by ``,``,
+    each read by the integer rule with its sign."""
+    parts = value.split(",")
     if len(parts) != 2 or not all(_is_decimal(part, signed=True) for part in parts):
         raise GraphError(f"bad --max-degree {value!r}, expected like '2,2'")
     try:

@@ -396,11 +396,14 @@ def transfer_eval(group: FiniteAbelian, a: int, table: Sequence, *, _text: bool 
     The output value at a point of the image subgroup is the mean of
     the inputs over its preimages; points off the image get zero.
     Tables list the elements in mixed radix, the first invariant factor
-    most significant.  Each entry must be a rational (an int, a Fraction
-    or a string like "1/2"); floats and booleans are rejected, and so is
-    an exponent ``a`` that is not an int, as in :func:`ker_size`.  The
-    table's size is checked against the order first, so a short table
-    never costs work in the size of a large group, and the exponent next.
+    most significant.  Each entry must be a rational: an int, a Fraction
+    or a string in ASCII of the form ``-?D(/D | (.D)?([eE][-+]?D)?)``, D
+    one or more digits, such as "-3/4", "007" or "2.5e-3" (see
+    :func:`_ratio`); floats, booleans and every other spelling are
+    rejected, and so is an exponent ``a`` that is not an int, as in
+    :func:`ker_size`.  The table's size is checked against the order
+    first, so a short table never costs work in the size of a large
+    group, and the exponent next.
     Each distinct entry is parsed once per call into an integer ratio
     (see :func:`_table_values`) and scaled once to a numerator over
     the lcm of the denominators; the sums are taken in integers, one
@@ -450,11 +453,9 @@ def _ratio_texts(nums, den: int) -> dict:
     return texts
 
 
-# An entry in its plainest spelling: an optional sign, ASCII digits and an
-# optional denominator of ASCII digits.  Fraction reads each such string as
-# the same ratio, unless the denominator is zero or a part has more digits
-# than the interpreter converts; Fraction refuses those too.
-_PLAIN_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+# A table string: ASCII digits after at most one "-", then either "/" and
+# a denominator, or an optional decimal fraction and an optional exponent.
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+)|(?:\.([0-9]+))?(?:[eE]([-+]?[0-9]+))?)")
 
 
 def _table_values(table: Sequence) -> tuple:
@@ -493,54 +494,34 @@ def _ratio(entry) -> Optional[tuple]:
     """One non-int entry as a ``(numerator, denominator)`` pair with a
     positive denominator, or None if it is not an exact rational.
 
-    A string in the plainest spelling is read with two int conversions;
-    everything else, and any such string whose digits or denominator
-    Fraction would refuse, goes through :func:`_exact`, so both routes
-    accept and reject alike.
-    """
-    match = type(entry) is str and _PLAIN_RATIO.fullmatch(entry)
-    if match:
-        try:
-            num, den = int(match[1]), int(match[2] or 1)
-        except ValueError:  # more digits than the interpreter converts
-            pass
-        else:
-            if den:
-                return num, den
-    value = _exact(entry)
-    return None if value is None else (value.numerator, value.denominator)
-
-
-# The exponent of a decimal string such as "2.5e-3", as Fraction reads it.
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
-
-
-def _exact(value) -> Optional[Fraction]:
-    """A table entry as an exact rational, or None.
-
-    Floats (and booleans) are refused rather than read through their
-    binary expansion: JSON ``0.1`` is not the rational 1/10.  So is a
-    zero denominator, and a decimal exponent larger in magnitude than
-    the interpreter's limit on digits in an int-to-str conversion
+    A string must match ``_RATIO`` in full and is read from its digits;
+    it is refused if its denominator is zero, its numerator or
+    denominator has more digits than the interpreter converts, or its
+    exponent is larger in magnitude than that limit
     (``sys.get_int_max_str_digits()``, where 0 means no limit), which
-    Fraction would expand to a power of ten before anything could
-    refuse it.
+    would otherwise be expanded before anything could refuse it.  A
+    Fraction is its own ratio.  Anything else, a float or a bool among
+    them, is refused: JSON ``0.1`` is not the rational 1/10.
     """
-    if isinstance(value, (bool, float)) or _huge_exponent(value):
+    if type(entry) is not str:
+        return (entry.numerator, entry.denominator) if isinstance(entry, Fraction) else None
+    match = _RATIO.fullmatch(entry)
+    if match is None:
         return None
+    num, den, decimals, exponent = match.groups()
     try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        if den is not None:
+            den = int(den)
+            return (int(num), den) if den else None
+        decimals = decimals or ""
+        num, exponent = int(num + decimals), int(exponent or 0)
+    except ValueError:  # more digits than the interpreter converts
         return None
-
-
-def _huge_exponent(value) -> bool:
     limit = sys.get_int_max_str_digits()
-    match = isinstance(value, str) and limit and _EXPONENT.search(value)
-    if not match:
-        return False
-    digits = match[1].replace("_", "").lstrip("0")
-    return len(digits) > len(str(limit)) or int(digits or "0") > limit
+    if limit and abs(exponent) > limit:
+        return None
+    power = exponent - len(decimals)
+    return (num * 10**power, 1) if power >= 0 else (num, 10**-power)
 
 
 # -- classification -------------------------------------------------------------

@@ -87,6 +87,10 @@ _LOOSE_INTS = {
     for text in ("+1", "1_0", " 7", "\u0663", "\uff11")
 }
 
+# --max-degree is "m,n": split on "," alone, so parentheses, spaces and
+# extra commas are refused, not read as separators
+_LOOSE_DEGREES = (")1((2", "1,,,2", "1 2", "(1)(1)", "(1,1)", "1, 2")
+
 
 def test_validate_good_spec(capsys, twin_spec):
     code, out = run(capsys, "theta", "validate", "--spec", twin_spec)
@@ -223,6 +227,14 @@ def test_negative_max_degree_is_input_error(capsys, flip_spec):
             ("core", "verify", f"--max-degree=1,{_TOO_LONG}"),
             f"error: --max-degree has a part too long to read: {_int_error(_TOO_LONG)}\n",
         ),
+        # a degree is two parts split by one "," and nothing else
+        *[
+            (
+                ("core", "verify", "--max-degree", degree),
+                f"error: bad --max-degree {degree!r}, expected like '2,2'\n",
+            )
+            for degree in _LOOSE_DEGREES
+        ],
         *_LOOSE_INTS.values(),
     ],
     ids=[
@@ -241,6 +253,8 @@ def test_negative_max_degree_is_input_error(capsys, flip_spec):
         "argv12-error: bad --max-degree '1,2,3', expected like '2,2'\n",
         'argv13-error: blue letter 1 has an id too long to read: ' + _LIMIT + '\n',
         'argv14-error: --max-degree has a part too long to read: ' + _LIMIT + '\n',
+        *[f"argv{i}-error: bad --max-degree {degree!r}, expected like '2,2'\n"
+          for i, degree in enumerate(_LOOSE_DEGREES, 15)],
         *_LOOSE_INTS,
     ],
 )

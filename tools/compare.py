@@ -9,7 +9,8 @@ module names, and two suites run on them.
 
 The CLI suite sends each request through both trees' ``cli.main``.  The
 exit code (a usage error's SystemExit code), stdout and stderr must be
-equal on a fixed corpus:
+equal on a fixed corpus, except on the cases declared in
+``tools/declared_changes.json`` (see below):
 
 - all 743 argvs of ``perfbench/expected/small-pool.json``;
 - the two CLI requests of the deep-period workload;
@@ -22,12 +23,13 @@ equal on a fixed corpus:
   options; and a few requests that name no command or put a leaf's
   words in the wrong place;
 - 2,000 seeded ``group transfer`` tables on random finite groups, mixing
-  ints with "p/q" strings, negatives, zeros, repeats, large numerators
-  and the spellings only Fraction reads;
+  ints with "p/q" strings, negatives, zeros, repeats, large numerators,
+  the decimal and exponent forms of the grammar and spellings outside
+  it (``"+5"``, ``"1_000"``, ``" 3/4 "``, an Arabic-Indic digit);
 - the malformed entries ``true`` after ``1``, ``1.0``, ``null``, ``[1]``,
-  ``{"x": 1}``, ``"1/0"``, an Arabic-Indic digit, ``"1e5000"`` and the
-  accepted ``"+1"``, at every position of a short table, and a few
-  malformed ``group transfer`` requests;
+  ``{"x": 1}``, ``"1/0"``, an Arabic-Indic digit, ``"1e5000"`` and
+  ``"+1"``, at every position of a short table, and a few malformed
+  ``group transfer`` requests;
 - two tables whose values are too long to print;
 - ``double`` and ``crossed-product --kmax 2`` on 200 seeded random
   tables of each of the 16 shapes from 1x1 to 4x4, and on the 96
@@ -39,6 +41,18 @@ equal on a fixed corpus:
   pairs listed twice, colliding or missing, factors, kinds, ranks,
   primes, the solenoid's prime keys, and a missing file; then bad
   words, patterns, degree bounds, path caps and test ranges.
+
+A deliberate change declares each request whose bytes it moves: the
+manifest is a JSON list of ``{"case": i, "sha256": h, "item": n}``, one
+entry per moved request, with ``i`` the request's index in corpus order,
+``h`` the sha256 of this tree's answer (see :func:`digest`) and ``n``
+the ROADMAP item.  The suite runs every request.  It fails on each
+request that differs and is not declared, and on each declared request
+whose answer in this tree does not have the declared hash, whether or
+not it differs from the other tree's, and on an entry whose item is not
+an int.  For each undeclared difference it prints an entry to paste,
+with ``null`` in place of the item.  A declared request need not
+differ: the other tree's answer may depend on its interpreter.
 
 Every input-error message of ``graphs.py`` and ``groups.py`` is reached
 but these, which no command line can reach.  In ``graphs.py``: a degree
@@ -70,14 +84,16 @@ and ``_pairing_codes`` on a fixed case set:
 
 A graph case (graph, a, b) runs at k * (a0, b0), the minimal exponents
 times k.  The CLI suite runs first, as it takes a few seconds and the
-kernel suite about 25.  Each suite prints its counts, and the tool exits
-with status 1 at the first mismatch, naming the case or the request.
+kernel suite about 25.  Each suite prints its counts.  The tool exits
+with status 1 after the CLI suite if a request mismatches, naming every
+one, or else at the kernel suite's first mismatch, naming the case.
 Stdlib only.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -90,6 +106,7 @@ from pathlib import Path
 THIS_SRC = Path(__file__).resolve().parents[1] / "src"
 POOL = THIS_SRC.parent / "perfbench" / "expected" / "small-pool.json"
 FIXTURE = THIS_SRC.parent / "tests" / "fixtures" / "uncertified_periodic.json"
+DECLARED = THIS_SRC.parent / "tools" / "declared_changes.json"
 
 
 class Mismatch(Exception):
@@ -342,14 +359,40 @@ def run(cli, argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def cli_suite(this, other) -> str:
-    """Every request through both packages' ``cli.main``; the counts line."""
+def digest(answer: tuple) -> str:
+    """The sha256 of a request's ``(exit, stdout, stderr)``, as JSON."""
+    return hashlib.sha256(json.dumps(answer).encode("ascii")).hexdigest()
+
+
+def cli_suite(this, other, declared: list) -> str:
+    """Every request through both packages' ``cli.main``, checked against
+    the manifest's ``declared`` entries; the counts line."""
     this, other = (importlib.import_module(p.__name__ + ".cli") for p in (this, other))
-    count = 0
-    for request in requests():
-        same("cli.main", repr(request), run(this, request), run(other, request))
+    hashes = {entry["case"]: entry["sha256"] for entry in declared}
+    errors, undeclared, count, moved = [], [], 0, 0
+    for case, request in enumerate(requests()):
+        mine, theirs = run(this, request), run(other, request)
+        moved += mine != theirs
+        if case in hashes:
+            if digest(mine) != hashes.pop(case):
+                errors.append(f"MISMATCH in declared case {case} on {request!r}: this tree "
+                              f"{mine!r}, whose sha256 {digest(mine)} is not the declared one")
+        elif mine != theirs:
+            errors.append(f"MISMATCH in cli.main on {request!r}: "
+                          f"this tree {mine!r}, other {theirs!r}")
+            undeclared.append({"case": case, "sha256": digest(mine), "item": None})
         count += 1
-    return f"{count} CLI requests: 0 mismatches"
+    errors += [f"MISMATCH: declared case {case} is not a request" for case in hashes]
+    errors += [f"MISMATCH: declared case {entry['case']} names no ROADMAP item"
+               for entry in declared if type(entry.get("item")) is not int]
+    if undeclared:
+        errors.append(f"{len(undeclared)} undeclared; to declare them, put these entries "
+                      f"in {DECLARED.name}, each with its ROADMAP item:")
+        entries = ",\n".join(f"  {json.dumps(entry)}" for entry in undeclared)
+        errors.append(f"[\n{entries}\n]")
+    if errors:
+        raise Mismatch("\n".join(errors))
+    return f"{count} CLI requests, {moved} differing as declared: 0 mismatches"
 
 
 # -- the kernel suite -----------------------------------------------------------
@@ -458,9 +501,11 @@ def main(argv: list) -> int:
         return 2
     this = load(THIS_SRC, "twograph_this")
     other = load(Path(argv[0]).resolve(), "twograph_other")
+    with open(DECLARED, "r", encoding="utf-8") as fh:
+        declared = json.load(fh)
     try:
-        for suite in (cli_suite, kernel_suite):
-            print(suite(this, other), flush=True)
+        print(cli_suite(this, other, declared), flush=True)
+        print(kernel_suite(this, other), flush=True)
     except Mismatch as exc:
         print(exc)
         return 1
