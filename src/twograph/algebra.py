@@ -29,7 +29,11 @@ so the helper adds c T(w) into a numerator dict for each term c w.
 ``GradedElement._of``, the one place where numerators are reduced to
 lowest terms and zeros dropped.  Every word product goes through the
 module-level ``_product``, every shift through :func:`shift` and every
-word transfer through ``_transfer``, names the tests patch.
+word transfer through ``_transfer``, names the tests patch.  These three
+and ``_vanishes`` read each memo hit straight from the graph's
+``_ext_cache`` and ``_compose_cache`` with one probe, and call
+``_extensions`` or ``_compose`` only on a miss, so ``graphs.py`` stays
+the only writer of those tables.
 
 Since the path count of m + n is the product of those of m and n, every
 side of the suite's transfer checks is a sum of T(w) over one common
@@ -41,13 +45,13 @@ denominator times the path count.
 
 The algebra keeps nothing on the graph, and its tables live no longer
 than one ``identity_suite`` call.  ``_add_transfers`` caches each T(w)
-in a dict its caller owns: :func:`transfer` passes a fresh one per
-call, and the suite one per degree of a transfer-identity check (whose
-right sides are the cached T(b) themselves), one for the transfer-action
-check, one per case of transfer-section (whose shifted words never
-repeat) and one per level of module-orthonormal.  The memo of skipped
-transfer-identity cases lives for one degree, and the covariance table
-for one suite call:
+in a dict its caller owns: :func:`transfer` and each covariance table
+fill pass a fresh one, and the suite one per degree of a
+transfer-identity check (whose right sides are the cached T(b)
+themselves), one for the transfer-action check, one per case of
+transfer-section (whose shifted words never repeat) and one per level of
+module-orthonormal.  The memo of skipped transfer-identity cases lives
+for one degree, and the covariance table for one suite call:
 
 - The transfer identity transfer(n, shift(n, a) b) == a transfer(n, b)
   computes shift(n, a) once per word.  A case whose two sides are both
@@ -65,8 +69,11 @@ for one suite call:
   ``_vanishes``, so it builds no element.
 - covariance keeps the elements shift(n, <(nu, lam), (alpha, beta)>) it
   multiplies back; they do not depend on the word's first path, so they
-  are keyed by (nu, lam, alpha, beta), each computed once through
-  ``ModuleVector.inner`` and :func:`shift`.
+  are keyed by (nu, lam, alpha, beta), each computed once through the
+  kernels: the inner product is the ``_add_transfers`` numerators of the
+  ``_product`` of s_lam s_nu^* and s_alpha s_beta^* over 1, since the
+  path count of n cancels the transfer's denominator (as in
+  module-orthonormal), and :func:`shift` multiplies it back.
 
 Equality is decided modulo the summation relation
 s_mu s_nu^* == sum over d(lambda)=n of s_{mu lambda} s_{nu lambda}^*:
@@ -274,20 +281,28 @@ def _vanishes(graph: TwoGraph, nums: dict) -> bool:
 
     Terms are grouped by the degree difference d(mu)-d(nu) and each group
     is expanded to the join of its left degrees, where distinct word
-    pairs are linearly independent.
+    pairs are linearly independent.  A term already at that join is its
+    own expansion and is added as it is.
     """
     classes: dict = {}
     for (mu, nu), n in nums.items():
         if n:
             delta = (mu[0] - nu[0], mu[1] - nu[1])
             classes.setdefault(delta, []).append((mu, nu, n))
+    composed = graph._compose_cache
     for items in classes.values():
         top1 = max(mu[0] for mu, _, _ in items)
         top2 = max(mu[1] for mu, _, _ in items)
         acc: dict = {}
         for mu, nu, n in items:
+            if mu[0] == top1 and mu[1] == top2:  # its expansion is itself
+                acc[mu, nu] = acc.get((mu, nu), 0) + n
+                continue
             for lam in graph._paths((top1 - mu[0], top2 - mu[1])):
-                key = (_compose(graph, mu, lam), _compose(graph, nu, lam))
+                key = (
+                    composed.get((mu, lam)) or _compose(graph, mu, lam),
+                    composed.get((nu, lam)) or _compose(graph, nu, lam),
+                )
                 acc[key] = acc.get(key, 0) + n
         if any(acc.values()):
             return False
@@ -301,10 +316,14 @@ def shift(degree, element: GradedElement) -> GradedElement:
     and multiplicative in the degree.  The denominator is unchanged.
     """
     graph = element.graph
+    composed = graph._compose_cache
     out: dict = {}
     for lam in graph._paths(_as_degree(degree)):
         for (mu, nu), n in element.nums.items():
-            key = (_compose(graph, lam, mu), _compose(graph, lam, nu))
+            key = (
+                composed.get((lam, mu)) or _compose(graph, lam, mu),
+                composed.get((lam, nu)) or _compose(graph, lam, nu),
+            )
             out[key] = out.get(key, 0) + n
     return GradedElement._of(graph, out, element.den)
 
@@ -334,11 +353,18 @@ def _product(graph: TwoGraph, left: dict, right: dict) -> dict:
     ``left`` and ``right`` are numerator dicts; the product's denominator
     is the product of theirs.
     """
+    extended, composed = graph._ext_cache, graph._compose_cache
     out: dict = {}
     for (mu, nu), c in left.items():
         for (alpha, beta), d in right.items():
-            for tail_nu, tail_al in _extensions(graph, nu, alpha):
-                key = (_compose(graph, mu, tail_nu), _compose(graph, beta, tail_al))
+            tails = extended.get((nu, alpha))
+            if tails is None:
+                tails = _extensions(graph, nu, alpha)
+            for tail_nu, tail_al in tails:
+                key = (
+                    composed.get((mu, tail_nu)) or _compose(graph, mu, tail_nu),
+                    composed.get((beta, tail_al)) or _compose(graph, beta, tail_al),
+                )
                 out[key] = out.get(key, 0) + c * d
     return out
 
@@ -351,13 +377,24 @@ def _transfer(graph: TwoGraph, degree: Degree, word: tuple) -> dict:
     ``degree``.
     """
     mu, nu = word
+    extended, composed = graph._ext_cache, graph._compose_cache
     out: dict = {}
     for lam in graph._paths(degree):
         # s_lam^* s_mu expands first, then s_nu^* s_lam on the right
-        for head_tail, mu_tail in _extensions(graph, lam, mu):
-            left_nu = _compose(graph, nu, mu_tail)
-            for mid_tail, lam_tail in _extensions(graph, left_nu, lam):
-                key = (_compose(graph, head_tail, mid_tail), lam_tail)
+        heads = extended.get((lam, mu))
+        if heads is None:
+            heads = _extensions(graph, lam, mu)
+        for head_tail, mu_tail in heads:
+            left_nu = composed.get((nu, mu_tail)) or _compose(graph, nu, mu_tail)
+            mids = extended.get((left_nu, lam))
+            if mids is None:
+                mids = _extensions(graph, left_nu, lam)
+            for mid_tail, lam_tail in mids:
+                key = (
+                    composed.get((head_tail, mid_tail))
+                    or _compose(graph, head_tail, mid_tail),
+                    lam_tail,
+                )
                 out[key] = out.get(key, 0) + 1
     return out
 
@@ -459,12 +496,16 @@ def _covariant(graph: TwoGraph, mu: tuple, nu: tuple, table: dict) -> bool:
     vector (nu, lam) and multiplies back: the element
     shift(n, <(nu, lam), v>) does not depend on ``mu``, so it is kept in
     ``table`` under the key (nu, lam, alpha, beta), filled on first use
-    through :meth:`ModuleVector.inner` and the module-level
-    :func:`shift` (and so :func:`transfer`).  The caller owns the table:
-    ``identity_suite`` passes one per call.  Both sides are numerator dicts over the lcm of the
-    looked-up elements' denominators, and their difference goes to
-    ``_vanishes``.  With the true shift and transfer every inner product
-    is 0 or 1, so that lcm is 1.
+    through the kernels.  The inner product is the path count of n times
+    the transfer of s_lam s_nu^* s_alpha s_beta^*, and that count cancels
+    the transfer's denominator (as in module-orthonormal), so it is the
+    ``_add_transfers`` numerators of the ``_product`` of the two words
+    over 1, and the module-level :func:`shift` multiplies it back.  The
+    caller owns the table: ``identity_suite`` passes one per call.  Both
+    sides are numerator dicts over the lcm of the looked-up elements'
+    denominators, and their difference goes to ``_vanishes``.  With the
+    true shift and transfer every inner product is 0 or 1, so that lcm
+    is 1.
     """
     level = Degree(mu[0], mu[1])
     lams = graph._paths(level)
@@ -476,9 +517,9 @@ def _covariant(graph: TwoGraph, mu: tuple, nu: tuple, table: dict) -> bool:
                 key = (nu, lam, alpha, beta)
                 back = table.get(key)
                 if back is None:
-                    left = ModuleVector(level, _word(graph, nu, lam))
-                    inner = left.inner(ModuleVector(level, _word(graph, alpha, beta)))
-                    back = table[key] = shift(level, inner)
+                    product = _product(graph, {(lam, nu): 1}, {(alpha, beta): 1})
+                    inner = _add_transfers(graph, {}, {}, level, product)
+                    back = table[key] = shift(level, GradedElement._of(graph, inner, 1))
                 if back.nums:
                     backs.append((lam, back))
             scale = math.lcm(*(back.den for _, back in backs))

@@ -9,7 +9,8 @@ reorder oracle, never through the move routine of the periodicity
 pass.  The finite-group transfer oracles list every element and add
 Fractions, and the kernel oracle counts the listed elements a power
 map sends to zero.  The word-algebra oracles find common extensions by trying every
-pair of paths at the join degree, and add Fractions.
+pair of paths at the join degree, and add Fractions; the level
+expansion composes each pair of paths by random admissible swaps.
 """
 
 from __future__ import annotations
@@ -266,3 +267,37 @@ def word_transfer(graph, degree, x: dict) -> dict:
         for key, c in word_product(graph, left, {(lam, empty): 1}).items():
             out[key] = out.get(key, 0) + c / len(lams)
     return {key: c for key, c in out.items() if c}
+
+
+def concat_by_reordering(graph, p, q, rng):
+    """The path of p followed by q, brought to blue-first form by swapping
+    a randomly chosen adjacent (red, blue) pair until none is left."""
+    letters = [(0, e) for e in p.blues] + [(1, f) for f in p.reds]
+    letters += [(0, e) for e in q.blues] + [(1, f) for f in q.reds]
+    while True:
+        swaps = [
+            i
+            for i in range(len(letters) - 1)
+            if letters[i][0] == 1 and letters[i + 1][0] == 0
+        ]
+        if not swaps:
+            break
+        i = rng.choice(swaps)
+        e, f = graph.commute_red_blue(letters[i][1], letters[i + 1][1])
+        letters[i], letters[i + 1] = (0, e), (1, f)
+    return Path(graph, [x for c, x in letters if c == 0], [x for c, x in letters if c == 1])
+
+
+def level_expansion(graph, x: dict, degree, rng) -> dict:
+    """The summation relation applied once to every term of ``x``: each
+    s_mu s_nu^* becomes the sum of s_{mu lam} s_{nu lam}^* over the paths
+    lam of ``degree``, composed by :func:`concat_by_reordering`."""
+    out = {}
+    for (mu, nu), c in x.items():
+        for lam in graph.enumerate_paths(degree):
+            key = (
+                concat_by_reordering(graph, mu, lam, rng),
+                concat_by_reordering(graph, nu, lam, rng),
+            )
+            out[key] = out.get(key, 0) + c
+    return out

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import word_product, word_transfer
+from _oracles import level_expansion, word_product, word_transfer
 
 from twograph import (
     BadRangeError,
@@ -459,6 +459,37 @@ def test_expansion_equality_on_unbalanced_words():
     assert x == expanded
 
 
+_LOW_DEGREES = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n1=st.sampled_from([2, 3]),
+    degree=st.sampled_from(_LOW_DEGREES[1:]),
+)
+def test_an_element_minus_its_level_expansion_vanishes(seed, n1, degree):
+    # x minus its level-n expansion puts terms at the top degree of their
+    # class, which _vanishes adds without expanding them by the empty path;
+    # the expansion composes by reordering, not through the algebra's tables
+    from twograph import algebra
+
+    rng = random.Random(seed)
+    g = random_two_graph(n1, 2, rng)
+    x = {}
+    for _ in range(rng.randint(1, 4)):
+        mu = rng.choice(g.enumerate_paths(rng.choice(_LOW_DEGREES)))
+        nu = rng.choice(g.enumerate_paths(rng.choice(_LOW_DEGREES)))
+        x[mu, nu] = x.get((mu, nu), 0) + rng.choice([-3, -1, 1, 2])
+    mixed = {(mu.code, nu.code): c for (mu, nu), c in x.items()}
+    for (mu, nu), c in level_expansion(g, x, degree, rng).items():
+        mixed[mu.code, nu.code] = mixed.get((mu.code, nu.code), 0) - c
+    assert algebra._vanishes(g, mixed)
+    key = rng.choice(sorted(mixed))
+    mixed[key] += rng.choice([-2, -1, 1, 3])
+    assert not algebra._vanishes(g, mixed)
+
+
 # -- module vectors -----------------------------------------------------------------------
 
 
@@ -545,6 +576,40 @@ def test_covariance_scalar_level():
     g = flip_graph(2, 2)
     empty = g.empty_path()
     assert _covariant(empty, empty)
+
+
+@pytest.mark.parametrize("g", [flip_graph(3, 2), twin_graph(2)], ids=["flip-3x2", "twin-2"])
+def test_covariance_table_matches_the_word_oracle(g, monkeypatch):
+    # each entry shift(n, <(nu, lam), (alpha, beta)>) that covariance fills
+    # through the kernels equals shift(n, .) of the inner product the word
+    # oracles give: the path count of n times the transfer of
+    # s_lam s_nu^* s_alpha s_beta^*, with no kernel reached on that side
+    from twograph import algebra, graphs
+
+    table = {}
+    for mu, nu in _word_paths(g, (1, 1)):
+        assert algebra._covariant(g, mu.code, nu.code, table)
+    levels = _degrees_upto((1, 1))
+    assert len(table) == sum(len(g.enumerate_paths(n)) ** 4 for n in levels)
+
+    def unreachable(*args):
+        raise AssertionError("the oracle side reached a kernel")
+
+    for owner, name in [
+        (algebra, "_product"),
+        (algebra, "_transfer"),
+        (algebra, "_extensions"),
+        (graphs, "_extensions"),
+    ]:
+        monkeypatch.setattr(owner, name, unreachable)
+    paths = {p.code: p for n in levels for p in g.enumerate_paths(n)}
+    for codes, back in table.items():
+        nu, lam, alpha, beta = (paths[code] for code in codes)
+        level = nu.degree
+        count = len(g.enumerate_paths(level))
+        product = word_product(g, {(lam, nu): 1}, {(alpha, beta): 1})
+        inner = {key: count * c for key, c in word_transfer(g, level, product).items()}
+        assert back.terms == shift(level, GradedElement(g, inner)).terms, codes
 
 
 _COVARIANCE_LEVELS = [(0, 0), (0, 1), (1, 0), (1, 1)]  # the suite's order
@@ -811,6 +876,39 @@ def test_identity_suite_deterministic_case_counts():
     assert [c.cases for c in first] == [4, 4, 1250, 676, 225, 100, 4, 81, 16, 2, 25, 25]
 
 
+_CHECK_NAMES = [
+    "transfer-unit",
+    "shift-unit",
+    "transfer-identity-generators",
+    "transfer-identity-all-degrees",
+    "transfer-action",
+    "transfer-section",
+    "module-orthonormal",
+    "module-product",
+    "cuntz-commutation",
+    "cuntz-family",
+    "covariance",
+    "star-axioms",
+]
+
+
+@pytest.mark.parametrize(
+    "g, bound, cases",
+    [
+        (flip_graph(2, 2), (2, 1), [6, 6, 22050, 12142, 1890, 630, 6, 513, 16, 2, 25, 25]),
+        (twin_graph(2), (1, 2), [6, 6, 22050, 12142, 1890, 630, 6, 513, 16, 2, 25, 25]),
+        (flip_graph(3, 2), (1, 1), [4, 4, 5000, 2626, 450, 200, 4, 171, 36, 2, 50, 25]),
+    ],
+    ids=["flip-2x2", "twin-2", "flip-3x2"],
+)
+def test_identity_suite_case_lists_at_the_core_verify_bounds(g, bound, cases):
+    # the three graphs and bounds of the benchmark's core-verify workload
+    checks = identity_suite(g, max_degree=bound, seed=1)
+    assert [(c.name, c.cases, c.passed) for c in checks] == [
+        (name, n, True) for name, n in zip(_CHECK_NAMES, cases)
+    ]
+
+
 def test_identity_suite_reports_first_failures(monkeypatch):
     # a shift that doubles its result at degree (0, 1) breaks every check using it
     from twograph import algebra
@@ -843,11 +941,11 @@ def test_identity_suite_reports_first_failures(monkeypatch):
     assert by_name["transfer-identity-all-degrees"].detail == detail
 
 
-def _doubled_at_blue(true_transfer):
-    # a transfer kernel that doubles its numerators at degree (1, 0)
+def _doubled_at(level, true_transfer):
+    # a transfer kernel that doubles its numerators at degree ``level``
     def broken_transfer(graph, degree, word):
         out = true_transfer(graph, degree, word)
-        if tuple(degree) != (1, 0):
+        if tuple(degree) != level:
             return out
         return {key: 2 * n for key, n in out.items()}
 
@@ -859,7 +957,7 @@ def test_identity_suite_reports_transfer_failures(monkeypatch):
     # that uses it, except the transfer identities, whose two sides both double
     from twograph import algebra
 
-    monkeypatch.setattr(algebra, "_transfer", _doubled_at_blue(algebra._transfer))
+    monkeypatch.setattr(algebra, "_transfer", _doubled_at((1, 0), algebra._transfer))
     checks = identity_suite(flip_graph(2, 2), max_degree=(1, 1), seed=0)
     assert [(c.cases, c.passed) for c in checks] == [
         (3, False),
@@ -879,6 +977,32 @@ def test_identity_suite_reports_transfer_failures(monkeypatch):
     assert by_name["transfer-section"].detail == (
         "counterexample: (Degree(n1=1, n2=0), (Path('e'), Path('e')))"
     )
+
+
+def test_identity_suite_reports_transfer_failures_at_level_one_one(monkeypatch):
+    # a transfer doubled only at (1, 1) fails every check that transfers
+    # there, covariance through its table fill at that level alone; the
+    # transfer identities, whose two sides both double, hold
+    from twograph import algebra
+
+    monkeypatch.setattr(algebra, "_transfer", _doubled_at((1, 1), algebra._transfer))
+    checks = identity_suite(flip_graph(2, 2), max_degree=(1, 1), seed=0)
+    assert [(c.cases, c.passed) for c in checks] == [
+        (4, False),
+        (4, True),
+        (1250, True),
+        (676, True),
+        (126, False),
+        (76, False),
+        (4, False),
+        (81, True),
+        (16, True),
+        (2, True),
+        (10, False),
+        (25, True),
+    ]
+    by_name = {c.name: c for c in checks}
+    assert by_name["covariance"].detail == "counterexample: (Path('b0 r0'), Path('b0 r0'))"
 
 
 def test_identity_suite_reports_product_failures(monkeypatch):
@@ -986,7 +1110,7 @@ def test_identity_suite_transfer_caches_do_not_outlive_their_scope(monkeypatch):
     from twograph import algebra
 
     g = flip_graph(2, 2)
-    monkeypatch.setattr(algebra, "_transfer", _doubled_at_blue(algebra._transfer))
+    monkeypatch.setattr(algebra, "_transfer", _doubled_at((1, 0), algebra._transfer))
     broken = identity_suite(g, max_degree=(1, 1), seed=0)
     cached = ("transfer-action", "transfer-section", "module-orthonormal")
     assert not any(c.passed for c in broken if c.name in cached)
